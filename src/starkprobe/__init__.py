@@ -19,7 +19,6 @@ from .analysis import (
 )
 from .lindblad import (
     DensityMatrix,
-    Superoperator,
     build_liouvillian,
     devectorize,
     propagate,
@@ -40,16 +39,14 @@ from .model import (
     middle_site,
     site_state,
 )
-from .nh import evolve_nh, evolve_nh_density, trace_preserving_rhs
+from .nh import evolve_nh_density, trace_preserving_rhs
 from .spectral import (
     BiorthogonalSystem,
     eig_biorthogonal,
     eig_hermitian,
-    expm_action,
-    unidirectional_eigvec,
     unidirectional_eigvec_normalized,
 )
-from .trajectory import TrajectoryConfig, no_jump_probability, run_ensemble, step
+from .trajectory import TrajectoryConfig, run_ensemble
 
 __version__ = "0.1.0"
 
@@ -69,21 +66,15 @@ __all__ = [
     "BiorthogonalSystem",
     "eig_hermitian",
     "eig_biorthogonal",
-    "unidirectional_eigvec",
     "unidirectional_eigvec_normalized",
-    "expm_action",
     "DensityMatrix",
-    "Superoperator",
     "vectorize",
     "devectorize",
     "build_liouvillian",
     "propagate",
     "trace_distance",
     "TrajectoryConfig",
-    "step",
     "run_ensemble",
-    "no_jump_probability",
-    "evolve_nh",
     "evolve_nh_density",
     "trace_preserving_rhs",
     "FisherResult",

@@ -2,8 +2,9 @@
 
 ``starkprobe run <config.json> [--out DIR] [--threads N] [--seed S]`` executes
 one named experiment and writes one CSV per output table plus a manifest with
-the fully resolved configuration.  Identical config and seed reproduce every
-CSV byte for byte; the manifest is written last as the completion marker.
+the fully resolved configuration, defaults included.  Identical config and
+seed reproduce every CSV byte for byte; the manifest, written last, marks
+completion.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, NumericalError
-from .experiments import EXPERIMENTS
+from .experiments import EXPERIMENTS, resolve_params
 
 __all__ = ["main", "run_from_config"]
 
@@ -46,6 +47,7 @@ def _validate(config: dict) -> dict:
     params = config.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("config.params: expected an object")
+    params = resolve_params(experiment, params)
     seed = config.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise ConfigError("config.seed: expected an unsigned 64-bit integer")
@@ -86,6 +88,8 @@ def run_from_config(config: dict, out_dir: Path) -> dict:
     resolved = _validate(config)
     runner = EXPERIMENTS[resolved["experiment"]]
     out_dir.mkdir(parents=True, exist_ok=True)
+    # A stale marker would make a rerun that fails midway look complete.
+    (out_dir / "manifest.json").unlink(missing_ok=True)
 
     started = time.time()
     tables = runner(resolved["params"], resolved["seed"], resolved["threads"])

@@ -7,19 +7,21 @@ them into the named experiments the CLI exposes and return plain row dicts
 ready for CSV serialization.
 
 Field derivatives follow one mechanism everywhere: central differences of
-the full evolution at h +/- delta with gauge alignment for state vectors
-(see :mod:`starkprobe.metrology`).
+the full evolution at h +/- delta, delta = default_step(h), with gauge
+alignment for state vectors (see :mod:`starkprobe.metrology`), and each
+formalism has one propagation route.
 """
 
 from __future__ import annotations
 
+import copy
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .analysis import TimeSeries, peak_qfi_over_t2
 from .errors import ConfigError, PeakAtBoundary
-from .lindblad import propagate, trace_distance
+from .lindblad import DensityMatrix, propagate, trace_distance
 from .metrology import default_step, qfi_mixed, qfi_pure_batch, snr
 from .model import (
     LatticeSpec,
@@ -58,7 +60,7 @@ def _pmap(fn, items, threads):
 # QFI pipelines
 # ---------------------------------------------------------------------------
 
-def unitary_qfi_series(spec: LatticeSpec, times, psi0=None, delta=None) -> TimeSeries:
+def unitary_qfi_series(spec: LatticeSpec, times, psi0=None) -> TimeSeries:
     """QFI(t) of the closed-system evolution from a pure initial state.
 
     Spectral propagation: one Hermitian eigendecomposition per field value
@@ -67,8 +69,7 @@ def unitary_qfi_series(spec: LatticeSpec, times, psi0=None, delta=None) -> TimeS
     times = np.asarray(times, dtype=float)
     if psi0 is None:
         psi0 = site_state(spec.L, middle_site(spec.L))
-    if delta is None:
-        delta = default_step(spec.h)
+    delta = default_step(spec.h)
 
     states = {}
     for hp in (spec.h - delta, spec.h, spec.h + delta):
@@ -85,7 +86,7 @@ def unitary_qfi_series(spec: LatticeSpec, times, psi0=None, delta=None) -> TimeS
     return TimeSeries(times, values, meta)
 
 
-def lindblad_qfi_series(spec: LatticeSpec, times, site=None, delta=None) -> TimeSeries:
+def lindblad_qfi_series(spec: LatticeSpec, times, site=None) -> TimeSeries:
     """QFI(t) of the dephasing master equation from a single-site state.
 
     Three Liouvillian propagations (h and h +/- delta); the mixed-state QFI
@@ -95,16 +96,13 @@ def lindblad_qfi_series(spec: LatticeSpec, times, site=None, delta=None) -> Time
     times = np.asarray(times, dtype=float)
     if site is None:
         site = middle_site(spec.L)
-    if delta is None:
-        delta = default_step(spec.h)
     if spec.gamma == 0.0:
-        series = unitary_qfi_series(spec, times, site_state(spec.L, site), delta)
+        series = unitary_qfi_series(spec, times, site_state(spec.L, site))
         series.meta.update({"formalism": "lindblad", "site": site})
         return series
 
-    from .lindblad import DensityMatrix
-
     rho0 = DensityMatrix.from_pure(site_state(spec.L, site))
+    delta = default_step(spec.h)
     evolved = {}
     for hp in (spec.h - delta, spec.h, spec.h + delta):
         evolved[hp] = propagate(rho0, spec.with_field(hp), times)
@@ -125,16 +123,14 @@ _BUILDERS = {
 }
 
 
-def nh_qfi_series(kind: str, spec: LatticeSpec, times, psi0=None, delta=None,
-                  route: str | None = None) -> TimeSeries:
+def nh_qfi_series(kind: str, spec: LatticeSpec, times, psi0=None) -> TimeSeries:
     """QFI(t) of normalized non-Hermitian evolution.
 
-    ``kind`` picks the generator ("hatano-nelson" or "unidirectional").
-    Route "spectral" reuses one biorthogonal decomposition per field value;
-    route "grid" steps a uniform time grid with one short-step exponential
-    (required where the eigenbasis is too ill-conditioned, e.g. the
-    unidirectional chain at small h).  Defaults: spectral for the
-    Hatano-Nelson chain, grid for the unidirectional one.
+    ``kind`` picks the generator and with it the route.  The Hatano-Nelson
+    chain ("hatano-nelson") goes spectral, reusing one biorthogonal
+    decomposition per field value.  The unidirectional chain
+    ("unidirectional") steps a uniform time grid with one short-step
+    exponential, because its eigenbasis is too ill-conditioned at small h.
     """
     if kind not in _BUILDERS:
         raise ValueError(f"unknown generator kind {kind!r}")
@@ -142,12 +138,8 @@ def nh_qfi_series(kind: str, spec: LatticeSpec, times, psi0=None, delta=None,
     times = np.asarray(times, dtype=float)
     if psi0 is None:
         psi0 = site_state(spec.L, middle_site(spec.L))
-    if delta is None:
-        delta = default_step(spec.h)
-    if route is None:
-        route = "spectral" if kind == "hatano-nelson" else "grid"
-    if route not in ("spectral", "grid"):
-        raise ValueError(f"unknown route {route!r}")
+    delta = default_step(spec.h)
+    route = "spectral" if kind == "hatano-nelson" else "grid"
 
     states = {}
     for hp in (spec.h - delta, spec.h, spec.h + delta):
@@ -165,14 +157,13 @@ def nh_qfi_series(kind: str, spec: LatticeSpec, times, psi0=None, delta=None,
     return TimeSeries(times, values, meta)
 
 
-def hn_state_qfi(spec: LatticeSpec, index: int = 0, delta=None) -> float:
+def hn_state_qfi(spec: LatticeSpec, index: int = 0) -> float:
     """QFI of one Hatano-Nelson eigenstate probe (default: lowest real energy).
 
     The probe is the unit-normalized right eigenvector; its field derivative
     is a gauge-aligned central difference across h +/- delta.
     """
-    if delta is None:
-        delta = default_step(spec.h)
+    delta = default_step(spec.h)
 
     def eigstate(hp):
         system = eig_biorthogonal(build_hatano_nelson(spec.with_field(hp)))
@@ -189,14 +180,13 @@ def hn_state_qfi(spec: LatticeSpec, index: int = 0, delta=None) -> float:
     return float(vals[0])
 
 
-def unidirectional_state_qfi(spec: LatticeSpec, n: int, delta=None) -> float:
+def unidirectional_state_qfi(spec: LatticeSpec, n: int) -> float:
     """QFI of a closed-form unidirectional eigenstate probe (0-based index n).
 
     Uses the log-space normalized eigenvector, which stays stable at the
     large J/h values where the general eigensolver becomes unusable.
     """
-    if delta is None:
-        delta = default_step(spec.h)
+    delta = default_step(spec.h)
     h = spec.h
     vals = qfi_pure_batch(
         unidirectional_eigvec_normalized(n, spec)[np.newaxis, :],
@@ -208,7 +198,7 @@ def unidirectional_state_qfi(spec: LatticeSpec, n: int, delta=None) -> float:
 
 
 def static_qfi_scan(kind: str, spec: LatticeSpec, h_grid, *, state_index=None,
-                    delta=None, threads: int = 1):
+                    threads: int = 1):
     """Eigenstate QFI over a field grid, plus the refined maximum.
 
     Returns (values, h_max, fq_max).  ``state_index`` defaults to L-1 for
@@ -218,12 +208,11 @@ def static_qfi_scan(kind: str, spec: LatticeSpec, h_grid, *, state_index=None,
     interior QFI maximum).
     """
     h_grid = np.asarray(h_grid, dtype=float)
+    idx = spec.L - 1 if state_index is None else int(state_index)
     if kind == "hatano-nelson":
-        idx = spec.L - 1 if state_index is None else int(state_index)
-        fn = lambda h: hn_state_qfi(spec.with_field(h), idx, delta)
+        fn = lambda h: hn_state_qfi(spec.with_field(h), idx)
     elif kind == "unidirectional":
-        idx = spec.L - 1 if state_index is None else int(state_index)
-        fn = lambda h: unidirectional_state_qfi(spec.with_field(h), idx, delta)
+        fn = lambda h: unidirectional_state_qfi(spec.with_field(h), idx)
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
     values = np.array(_pmap(fn, h_grid, threads))
@@ -259,8 +248,51 @@ def refine_peak(xs, ys, log_x: bool = False):
 # Config plumbing shared by the experiment drivers
 # ---------------------------------------------------------------------------
 
-def _want(params: dict, key: str, default, kind, *, positive=False):
-    value = params.get(key, default)
+# Every params key of each experiment with its default.  Any other key is a
+# config error; the merged values are what a run records in its manifest.
+PARAMS = {
+    "lindblad-sweep": {"L": [10, 20, 30, 40], "gamma": [0.0, 0.01],
+                       "h": [0.05, 0.1, 0.3], "t_max": 100.0, "dt": 1.0},
+    "traj-validate": {"L": 10, "gamma": 0.02, "h": 0.05, "n_traj": 5000,
+                      "dt": 0.05, "times": [10.0, 25.0, 50.0]},
+    "hn-static": {"L": [100], "gamma": [0.02, 0.05, 0.1],
+                  "h_grid": {"lo": 3e-6, "hi": 1e-3, "n": 25, "scale": "log"},
+                  "state_index": None},
+    "hn-dynamic": {"L": [100], "gamma": 0.05, "h": [0.001, 0.1],
+                   "t_max": 150.0, "dt": 0.5},
+    "uni-static": {"L": [400], "states": ["ground", "mid"],
+                   "h_grid": {"lo": 5e-4, "hi": 0.1, "n": 48, "scale": "log"}},
+    "uni-dynamic": {"L": [100], "h": [0.001, 0.1], "sigma": 2.0,
+                    "t_max": 120.0, "dt": 0.5},
+    "table1": {"M": 1000, "gamma": 0.01, "L_lindblad": 40, "L_nh": 100,
+               "t_fixed": 10.0, "t_max": 120.0, "dt_lindblad": 1.0, "dt_nh": 0.5,
+               "lindblad_h": [0.01, 0.05, 0.5], "hn_h": [0.001, 0.01, 0.1],
+               "uni_h": [0.001, 0.01, 0.1]},
+}
+
+
+def resolve_params(experiment: str, params: dict) -> dict:
+    """``params`` over the defaults of ``experiment``; unknown keys raise ConfigError.
+
+    An object-valued default (an h grid) is merged one level down, so a
+    partial grid keeps the defaults of the fields it leaves out.
+    """
+    return _merge(copy.deepcopy(PARAMS[experiment]), params, "params")
+
+
+def _merge(into: dict, given: dict, path: str) -> dict:
+    for key, value in given.items():
+        if key not in into:
+            raise ConfigError(f"{path}.{key}: unknown key, expected one of "
+                              f"{', '.join(sorted(into))}")
+        if isinstance(into[key], dict) and isinstance(value, dict):
+            value = _merge(into[key], value, f"{path}.{key}")
+        into[key] = value
+    return into
+
+
+def _want(params: dict, key: str, kind, *, positive=False):
+    value = params[key]
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"params.{key}: expected a number, got {value!r}")
@@ -282,8 +314,8 @@ def _want(params: dict, key: str, default, kind, *, positive=False):
     return value
 
 
-def _number_list(params: dict, key: str, default) -> list[float]:
-    values = _want(params, key, default, list)
+def _number_list(params: dict, key: str) -> list[float]:
+    values = _want(params, key, list)
     out = []
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -292,8 +324,8 @@ def _number_list(params: dict, key: str, default) -> list[float]:
     return out
 
 
-def _int_list(params: dict, key: str, default) -> list[int]:
-    values = _want(params, key, default, list)
+def _int_list(params: dict, key: str) -> list[int]:
+    values = _want(params, key, list)
     out = []
     for v in values:
         if isinstance(v, bool) or not isinstance(v, int):
@@ -302,16 +334,16 @@ def _int_list(params: dict, key: str, default) -> list[int]:
     return out
 
 
-def _h_grid(params: dict, key: str, default: dict) -> np.ndarray:
-    raw = params.get(key, default)
+def _h_grid(params: dict, key: str) -> np.ndarray:
+    raw = params[key]
     if isinstance(raw, (list, tuple)):
-        return np.asarray(_number_list({key: list(raw)}, key, None), dtype=float)
+        return np.asarray(_number_list(params, key), dtype=float)
     if not isinstance(raw, dict):
         raise ConfigError(f"params.{key}: expected a list or a lo/hi/n object")
-    lo = _want(raw, "lo", default.get("lo"), float, positive=True)
-    hi = _want(raw, "hi", default.get("hi"), float, positive=True)
-    n = _want(raw, "n", default.get("n"), int, positive=True)
-    scale = _want(raw, "scale", default.get("scale", "log"), str)
+    lo = _want(raw, "lo", float, positive=True)
+    hi = _want(raw, "hi", float, positive=True)
+    n = _want(raw, "n", int, positive=True)
+    scale = _want(raw, "scale", str)
     if hi <= lo:
         raise ConfigError(f"params.{key}: hi must exceed lo")
     if scale == "log":
@@ -319,6 +351,14 @@ def _h_grid(params: dict, key: str, default: dict) -> np.ndarray:
     if scale == "linear":
         return np.linspace(lo, hi, n)
     raise ConfigError(f"params.{key}.scale: expected 'log' or 'linear', got {scale!r}")
+
+
+def _spec(L, h, gamma) -> LatticeSpec:
+    """Probe lattice from config values; an out-of-range value is a config error."""
+    try:
+        return LatticeSpec(L, 1.0, h, gamma)
+    except ValueError as exc:
+        raise ConfigError(f"params: {exc}") from exc
 
 
 def _time_grid(t_max: float, dt: float) -> np.ndarray:
@@ -339,24 +379,20 @@ def _tuple_row(formalism, spec, t, seed, **extra) -> dict:
 
 def run_lindblad_sweep(params: dict, seed: int, threads: int):
     """QFI(t) under dephasing over a (L, gamma, h) product grid."""
-    Ls = _int_list(params, "L", [10, 20, 30, 40])
-    gammas = _number_list(params, "gamma", [0.0, 0.01])
-    hs = _number_list(params, "h", [0.05, 0.1, 0.3])
-    t_max = _want(params, "t_max", 100.0, float, positive=True)
-    dt = _want(params, "dt", 1.0, float, positive=True)
+    params = resolve_params("lindblad-sweep", params)
+    Ls = _int_list(params, "L")
+    gammas = _number_list(params, "gamma")
+    hs = _number_list(params, "h")
+    t_max = _want(params, "t_max", float, positive=True)
+    dt = _want(params, "dt", float, positive=True)
     times = _time_grid(t_max, dt)
+    specs = [_spec(L, h, g) for L in Ls for g in gammas for h in hs]
 
-    tasks = [(L, g, h) for L in Ls for g in gammas for h in hs]
-
-    def one(task):
-        L, g, h = task
-        spec = LatticeSpec(L, 1.0, h, g)
-        return lindblad_qfi_series(spec, times, delta=params.get("delta"))
+    def one(spec):
+        return lindblad_qfi_series(spec, times)
 
     rows = []
-    for series in _pmap(one, tasks, threads):
-        m = series.meta
-        spec = LatticeSpec(m["L"], m["J"], m["h"], m["gamma"])
+    for spec, series in zip(specs, _pmap(one, specs, threads)):
         for t, fq in zip(series.times, series.values):
             rows.append(_tuple_row("lindblad", spec, float(t), seed,
                                    fq=float(fq), fq_over_t2=float(fq / t**2)))
@@ -365,16 +401,15 @@ def run_lindblad_sweep(params: dict, seed: int, threads: int):
 
 def run_traj_validate(params: dict, seed: int, threads: int):
     """Trace distance between the trajectory ensemble and the exact propagation."""
-    L = _want(params, "L", 10, int, positive=True)
-    gamma = _want(params, "gamma", 0.02, float)
-    h = _want(params, "h", 0.05, float)
-    n_traj = _want(params, "n_traj", 5000, int, positive=True)
-    dt = _want(params, "dt", 0.05, float, positive=True)
-    times = np.asarray(_number_list(params, "times", [10.0, 25.0, 50.0]), dtype=float)
+    params = resolve_params("traj-validate", params)
+    L = _want(params, "L", int, positive=True)
+    gamma = _want(params, "gamma", float)
+    h = _want(params, "h", float)
+    n_traj = _want(params, "n_traj", int, positive=True)
+    dt = _want(params, "dt", float, positive=True)
+    times = np.asarray(_number_list(params, "times"), dtype=float)
 
-    from .lindblad import DensityMatrix
-
-    spec = LatticeSpec(L, 1.0, h, gamma)
+    spec = _spec(L, h, gamma)
     psi0 = site_state(L, middle_site(L))
     cfg = TrajectoryConfig(dt=dt, t_final=float(times.max()), n_traj=n_traj, seed=seed)
     ensemble = run_ensemble(psi0, spec, cfg, times)
@@ -394,53 +429,52 @@ def run_hn_static(params: dict, seed: int, threads: int):
     ``state_index`` defaults to the competition state L-1 (see
     :func:`static_qfi_scan`).
     """
-    Ls = _int_list(params, "L", [100])
-    gammas = _number_list(params, "gamma", [0.02, 0.05, 0.1])
-    grid = _h_grid(params, "h_grid", {"lo": 3e-6, "hi": 1e-3, "n": 25, "scale": "log"})
-    index = params.get("state_index")
+    params = resolve_params("hn-static", params)
+    Ls = _int_list(params, "L")
+    gammas = _number_list(params, "gamma")
+    grid = _h_grid(params, "h_grid")
+    index = params["state_index"]
     if index is not None and (isinstance(index, bool) or not isinstance(index, int)):
         raise ConfigError(f"params.state_index: expected an integer, got {index!r}")
+    specs = [_spec(L, 0.0, g) for L in Ls for g in gammas]
 
     curves, maxima = [], []
-    for L in Ls:
-        for g in gammas:
-            idx = (L - 1) if index is None else index
-            spec = LatticeSpec(L, 1.0, 0.0, g)
-            values, h_max, fq_max = static_qfi_scan(
-                "hatano-nelson", spec, grid, state_index=idx,
-                delta=params.get("delta"), threads=threads)
-            for h, fq in zip(grid, values):
-                curves.append(_tuple_row("hn-static", spec.with_field(float(h)), 0.0,
-                                         seed, state_index=idx, fq=float(fq)))
-            maxima.append(_tuple_row("hn-static", spec.with_field(h_max), 0.0, seed,
-                                     state_index=idx, fq_max=fq_max, h_max=h_max))
+    for spec in specs:
+        idx = (spec.L - 1) if index is None else index
+        values, h_max, fq_max = static_qfi_scan(
+            "hatano-nelson", spec, grid, state_index=idx, threads=threads)
+        for h, fq in zip(grid, values):
+            curves.append(_tuple_row("hn-static", spec.with_field(float(h)), 0.0,
+                                     seed, state_index=idx, fq=float(fq)))
+        maxima.append(_tuple_row("hn-static", spec.with_field(h_max), 0.0, seed,
+                                 state_index=idx, fq_max=fq_max, h_max=h_max))
     return {"hn_static": curves, "hn_static_maxima": maxima}
 
 
 def run_uni_static(params: dict, seed: int, threads: int):
     """Closed-form eigenstate QFI of the unidirectional chain."""
-    Ls = _int_list(params, "L", [400])
-    states = _want(params, "states", ["ground", "mid"], list)
-    grid = _h_grid(params, "h_grid", {"lo": 5e-4, "hi": 0.1, "n": 48, "scale": "log"})
+    params = resolve_params("uni-static", params)
+    Ls = _int_list(params, "L")
+    states = _want(params, "states", list)
+    grid = _h_grid(params, "h_grid")
+    specs = [_spec(L, 0.0, 0.0) for L in Ls]
 
     curves, maxima = [], []
-    for L in Ls:
+    for spec in specs:
         for label in states:
             if label == "ground":
                 # Under the 1..L site gauge the structured extremal state
                 # carries the top closed-form index.
-                index = L - 1
+                index = spec.L - 1
             elif label == "mid":
-                index = L // 2
+                index = spec.L // 2
             elif isinstance(label, int) and not isinstance(label, bool):
                 index = label
             else:
                 raise ConfigError(
                     f"params.states: expected 'ground', 'mid' or an index, got {label!r}")
-            spec = LatticeSpec(L, 1.0, 0.0, 0.0)
             values, h_max, fq_max = static_qfi_scan(
-                "unidirectional", spec, grid, state_index=index,
-                delta=params.get("delta"), threads=threads)
+                "unidirectional", spec, grid, state_index=index, threads=threads)
             for h, fq in zip(grid, values):
                 curves.append(_tuple_row("uni-static", spec.with_field(float(h)), 0.0,
                                          seed, state=str(label), state_index=index,
@@ -451,9 +485,9 @@ def run_uni_static(params: dict, seed: int, threads: int):
     return {"uni_static": curves, "uni_static_maxima": maxima}
 
 
-def _dynamic_rows(kind, specs, times, seed, threads, psi0_of, route=None):
+def _dynamic_rows(kind, specs, times, seed, threads, psi0_of):
     def one(spec):
-        return nh_qfi_series(kind, spec, times, psi0_of(spec), route=route)
+        return nh_qfi_series(kind, spec, times, psi0_of(spec))
 
     curves, maxima = [], []
     for spec, series in zip(specs, _pmap(one, specs, threads)):
@@ -474,14 +508,15 @@ def _dynamic_rows(kind, specs, times, seed, threads, psi0_of, route=None):
 
 def run_hn_dynamic(params: dict, seed: int, threads: int):
     """F/t^2 evolution of the nonreciprocal chain from a mid-lattice particle."""
-    Ls = _int_list(params, "L", [100])
-    gamma = _want(params, "gamma", 0.05, float)
-    hs = _number_list(params, "h", [0.001, 0.1])
-    t_max = _want(params, "t_max", 150.0, float, positive=True)
-    dt = _want(params, "dt", 0.5, float, positive=True)
+    params = resolve_params("hn-dynamic", params)
+    Ls = _int_list(params, "L")
+    gamma = _want(params, "gamma", float)
+    hs = _number_list(params, "h")
+    t_max = _want(params, "t_max", float, positive=True)
+    dt = _want(params, "dt", float, positive=True)
     times = _time_grid(t_max, dt)
 
-    specs = [LatticeSpec(L, 1.0, h, gamma) for L in Ls for h in hs]
+    specs = [_spec(L, h, gamma) for L in Ls for h in hs]
     curves, maxima = _dynamic_rows(
         "hatano-nelson", specs, times, seed, threads,
         lambda spec: site_state(spec.L, middle_site(spec.L)))
@@ -490,14 +525,15 @@ def run_hn_dynamic(params: dict, seed: int, threads: int):
 
 def run_uni_dynamic(params: dict, seed: int, threads: int):
     """F/t^2 evolution of the unidirectional chain from a Gaussian packet."""
-    Ls = _int_list(params, "L", [100])
-    hs = _number_list(params, "h", [0.001, 0.1])
-    sigma = _want(params, "sigma", 2.0, float, positive=True)
-    t_max = _want(params, "t_max", 120.0, float, positive=True)
-    dt = _want(params, "dt", 0.5, float, positive=True)
+    params = resolve_params("uni-dynamic", params)
+    Ls = _int_list(params, "L")
+    hs = _number_list(params, "h")
+    sigma = _want(params, "sigma", float, positive=True)
+    t_max = _want(params, "t_max", float, positive=True)
+    dt = _want(params, "dt", float, positive=True)
     times = _time_grid(t_max, dt)
 
-    specs = [LatticeSpec(L, 1.0, h, 0.0) for L in Ls for h in hs]
+    specs = [_spec(L, h, 0.0) for L in Ls for h in hs]
     curves, maxima = _dynamic_rows(
         "unidirectional", specs, times, seed, threads,
         lambda spec: gaussian_packet(spec.L, sigma))
@@ -515,26 +551,27 @@ def run_table1(params: dict, seed: int, threads: int):
     singularities.  When no interior peak exists the fixed reporting time is
     used and the row is flagged.
     """
-    M = _want(params, "M", 1000, int, positive=True)
-    gamma = _want(params, "gamma", 0.01, float)
-    L_lind = _want(params, "L_lindblad", 40, int, positive=True)
-    L_nh = _want(params, "L_nh", 100, int, positive=True)
-    t_fixed = _want(params, "t_fixed", 10.0, float, positive=True)
-    t_max = _want(params, "t_max", 120.0, float, positive=True)
-    dt_lind = _want(params, "dt_lindblad", 1.0, float, positive=True)
-    dt_nh = _want(params, "dt_nh", 0.5, float, positive=True)
-    lind_h = _number_list(params, "lindblad_h", [0.01, 0.05, 0.5])
-    hn_h = _number_list(params, "hn_h", [0.001, 0.01, 0.1])
-    uni_h = _number_list(params, "uni_h", [0.001, 0.01, 0.1])
+    params = resolve_params("table1", params)
+    M = _want(params, "M", int, positive=True)
+    gamma = _want(params, "gamma", float)
+    L_lind = _want(params, "L_lindblad", int, positive=True)
+    L_nh = _want(params, "L_nh", int, positive=True)
+    t_fixed = _want(params, "t_fixed", float, positive=True)
+    t_max = _want(params, "t_max", float, positive=True)
+    dt_lind = _want(params, "dt_lindblad", float, positive=True)
+    dt_nh = _want(params, "dt_nh", float, positive=True)
+    lind_h = _number_list(params, "lindblad_h")
+    hn_h = _number_list(params, "hn_h")
+    uni_h = _number_list(params, "uni_h")
 
     cases = []
     for h in lind_h:
-        cases.append(("lindblad", LatticeSpec(L_lind, 1.0, h, gamma), dt_lind, t_max))
+        cases.append(("lindblad", _spec(L_lind, h, gamma), dt_lind, t_max))
     for h in hn_h:
-        cases.append(("hatano-nelson", LatticeSpec(L_nh, 1.0, h, gamma), dt_nh, t_max))
+        cases.append(("hatano-nelson", _spec(L_nh, h, gamma), dt_nh, t_max))
     for h in uni_h:
         horizon = min(t_max, 0.95 * np.pi / h)
-        cases.append(("unidirectional", LatticeSpec(L_nh, 1.0, h, 0.0), dt_nh, horizon))
+        cases.append(("unidirectional", _spec(L_nh, h, 0.0), dt_nh, horizon))
 
     def one(case):
         kind, spec, dt, horizon = case

@@ -21,7 +21,6 @@ from .model import LatticeSpec, build_dephasing_ops, build_stark
 
 __all__ = [
     "DensityMatrix",
-    "Superoperator",
     "vectorize",
     "devectorize",
     "build_liouvillian",
@@ -31,9 +30,12 @@ __all__ = [
 
 TRACE_ATOL = 1e-10
 HERMITICITY_ATOL = 1e-10
-# Type-level positivity floor; propagate aborts earlier at POSITIVITY_HARD.
+# Positivity floor of the type; propagate reports a breach as PositivityLoss.
 POSITIVITY_FLOOR = -1e-8
-POSITIVITY_HARD = -1e-6
+
+
+class _NotPositive(ValueError):
+    """A DensityMatrix candidate has an eigenvalue at or below POSITIVITY_FLOOR."""
 
 
 @dataclass
@@ -57,7 +59,7 @@ class DensityMatrix:
             raise ValueError("density matrix is not Hermitian within tolerance")
         lo = float(np.linalg.eigvalsh(rho).min())
         if lo <= POSITIVITY_FLOOR:
-            raise ValueError(f"smallest eigenvalue {lo:.3e} violates positivity")
+            raise _NotPositive(f"smallest eigenvalue {lo:.3e} violates positivity")
         self.entries = rho
 
     @property
@@ -75,26 +77,6 @@ class DensityMatrix:
 
     def purity(self) -> float:
         return float(np.trace(self.entries @ self.entries).real)
-
-
-@dataclass
-class Superoperator:
-    """Dense L^2 x L^2 generator acting on columnwise-vectorized states."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        A = np.asarray(self.entries, dtype=complex)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"superoperator must be square, got shape {A.shape}")
-        d = math.isqrt(A.shape[0])
-        if d * d != A.shape[0]:
-            raise ValueError(f"superoperator dimension {A.shape[0]} is not a perfect square")
-        self.entries = A
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 def _entries(rho) -> np.ndarray:
@@ -119,7 +101,7 @@ def devectorize(v: np.ndarray) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
 
-def build_liouvillian(spec: LatticeSpec) -> Superoperator:
+def build_liouvillian(spec: LatticeSpec) -> np.ndarray:
     """Vectorized generator of the dephasing master equation.
 
     -i(1 x H - H^T x 1) + (gamma/2) sum_j (2 n_j* x n_j - 1 x n_j^dag n_j
@@ -136,7 +118,7 @@ def build_liouvillian(spec: LatticeSpec) -> Superoperator:
             gen = gen + (spec.gamma / 2.0) * (
                 2.0 * sp.kron(n.conj(), n) - sp.kron(eye, ndn) - sp.kron(ndn.T, eye)
             )
-    return Superoperator(gen.toarray())
+    return gen.toarray()
 
 
 def propagate(rho0, spec: LatticeSpec, times, *, generator=None) -> list[DensityMatrix]:
@@ -146,9 +128,9 @@ def propagate(rho0, spec: LatticeSpec, times, *, generator=None) -> list[Density
     exp(L * gap) is computed once per distinct gap between consecutive
     requested times and reused.  Output states are re-symmetrized
     (rho + rho^dag)/2 to suppress 1e-14-level drift and validated against
-    the DensityMatrix invariants; a smallest eigenvalue below -1e-6 raises
-    PositivityLoss.  ``generator`` overrides the spec-built Liouvillian
-    (prebuilt or modified superoperators).
+    the DensityMatrix invariants; a smallest eigenvalue at or below -1e-8
+    raises PositivityLoss.  ``generator`` overrides the spec-built
+    Liouvillian (prebuilt or modified L^2 x L^2 arrays).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -159,9 +141,7 @@ def propagate(rho0, spec: LatticeSpec, times, *, generator=None) -> list[Density
         raise ValueError("times must be sorted ascending")
 
     if generator is None:
-        gen = build_liouvillian(spec).entries
-    elif isinstance(generator, Superoperator):
-        gen = generator.entries
+        gen = build_liouvillian(spec)
     else:
         gen = np.asarray(generator, dtype=complex)
     v = vectorize(rho0)
@@ -179,13 +159,10 @@ def propagate(rho0, spec: LatticeSpec, times, *, generator=None) -> list[Density
             v = E @ v
         prev = float(t)
         rho = devectorize(v)
-        rho = (rho + rho.conj().T) / 2.0
-        lo = float(np.linalg.eigvalsh(rho).min())
-        if lo < POSITIVITY_HARD:
-            raise PositivityLoss(
-                f"smallest eigenvalue {lo:.3e} at t = {t} (propagation failure)"
-            )
-        out.append(DensityMatrix(rho))
+        try:
+            out.append(DensityMatrix((rho + rho.conj().T) / 2.0))
+        except _NotPositive as exc:
+            raise PositivityLoss(f"{exc} at t = {t} (propagation failure)") from exc
     return out
 
 

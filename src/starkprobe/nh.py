@@ -9,18 +9,15 @@ trace and keeps pure states pure.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ExceptionalPointProximity, TraceCollapse
+from .errors import TraceCollapse
 from .lindblad import DensityMatrix, _entries
 from .model import as_matrix
-from .spectral import BiorthogonalSystem, eig_biorthogonal, expm_action
+from .spectral import BiorthogonalSystem
 
 __all__ = [
-    "evolve_nh",
     "evolve_nh_series",
     "evolve_nh_grid",
     "trace_preserving_rhs",
@@ -28,37 +25,6 @@ __all__ = [
 ]
 
 TRACE_COLLAPSE_FLOOR = 1e-300
-
-
-def evolve_nh(psi0, H_NH, t: float, *, system: BiorthogonalSystem | None = None,
-              method: str = "auto") -> np.ndarray:
-    """Unit-norm state after non-unitary evolution for time t.
-
-    ``method`` selects the spectral route ("spectral"), the dense-exponential
-    route ("expm"), or tries the spectral route first and falls back on
-    exceptional-point proximity ("auto").  A precomputed biorthogonal
-    ``system`` is reused across calls (and across the finite-difference field
-    shifts in the metrology layer).
-    """
-    psi0 = np.asarray(psi0, dtype=complex)
-    if method not in ("auto", "spectral", "expm"):
-        raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "spectral"):
-        try:
-            if system is None:
-                system = eig_biorthogonal(H_NH)
-            coeff = system.overlaps(psi0) * np.exp(-1j * system.eigenvalues * t)
-            v = system.right_vectors @ coeff
-            return _normalized(v)
-        except ExceptionalPointProximity:
-            if method == "spectral":
-                raise
-            warnings.warn(
-                "near-defective generator; falling back to the exponential route",
-                stacklevel=2,
-            )
-    v = expm_action(-1j * as_matrix(H_NH), psi0, t)
-    return _normalized(v)
 
 
 def evolve_nh_series(psi0, system: BiorthogonalSystem, times) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Dense spectral machinery.
 
-Hermitian and biorthogonal (left/right) eigendecompositions, the closed-form
-eigenvectors of the unidirectional chain, and matrix-exponential action.
-Everything here is dense; the dimensions in this package stay well below the
-point where sparse or Krylov methods would pay off.
+Hermitian and biorthogonal (left/right) eigendecompositions and the
+closed-form eigenvectors of the unidirectional chain.  Everything here is
+dense; the dimensions in this package stay well below the point where sparse
+or Krylov methods would pay off.
 """
 
 from __future__ import annotations
@@ -21,17 +21,12 @@ __all__ = [
     "BiorthogonalSystem",
     "eig_hermitian",
     "eig_biorthogonal",
-    "unidirectional_eigvec",
     "unidirectional_eigvec_normalized",
-    "expm_action",
 ]
 
 # Above this eigenvector-matrix condition number the basis is treated as
 # defective (exceptional-point proximity) and rejected.
 EIGENVECTOR_CONDITION_LIMIT = 1e10
-
-# log(float64 max); ||A||*|t| beyond this cannot be exponentiated.
-EXP_ARGUMENT_LIMIT = 709.0
 
 
 @dataclass
@@ -128,47 +123,14 @@ def _unidirectional_log_coeffs(n: int, spec: LatticeSpec) -> np.ndarray:
     return log_c
 
 
-def unidirectional_eigvec(n: int, spec: LatticeSpec) -> np.ndarray:
-    """Closed-form unnormalized right eigenvector of the unidirectional chain.
-
-    ``n`` is the 0-based index of the paper-style formula: component 1 at
-    site n, (J/h)^(n-j)/(n-j)! below it, 0 above.  On the 1-based lattice the
-    eigenvalue is h*(n+1).  Coefficients are evaluated in log space; inputs
-    whose largest coefficient would overflow float64 are rejected (use
-    :func:`unidirectional_eigvec_normalized` in that regime).
-    """
-    log_c = _unidirectional_log_coeffs(n, spec)
-    peak = float(np.max(log_c))
-    if peak > EXP_ARGUMENT_LIMIT:
-        raise OverflowError(
-            f"largest coefficient exp({peak:.1f}) overflows float64; "
-            "use unidirectional_eigvec_normalized"
-        )
-    return np.exp(log_c).astype(complex)
-
-
 def unidirectional_eigvec_normalized(n: int, spec: LatticeSpec) -> np.ndarray:
-    """Unit-norm closed-form eigenvector, stable for arbitrarily large J/h."""
+    """Unit-norm closed-form right eigenvector of the unidirectional chain.
+
+    ``n`` is the 0-based index: component (J/h)^(n-j)/(n-j)! on sites j <= n,
+    0 above, eigenvalue h*(n+1) on the 1-based lattice.  Log-space
+    evaluation keeps it finite for arbitrarily large J/h.
+    """
     log_c = _unidirectional_log_coeffs(n, spec)
     c = np.exp(log_c - np.max(log_c))
     return (c / np.linalg.norm(c)).astype(complex)
 
-
-def expm_action(A, v: np.ndarray, t: float) -> np.ndarray:
-    """Apply exp(A*t) to a vector via the dense scaling-and-squaring exponential.
-
-    Rejects arguments whose 1-norm times |t| exceeds the float64 exponent
-    range, which signals unphysical gain.
-    """
-    M = as_matrix(A)
-    v = np.asarray(v, dtype=complex)
-    if M.shape[0] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: {M.shape[0]} vs {v.shape[0]}")
-    norm1 = float(np.linalg.norm(M, 1))
-    if norm1 * abs(t) > EXP_ARGUMENT_LIMIT:
-        raise OverflowError(
-            f"||A||*|t| = {norm1 * abs(t):.3g} exceeds the float64 exponent range"
-        )
-    if t == 0.0 or norm1 == 0.0:
-        return v.copy()
-    return sla.expm(M * t) @ v

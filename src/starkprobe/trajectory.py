@@ -5,8 +5,8 @@ non-Hermitian Hamiltonian with stochastic projector jumps; averaging the
 pure-state projectors over many trajectories recovers the master-equation
 density matrix.  The no-jump branch uses the exact exponential step and the
 exact norm loss for the jump probability, which agrees with the first-order
-textbook update to O(dt^2) while removing the step-size bias; the literal
-first-order rule stays available behind ``first_order_dp``.
+textbook update gamma*dt*sum_j <n_j> to O(dt^2) while removing its
+step-size bias.
 
 Reproducibility: trajectory k draws from a counter-based Philox stream under
 the two-word key (seed, k), and the ensemble reducer accumulates fixed-size
@@ -24,9 +24,9 @@ import scipy.linalg as sla
 
 from .errors import NormCollapse
 from .lindblad import DensityMatrix
-from .model import LatticeSpec, as_matrix, build_effective_dephasing
+from .model import LatticeSpec, build_effective_dephasing
 
-__all__ = ["TrajectoryConfig", "step", "run_ensemble", "no_jump_probability"]
+__all__ = ["TrajectoryConfig", "run_ensemble"]
 
 # Validation ceiling for the expected per-step jump probability.
 MAX_DP_PER_STEP = 0.1
@@ -45,7 +45,6 @@ class TrajectoryConfig:
     t_final: float
     n_traj: int
     seed: int = 0
-    first_order_dp: bool = False
 
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
@@ -64,55 +63,6 @@ class TrajectoryConfig:
                 f"t_final = {self.t_final} is not a multiple of dt = {self.dt}"
             )
         return steps
-
-
-def step(psi, H_eff, jump_ops, dt, rng, *, gamma=None, first_order_dp=False, propagator=None):
-    """One stochastic step of the unraveling.
-
-    With probability 1 - dp the state advances to exp(-i H_eff dt) psi,
-    renormalized; otherwise one jump operator is applied (chosen with
-    probability proportional to its expectation value in the pre-step state)
-    and the result renormalized.  dp is the exact norm loss of the
-    exponential step unless ``first_order_dp`` requests the first-order
-    formula gamma*dt*sum_j <n_j^dag n_j> (which needs ``gamma``).
-
-    ``propagator`` may carry a precomputed exp(-i H_eff dt) to amortize the
-    exponential across repeated calls.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
-        raise ValueError("step requires a unit-norm state")
-    if propagator is None:
-        propagator = sla.expm(-1j * as_matrix(H_eff) * dt)
-    phi = propagator @ psi
-    q = float(np.vdot(phi, phi).real)
-    if q < NORM_COLLAPSE_FLOOR:
-        raise NormCollapse(f"post-step norm^2 = {q:.3e}; dt too large or pathological gamma")
-
-    weights = np.array(
-        [float(np.linalg.norm(as_matrix(op) @ psi) ** 2) for op in jump_ops]
-    )
-    if first_order_dp:
-        if gamma is None:
-            raise ValueError("first_order_dp requires gamma")
-        dp = float(gamma) * dt * float(weights.sum())
-    else:
-        dp = 1.0 - q
-
-    if rng.random() >= dp:
-        return phi / math.sqrt(q)
-
-    total = float(weights.sum())
-    if total <= 0.0:
-        # Jump drawn but no operator has weight; only reachable through the
-        # first-order branch with inconsistent inputs.
-        return phi / math.sqrt(q)
-    r = rng.random() * total
-    cum = np.cumsum(weights)
-    j = int(np.searchsorted(cum, r, side="right"))
-    j = min(j, len(jump_ops) - 1)
-    out = as_matrix(jump_ops[j]) @ psi
-    return out / np.linalg.norm(out)
 
 
 def _philox(seed: int, k: int) -> np.random.Generator:
@@ -157,7 +107,6 @@ def run_ensemble(psi0, spec: LatticeSpec, cfg: TrajectoryConfig, times) -> list[
     L = spec.L
     H_eff = build_effective_dephasing(spec).entries
     E = sla.expm(-1j * H_eff * cfg.dt)
-    gamma_dt = spec.gamma * cfg.dt
 
     sums = [np.zeros((L, L), dtype=complex) for _ in times]
 
@@ -187,10 +136,7 @@ def run_ensemble(psi0, spec: LatticeSpec, cfg: TrajectoryConfig, times) -> list[
                 raise NormCollapse(
                     f"trajectory {start + b}: norm^2 = {q[b]:.3e} at step {s}"
                 )
-            if cfg.first_order_dp:
-                dp = gamma_dt * prob.sum(axis=0)
-            else:
-                dp = 1.0 - q
+            dp = 1.0 - q
             psi = phi / np.sqrt(q)[np.newaxis, :]
 
             jumpers = np.flatnonzero(u_jump[:, s] < dp)
@@ -211,14 +157,3 @@ def run_ensemble(psi0, spec: LatticeSpec, cfg: TrajectoryConfig, times) -> list[
 
     return [DensityMatrix((S + S.conj().T) / (2.0 * cfg.n_traj)) for S in sums]
 
-
-def no_jump_probability(psi0, H_eff, t: float) -> float:
-    """Survival probability ||exp(-i H_eff t) psi0||^2 of the jump-free trajectory."""
-    psi0 = np.asarray(psi0, dtype=complex)
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-8:
-        raise ValueError("no_jump_probability requires a unit-norm state")
-    from .spectral import expm_action
-
-    phi = expm_action(-1j * as_matrix(H_eff), psi0, t)
-    p = float(np.vdot(phi, phi).real)
-    return min(max(p, 0.0), 1.0)

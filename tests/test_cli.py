@@ -135,6 +135,44 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, {"experiment": "table1", "seed": -4})
         assert main(["run", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("experiment, params, key", [
+        ("lindblad-sweep", {"tmax": 500, "Ls": [9]}, "tmax"),
+        ("lindblad-sweep", {"delta": 1e-5}, "delta"),
+        ("hn-static", {"h_grid": {"lo": 0.01, "hi": 0.1, "steps": 5}}, "h_grid.steps"),
+    ])
+    def test_unknown_param_key_names_key(self, tmp_path, capsys, experiment, params, key):
+        cfg = write_config(tmp_path, {"experiment": experiment, "params": params})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"params.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, change, message", [
+        ("lindblad-sweep", {"L": [1]}, "L must be >= 2"),
+        ("lindblad-sweep", {"gamma": [-0.1]}, "gamma must be >= 0"),
+        ("traj-validate", {"h": -0.5}, "h must be >= 0"),
+    ])
+    def test_out_of_range_physics(self, tmp_path, capsys, experiment, change, message):
+        cfg = write_config(tmp_path, {"experiment": experiment,
+                                      "params": {**TINY_CONFIGS[experiment], **change}})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_manifest_records_resolved_params(self, tmp_path):
+        cfg = write_config(tmp_path, {"experiment": "hn-static", "seed": 1,
+                                      "params": {"L": [8], "gamma": [0.05],
+                                                 "h_grid": {"lo": 0.01, "hi": 0.2, "n": 4}}})
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["params"] == {
+            "L": [8], "gamma": [0.05], "state_index": None,
+            "h_grid": {"lo": 0.01, "hi": 0.2, "n": 4, "scale": "log"}}
+        # the manifest reruns as a config with the same CSV bytes
+        again = write_config(tmp_path, {"experiment": "hn-static", "seed": 1,
+                                        "params": manifest["params"]})
+        assert main(["run", str(again), "--out", str(tmp_path / "r")]) == 0
+        rerun = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        assert rerun["outputs"] == manifest["outputs"]
+
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # dt too coarse for gamma: the per-step jump budget guard trips mid-run
@@ -145,3 +183,16 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     })
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_failing_rerun_leaves_no_manifest(tmp_path):
+    out = tmp_path / "o"
+    good = write_config(tmp_path, {"experiment": "traj-validate", "seed": 0,
+                                   "params": TINY_CONFIGS["traj-validate"]})
+    assert main(["run", str(good), "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists()
+    bad = write_config(tmp_path, {"experiment": "traj-validate", "seed": 0,
+                                  "params": {**TINY_CONFIGS["traj-validate"],
+                                             "gamma": 0.9, "dt": 0.2}})
+    assert main(["run", str(bad), "--out", str(out)]) == 3
+    assert not (out / "manifest.json").exists()

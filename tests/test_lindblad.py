@@ -74,7 +74,7 @@ class TestDensityMatrix:
 class TestLiouvillian:
     def test_unitary_spectrum_is_bohr_frequencies(self):
         spec = LatticeSpec(4, 1.0, 0.3, 0.0)
-        gen = build_liouvillian(spec).entries
+        gen = build_liouvillian(spec)
         w = np.linalg.eigvalsh(build_stark(spec).entries)
         expected = np.sort_complex((-1j * (np.subtract.outer(w, w))).flatten())
         got = np.sort_complex(sla.eigvals(gen))
@@ -84,18 +84,18 @@ class TestLiouvillian:
     def test_two_site_pure_dephasing_rate(self):
         # J = 0: the coherence obeys d rho_12/dt = -gamma rho_12, so -gamma
         # must appear in the spectrum on the coherence subspace.
-        gen = build_liouvillian(LatticeSpec(2, 1e-12, 0.0, 1.0)).entries
+        gen = build_liouvillian(LatticeSpec(2, 1e-12, 0.0, 1.0))
         w = np.sort(sla.eigvals(gen).real)
         assert np.abs(w - np.array([-1.0, -1.0, 0.0, 0.0])).max() < 1e-9
 
     @pytest.mark.parametrize("L", [2, 4, 7, 10])
     def test_cptp_spectrum_nonpositive(self, L):
-        gen = build_liouvillian(LatticeSpec(L, 1.0, 0.2, 0.3)).entries
+        gen = build_liouvillian(LatticeSpec(L, 1.0, 0.2, 0.3))
         assert sla.eigvals(gen).real.max() < 1e-10
 
     def test_trace_preservation_functional(self):
         spec = LatticeSpec(5, 1.0, 0.1, 0.4)
-        gen = build_liouvillian(spec).entries
+        gen = build_liouvillian(spec)
         rng = np.random.default_rng(1)
         vec_id = vectorize(np.eye(5, dtype=complex))
         for _ in range(4):
@@ -174,9 +174,20 @@ class TestPropagate:
         from starkprobe.errors import PositivityLoss
 
         spec = LatticeSpec(2, 1.0, 0.0, 0.8)
-        unitary = build_liouvillian(LatticeSpec(2, 1.0, 0.0, 0.0)).entries
-        dissipator = build_liouvillian(spec).entries - unitary
+        unitary = build_liouvillian(LatticeSpec(2, 1.0, 0.0, 0.0))
+        dissipator = build_liouvillian(spec) - unitary
         bad = unitary - dissipator
         plus = np.array([1.0, 1.0]) / np.sqrt(2)
         with pytest.raises(PositivityLoss):
             propagate(DensityMatrix.from_pure(plus), spec, [5.0], generator=bad)
+
+    def test_small_positivity_breach_is_positivity_loss(self):
+        # a smallest eigenvalue of about -1e-7, below the DensityMatrix floor
+        from starkprobe.errors import PositivityLoss
+
+        spec = LatticeSpec(2, 1.0, 0.0, 0.8)
+        unitary = build_liouvillian(LatticeSpec(2, 1.0, 0.0, 0.0))
+        bad = 2.0 * unitary - build_liouvillian(spec)
+        plus = np.array([1.0, 1.0]) / np.sqrt(2)
+        with pytest.raises(PositivityLoss):
+            propagate(DensityMatrix.from_pure(plus), spec, [2.5e-7], generator=bad)

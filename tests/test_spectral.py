@@ -13,8 +13,6 @@ from starkprobe.model import (
 from starkprobe.spectral import (
     eig_biorthogonal,
     eig_hermitian,
-    expm_action,
-    unidirectional_eigvec,
     unidirectional_eigvec_normalized,
 )
 
@@ -105,20 +103,21 @@ class TestEigBiorthogonal:
 
 class TestUnidirectionalEigvec:
     def test_bottom_state_is_e1(self):
-        v = unidirectional_eigvec(0, LatticeSpec(5, 1.0, 1.0))
+        v = unidirectional_eigvec_normalized(0, LatticeSpec(5, 1.0, 1.0))
         assert np.allclose(v, [1, 0, 0, 0, 0])
 
     def test_closed_form_coefficients(self):
-        v = unidirectional_eigvec(2, LatticeSpec(6, 1.0, 1.0))
-        assert np.allclose(v, [0.5, 1.0, 1.0, 0.0, 0.0, 0.0])
+        # (J/h)^(n-j)/(n-j)! = 1/2, 1, 1 on sites 0..2, norm 3/2
+        v = unidirectional_eigvec_normalized(2, LatticeSpec(6, 1.0, 1.0))
+        assert np.allclose(v, np.array([0.5, 1.0, 1.0, 0.0, 0.0, 0.0]) / 1.5)
 
     def test_eigen_residual_all_indices(self):
         spec = LatticeSpec(12, 1.0, 0.5)
         H = build_unidirectional(spec).entries
         for n in range(12):
-            v = unidirectional_eigvec(n, spec)
+            v = unidirectional_eigvec_normalized(n, spec)
             E = spec.h * (n + 1)
-            assert np.linalg.norm(H @ v - E * v) < 1e-9 * np.linalg.norm(v) * max(1.0, abs(E))
+            assert np.linalg.norm(H @ v - E * v) < 1e-9 * max(1.0, abs(E))
 
     def test_matches_biorthogonal_solver(self):
         # moderate J/h keeps the eigenbasis well enough conditioned
@@ -150,10 +149,7 @@ class TestUnidirectionalEigvec:
 
     def test_normalized_stable_at_extreme_joh(self):
         # J/h = 1e4 over 400 sites puts the peak coefficient near exp(1700)
-        overflowing = LatticeSpec(400, 1.0, 1e-4)
-        with pytest.raises(OverflowError):
-            unidirectional_eigvec(399, overflowing)
-        v = unidirectional_eigvec_normalized(399, overflowing)
+        v = unidirectional_eigvec_normalized(399, LatticeSpec(400, 1.0, 1e-4))
         assert np.isfinite(v).all()
         assert np.linalg.norm(v) == pytest.approx(1.0)
         w = unidirectional_eigvec_normalized(199, LatticeSpec(200, 1.0, 0.001))
@@ -162,41 +158,7 @@ class TestUnidirectionalEigvec:
 
     def test_rejects_h_zero_and_bad_index(self):
         with pytest.raises(ValueError):
-            unidirectional_eigvec(0, LatticeSpec(4, 1.0, 0.0))
+            unidirectional_eigvec_normalized(0, LatticeSpec(4, 1.0, 0.0))
         with pytest.raises(ValueError):
-            unidirectional_eigvec(4, LatticeSpec(4, 1.0, 1.0))
+            unidirectional_eigvec_normalized(4, LatticeSpec(4, 1.0, 1.0))
 
-
-class TestExpmAction:
-    def test_zero_generator(self):
-        v = np.array([1.0, 2.0j, -0.5])
-        assert np.array_equal(expm_action(np.zeros((3, 3)), v, 2.0), v)
-
-    def test_rotation_generator(self):
-        theta = 0.7
-        G = np.array([[0.0, -theta], [theta, 0.0]])
-        v = np.array([1.0, 0.0])
-        out = expm_action(G, v, 1.0)
-        assert np.allclose(out, [np.cos(theta), np.sin(theta)], atol=1e-12)
-
-    def test_antihermitian_preserves_norm(self):
-        rng = np.random.default_rng(3)
-        H = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        H = (H + H.conj().T) / 2
-        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        out = expm_action(-1j * H, v, 3.3)
-        assert abs(np.linalg.norm(out) - np.linalg.norm(v)) < 1e-12 * np.linalg.norm(v)
-
-    def test_agrees_with_spectral_route(self):
-        rng = np.random.default_rng(11)
-        A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        w, V = sla.eig(A)
-        spectral = V @ (np.exp(w * 0.8) * np.linalg.solve(V, v))
-        out = expm_action(A, v, 0.8)
-        assert np.abs(out - spectral).max() < 1e-10 * np.abs(spectral).max()
-
-    def test_overflow_guard(self):
-        A = np.diag([800.0, 0.0])
-        with pytest.raises(OverflowError):
-            expm_action(A, np.array([1.0, 1.0]), 1.0)

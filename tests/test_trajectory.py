@@ -3,19 +3,8 @@ import pytest
 import scipy.linalg as sla
 
 from starkprobe.lindblad import DensityMatrix, propagate, trace_distance
-from starkprobe.model import (
-    LatticeSpec,
-    build_dephasing_ops,
-    build_effective_dephasing,
-    build_stark,
-    site_state,
-)
-from starkprobe.trajectory import (
-    TrajectoryConfig,
-    no_jump_probability,
-    run_ensemble,
-    step,
-)
+from starkprobe.model import LatticeSpec, build_stark, site_state
+from starkprobe.trajectory import TrajectoryConfig, run_ensemble
 
 
 class TestConfig:
@@ -43,73 +32,6 @@ class TestConfig:
         cfg = TrajectoryConfig(dt=0.5, t_final=1.0, n_traj=2)
         with pytest.raises(ValueError):
             run_ensemble(site_state(4, 2), spec, cfg, [1.0])
-
-
-class TestStep:
-    def test_gamma_zero_is_unitary_and_never_jumps(self):
-        spec = LatticeSpec(5, 1.0, 0.2, 0.0)
-        H_eff = build_effective_dephasing(spec)
-        jump_ops = build_dephasing_ops(spec)
-        psi = site_state(5, 3)
-        rng = np.random.default_rng(0)
-        out = psi
-        for _ in range(20):
-            out = step(out, H_eff, jump_ops, 0.1, rng)
-        exact = sla.expm(-1j * build_stark(spec).entries * 2.0) @ psi
-        assert np.abs(out - exact).max() < 1e-10
-
-    def test_projector_jump_collapses_to_site(self):
-        spec = LatticeSpec(4, 1.0, 0.1, 0.4)
-        H_eff = build_effective_dephasing(spec)
-        jump_ops = build_dephasing_ops(spec)
-        psi = np.ones(4, dtype=complex) / 2.0
-
-        class AlwaysJump:
-            def __init__(self):
-                self.calls = 0
-
-            def random(self):
-                self.calls += 1
-                return 0.0 if self.calls == 1 else 0.6
-
-        out = step(psi, H_eff, jump_ops, 0.05, AlwaysJump())
-        # exactly one site occupied, unit amplitude
-        occupied = np.flatnonzero(np.abs(out) > 1e-12)
-        assert occupied.size == 1
-        assert abs(abs(out[occupied[0]]) - 1.0) < 1e-12
-
-    def test_jump_rate_matches_dp_binomial(self):
-        # single-step statistics against the exact norm-loss probability
-        spec = LatticeSpec(4, 1.0, 0.0, 0.3)
-        H_eff = build_effective_dephasing(spec)
-        jump_ops = build_dephasing_ops(spec)
-        dt = 0.2
-        psi = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
-        dp = 1.0 - np.exp(-spec.gamma * dt)  # uniform shift: exact loss
-        propagator = sla.expm(-1j * H_eff.entries * dt)
-        rng = np.random.default_rng(12345)
-        n = 100_000
-        jumps = 0
-        for _ in range(n):
-            out = step(psi, H_eff, jump_ops, dt, rng, propagator=propagator)
-            # a jump leaves a single occupied site
-            if np.sum(np.abs(out) > 1e-9) == 1:
-                jumps += 1
-        sigma = np.sqrt(dp * (1 - dp) / n)
-        assert abs(jumps / n - dp) < 3 * sigma
-
-    def test_requires_normalized_state(self):
-        spec = LatticeSpec(3, 1.0, 0.0, 0.1)
-        with pytest.raises(ValueError):
-            step(np.array([1.0, 1.0, 0.0]), build_effective_dephasing(spec),
-                 build_dephasing_ops(spec), 0.1, np.random.default_rng(0))
-
-    def test_first_order_dp_agrees_to_second_order(self):
-        spec = LatticeSpec(3, 1.0, 0.0, 0.2)
-        dt = 1e-3
-        exact = 1.0 - np.exp(-spec.gamma * dt)
-        first = spec.gamma * dt
-        assert abs(first - exact) < dt**2
 
 
 class TestEnsemble:
@@ -169,45 +91,29 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             run_ensemble(site_state(4, 2), spec, cfg, [0.35])
 
+    def test_requires_normalized_state(self):
+        cfg = TrajectoryConfig(dt=0.1, t_final=1.0, n_traj=2, seed=0)
+        with pytest.raises(ValueError):
+            run_ensemble(np.array([1.0, 1.0, 0.0]), LatticeSpec(3, 1.0, 0.0, 0.1), cfg, [1.0])
+
+    def test_one_step_jump_fraction_matches_norm_loss(self):
+        # Without hopping the uniform state only decays, so after one step a
+        # trajectory is either still uniform or collapsed onto one site: every
+        # coherence of the average is (1 - jump fraction) / L, and the jump
+        # fraction is binomial around the exact norm loss 1 - exp(-gamma dt).
+        spec = LatticeSpec(4, 1e-14, 0.0, 0.3)
+        dt, n = 0.2, 20_000
+        cfg = TrajectoryConfig(dt=dt, t_final=dt, n_traj=n, seed=12345)
+        rho = run_ensemble(np.full(4, 0.5, dtype=complex), spec, cfg, [dt])[0].entries
+        off = rho[~np.eye(4, dtype=bool)]
+        assert np.abs(off - off[0]).max() < 1e-12
+        fraction = 1.0 - 4.0 * off[0].real
+        dp = 1.0 - np.exp(-spec.gamma * dt)
+        assert abs(fraction - dp) < 3 * np.sqrt(dp * (1 - dp) / n)
+
     def test_time_zero_checkpoint(self):
         spec = LatticeSpec(4, 1.0, 0.1, 0.02)
         cfg = TrajectoryConfig(dt=0.1, t_final=1.0, n_traj=5, seed=0)
         psi0 = site_state(4, 2)
         out = run_ensemble(psi0, spec, cfg, [0.0, 1.0])
         assert trace_distance(out[0], np.outer(psi0, psi0.conj())) < 1e-14
-
-
-class TestNoJump:
-    def test_gamma_zero_survives(self):
-        spec = LatticeSpec(5, 1.0, 0.3, 0.0)
-        H_eff = build_effective_dephasing(spec)
-        psi0 = site_state(5, 3)
-        for t in (0.5, 5.0, 20.0):
-            assert no_jump_probability(psi0, H_eff, t) == pytest.approx(1.0, abs=1e-12)
-
-    def test_uniform_shift_gives_exponential_decay(self):
-        spec = LatticeSpec(8, 1.0, 0.2, 0.13)
-        H_eff = build_effective_dephasing(spec)
-        psi0 = site_state(8, 4)
-        for t in (1.0, 4.0, 12.0):
-            assert no_jump_probability(psi0, H_eff, t) == pytest.approx(
-                np.exp(-spec.gamma * t), rel=1e-10)
-
-    def test_monotone_nonincreasing(self):
-        spec = LatticeSpec(6, 1.0, 0.1, 0.2)
-        H_eff = build_effective_dephasing(spec)
-        psi0 = (site_state(6, 2) + site_state(6, 5)) / np.sqrt(2)
-        ps = [no_jump_probability(psi0, H_eff, t) for t in np.linspace(0.0, 20.0, 41)]
-        assert all(b <= a + 1e-12 for a, b in zip(ps, ps[1:]))
-
-    def test_no_jump_trajectory_equals_unitary_after_normalization(self):
-        # the uniform -i gamma/2 shift cancels on normalization
-        spec = LatticeSpec(7, 1.0, 0.15, 0.3)
-        H_eff = build_effective_dephasing(spec)
-        psi0 = site_state(7, 4)
-        t = 9.0
-        raw = sla.expm(-1j * H_eff.entries * t) @ psi0
-        nh_state = raw / np.linalg.norm(raw)
-        unitary = sla.expm(-1j * build_stark(spec).entries * t) @ psi0
-        fidelity = abs(np.vdot(unitary, nh_state)) ** 2
-        assert 1.0 - fidelity < 1e-10
