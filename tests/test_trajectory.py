@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 from starkprobe.lindblad import DensityMatrix, propagate, trace_distance
-from starkprobe.model import LatticeSpec, build_stark, site_state
+from starkprobe.model import LatticeSpec, build_effective_dephasing, build_stark, site_state
 from starkprobe.trajectory import TrajectoryConfig, run_ensemble
 
 
@@ -32,6 +32,49 @@ class TestConfig:
         cfg = TrajectoryConfig(dt=0.5, t_final=1.0, n_traj=2)
         with pytest.raises(ValueError):
             run_ensemble(site_state(4, 2), spec, cfg, [1.0])
+
+
+class TestStep:
+    """One run_ensemble time step: jump statistics and the jump itself."""
+
+    def test_projector_jump_collapses_to_site(self):
+        # One trajectory per seed: after one step each trajectory is either
+        # the normalized no-jump state or a single site with unit amplitude.
+        spec = LatticeSpec(4, 1.0, 0.1, 0.4)
+        dt = 0.05
+        psi = np.full(4, 0.5, dtype=complex)
+        phi = sla.expm(-1j * build_effective_dephasing(spec).entries * dt) @ psi
+        phi /= np.linalg.norm(phi)
+        no_jump = np.outer(phi, phi.conj())
+        jumps = 0
+        for seed in range(500):
+            cfg = TrajectoryConfig(dt=dt, t_final=dt, n_traj=1, seed=seed)
+            rho = run_ensemble(psi, spec, cfg, [dt])[0].entries
+            occupied = np.flatnonzero(np.abs(np.diag(rho)) > 1e-12)
+            if occupied.size == 1:
+                jumps += 1
+                # exactly one site occupied, unit weight, no coherences
+                assert abs(rho[occupied[0], occupied[0]] - 1.0) < 1e-12
+                assert np.abs(rho - np.diag(np.diag(rho))).max() < 1e-12
+            else:
+                assert np.abs(rho - no_jump).max() < 1e-12
+        assert jumps > 0
+
+    def test_jump_rate_matches_dp_binomial(self):
+        # Without hopping the uniform state only decays, so after one step a
+        # trajectory is either still uniform or collapsed onto one site: every
+        # coherence of the average is (1 - jump fraction) / L, and the jump
+        # fraction is binomial around the exact norm loss 1 - exp(-gamma dt).
+        spec = LatticeSpec(4, 1e-14, 0.0, 0.3)
+        dt, n = 0.2, 20_000
+        cfg = TrajectoryConfig(dt=dt, t_final=dt, n_traj=n, seed=12345)
+        rho = run_ensemble(np.full(4, 0.5, dtype=complex), spec, cfg, [dt])[0].entries
+        off = rho[~np.eye(4, dtype=bool)]
+        assert np.abs(off - off[0]).max() < 1e-12
+        fraction = 1.0 - 4.0 * off[0].real
+        dp = 1.0 - np.exp(-spec.gamma * dt)
+        assert abs(fraction - dp) < 3 * np.sqrt(dp * (1 - dp) / n)
+
 
 
 class TestEnsemble:
@@ -95,21 +138,6 @@ class TestEnsemble:
         cfg = TrajectoryConfig(dt=0.1, t_final=1.0, n_traj=2, seed=0)
         with pytest.raises(ValueError):
             run_ensemble(np.array([1.0, 1.0, 0.0]), LatticeSpec(3, 1.0, 0.0, 0.1), cfg, [1.0])
-
-    def test_one_step_jump_fraction_matches_norm_loss(self):
-        # Without hopping the uniform state only decays, so after one step a
-        # trajectory is either still uniform or collapsed onto one site: every
-        # coherence of the average is (1 - jump fraction) / L, and the jump
-        # fraction is binomial around the exact norm loss 1 - exp(-gamma dt).
-        spec = LatticeSpec(4, 1e-14, 0.0, 0.3)
-        dt, n = 0.2, 20_000
-        cfg = TrajectoryConfig(dt=dt, t_final=dt, n_traj=n, seed=12345)
-        rho = run_ensemble(np.full(4, 0.5, dtype=complex), spec, cfg, [dt])[0].entries
-        off = rho[~np.eye(4, dtype=bool)]
-        assert np.abs(off - off[0]).max() < 1e-12
-        fraction = 1.0 - 4.0 * off[0].real
-        dp = 1.0 - np.exp(-spec.gamma * dt)
-        assert abs(fraction - dp) < 3 * np.sqrt(dp * (1 - dp) / n)
 
     def test_time_zero_checkpoint(self):
         spec = LatticeSpec(4, 1.0, 0.1, 0.02)
