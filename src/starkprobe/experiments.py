@@ -340,10 +340,12 @@ def _h_grid(params: dict, key: str) -> np.ndarray:
         return np.asarray(_number_list(params, key), dtype=float)
     if not isinstance(raw, dict):
         raise ConfigError(f"params.{key}: expected a list or a lo/hi/n object")
-    lo = _want(raw, "lo", float, positive=True)
-    hi = _want(raw, "hi", float, positive=True)
-    n = _want(raw, "n", int, positive=True)
-    scale = _want(raw, "scale", str)
+    # Dotted keys, so an error names params.<key>.lo and not params.lo.
+    raw = {f"{key}.{k}": v for k, v in raw.items()}
+    lo = _want(raw, f"{key}.lo", float, positive=True)
+    hi = _want(raw, f"{key}.hi", float, positive=True)
+    n = _want(raw, f"{key}.n", int, positive=True)
+    scale = _want(raw, f"{key}.scale", str)
     if hi <= lo:
         raise ConfigError(f"params.{key}: hi must exceed lo")
     if scale == "log":

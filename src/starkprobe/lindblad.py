@@ -1,10 +1,13 @@
 """Exact propagation of the site-dephasing master equation.
 
-The density matrix is columnwise vectorized and evolved with the dense
-exponential of the L^2 x L^2 Liouvillian.  One exponential is computed per
-distinct time gap and reused, so uniform grids cost a single ``expm`` plus
-repeated matrix-vector products.  This removes integrator tolerances as a
-confound in the scaling fits downstream.
+The Liouvillian maps Hermitian matrices to Hermitian matrices, so in the
+orthonormal Hermitian basis (rho_aa, sqrt(2) Re rho_ab, sqrt(2) Im rho_ab for
+a < b) its L^2 x L^2 generator is real.  :func:`propagate` converts the
+columnwise-vectorized generator to that basis once and evolves a real
+coordinate vector with dense real exponentials.  One exponential is computed
+per distinct time gap and reused, so uniform grids cost a single ``expm``
+plus repeated matrix-vector products.  This removes integrator tolerances as
+a confound in the scaling fits downstream.
 """
 
 from __future__ import annotations
@@ -102,35 +105,57 @@ def devectorize(v: np.ndarray) -> np.ndarray:
 
 
 def build_liouvillian(spec: LatticeSpec) -> np.ndarray:
-    """Vectorized generator of the dephasing master equation.
+    """Columnwise-vectorized generator of the dephasing master equation.
 
     -i(1 x H - H^T x 1) + (gamma/2) sum_j (2 n_j* x n_j - 1 x n_j^dag n_j
     - (n_j^dag n_j)^T x 1) with the site projectors n_j as jump operators.
-    Assembled sparse (the terms are extremely sparse), returned dense.
+    The jump operators are diagonal, so the dissipator is diagonal in vec
+    space and is built in one step from their diagonals.  Assembled sparse,
+    returned as a dense complex array.
     """
     H = sp.csr_matrix(build_stark(spec).entries)
     eye = sp.identity(spec.L, dtype=complex, format="csr")
     gen = -1j * (sp.kron(eye, H) - sp.kron(H.T, eye))
     if spec.gamma > 0.0:
-        for op in build_dephasing_ops(spec):
-            n = sp.csr_matrix(op.entries)
-            ndn = (n.conj().T @ n).tocsr()
-            gen = gen + (spec.gamma / 2.0) * (
-                2.0 * sp.kron(n.conj(), n) - sp.kron(eye, ndn) - sp.kron(ndn.T, eye)
-            )
+        d = np.array([np.diag(op.entries) for op in build_dephasing_ops(spec)])
+        weight = (np.abs(d) ** 2).sum(axis=0)
+        # [a, b] is the vec-space diagonal entry at index a + b*L.
+        diss = 2.0 * (d.T @ d.conj()) - weight[:, np.newaxis] - weight[np.newaxis, :]
+        gen = gen + sp.diags((spec.gamma / 2.0) * diss.flatten(order="F"))
     return gen.toarray()
+
+
+def _hermitian_basis(dim: int) -> sp.csr_matrix:
+    """Unitary T taking vec(rho) to real coordinates when rho is Hermitian.
+
+    Rows: rho_aa for each a, then sqrt(2) Re rho_ab, then sqrt(2) Im rho_ab
+    for the pairs a < b in ``np.triu_indices`` order.  Two nonzeros per
+    off-diagonal row; a generator G becomes T G T^dag.
+    """
+    a, b = np.triu_indices(dim, 1)
+    m = a.size
+    ab, ba = a + b * dim, b + a * dim  # vec indices of rho_ab and rho_ba
+    re, im = dim + np.arange(m), dim + m + np.arange(m)
+    s = 1.0 / math.sqrt(2.0)
+    rows = np.concatenate([np.arange(dim), re, re, im, im])
+    cols = np.concatenate([np.arange(dim) * (dim + 1), ab, ba, ab, ba])
+    vals = np.concatenate([np.ones(dim), np.full(2 * m, s),
+                           np.full(m, -1j * s), np.full(m, 1j * s)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
 
 
 def propagate(rho0, spec: LatticeSpec, times, *, generator=None) -> list[DensityMatrix]:
     """Evolve rho0 to every requested time under the dephasing master equation.
 
-    ``times`` must be sorted ascending with times[0] >= 0.  The propagator
-    exp(L * gap) is computed once per distinct gap between consecutive
-    requested times and reused.  Output states are re-symmetrized
-    (rho + rho^dag)/2 to suppress 1e-14-level drift and validated against
-    the DensityMatrix invariants; a smallest eigenvalue at or below -1e-8
-    raises PositivityLoss.  ``generator`` overrides the spec-built
-    Liouvillian (prebuilt or modified L^2 x L^2 arrays).
+    ``times`` must be sorted ascending with times[0] >= 0.  ``generator``
+    overrides the spec-built Liouvillian (a prebuilt or modified L^2 x L^2
+    columnwise generator).  The generator is converted once to the real
+    Hermitian basis; a ValueError is raised if it does not preserve
+    Hermiticity there.  The real propagator exp(G * gap) is computed once per
+    distinct gap between consecutive requested times and reused.  Each state
+    is mapped back to rho, which is Hermitian by construction, and validated
+    against the DensityMatrix invariants; a smallest eigenvalue at or below
+    -1e-8 raises PositivityLoss.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -140,11 +165,17 @@ def propagate(rho0, spec: LatticeSpec, times, *, generator=None) -> list[Density
     if np.any(np.diff(times) < 0.0):
         raise ValueError("times must be sorted ascending")
 
-    if generator is None:
-        gen = build_liouvillian(spec)
-    else:
-        gen = np.asarray(generator, dtype=complex)
-    v = vectorize(rho0)
+    gen = build_liouvillian(spec) if generator is None else np.asarray(generator, dtype=complex)
+    T = _hermitian_basis(_entries(rho0).shape[0])
+    back = T.conj().T.tocsr()
+    gen = T @ (gen @ back)  # T G T^dag
+    drift = float(np.abs(gen.imag).max())
+    if drift > 1e-12 * float(np.abs(gen.real).max(initial=0.0)):
+        raise ValueError(f"generator does not preserve Hermiticity: imaginary part "
+                         f"{drift:.3e} in the Hermitian basis")
+    gen = np.ascontiguousarray(gen.real)
+    # The real part is the Hermitian part of rho0.
+    x = (T @ vectorize(rho0)).real
     propagators: dict[float, np.ndarray] = {}
     out = []
     prev = 0.0
@@ -156,11 +187,10 @@ def propagate(rho0, spec: LatticeSpec, times, *, generator=None) -> list[Density
             if E is None:
                 E = sla.expm(gen * gap)
                 propagators[key] = E
-            v = E @ v
+            x = E @ x
         prev = float(t)
-        rho = devectorize(v)
         try:
-            out.append(DensityMatrix((rho + rho.conj().T) / 2.0))
+            out.append(DensityMatrix(devectorize(back @ x)))
         except _NotPositive as exc:
             raise PositivityLoss(f"{exc} at t = {t} (propagation failure)") from exc
     return out

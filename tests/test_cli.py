@@ -135,6 +135,16 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, {"experiment": "table1", "seed": -4})
         assert main(["run", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("grid, key", [
+        ({"lo": "x"}, "h_grid.lo"),
+        ({"n": 2.5}, "h_grid.n"),
+    ])
+    def test_bad_grid_value_names_nested_key(self, tmp_path, capsys, grid, key):
+        cfg = write_config(tmp_path, {"experiment": "hn-static",
+                                      "params": {"h_grid": grid}})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"params.{key}:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("experiment, params, key", [
         ("lindblad-sweep", {"tmax": 500, "Ls": [9]}, "tmax"),
         ("lindblad-sweep", {"delta": 1e-5}, "delta"),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from starkprobe.errors import ConfigError
 from starkprobe.experiments import (
@@ -57,6 +58,46 @@ class TestSeriesPipelines:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             nh_qfi_series("stark", LatticeSpec(4, 1.0, 0.1), np.array([1.0]))
+
+
+def augmented_lindblad_qfi(L, gamma, h, t, J=1.0):
+    """Mixed-state QFI at time t from expm([[G, dG/dh], [0, G]] t).
+
+    Built here from scratch: columnwise vec (entry a + L*b holds rho[a, b]),
+    dG/dh = -i(1 x D - D x 1) with D = diag(1..L), and the middle-site start.
+    The upper-right block of the exponential is the exact d rho / dh.
+    """
+    D = np.diag(np.arange(1.0, L + 1))
+    H = h * D + J * (np.eye(L, k=1) + np.eye(L, k=-1))
+    I = np.eye(L)
+    a, b = np.tile(np.arange(L), L), np.repeat(np.arange(L), L)
+    G = -1j * (np.kron(I, H) - np.kron(H.T, I)) - gamma * np.diag((a != b).astype(float))
+    n = L * L
+    A = np.zeros((2 * n, 2 * n), dtype=complex)
+    A[:n, :n] = A[n:, n:] = G
+    A[:n, n:] = -1j * (np.kron(I, D) - np.kron(D, I))
+    E = sla.expm(A * t)
+    site = (L + 1) // 2 - 1
+    v0 = np.zeros(n)
+    v0[site + L * site] = 1.0
+    rho = (E[:n, :n] @ v0).reshape((L, L), order="F")
+    drho = (E[:n, n:] @ v0).reshape((L, L), order="F")
+    p, V = np.linalg.eigh((rho + rho.conj().T) / 2.0)
+    M = V.conj().T @ drho @ V
+    w = p[:, np.newaxis] + p[np.newaxis, :]
+    keep = w > 1e-12
+    return float((2.0 * np.abs(M[keep]) ** 2 / w[keep]).sum())
+
+
+class TestLindbladOracle:
+    @pytest.mark.parametrize("L", [6, 7])
+    @pytest.mark.parametrize("h", [0.1, 0.5])
+    def test_series_matches_augmented_exponential(self, L, h):
+        gamma = 0.05
+        times = np.array([5.0, 20.0, 60.0])
+        series = lindblad_qfi_series(LatticeSpec(L, 1.0, h, gamma), times)
+        exact = [augmented_lindblad_qfi(L, gamma, h, t) for t in times]
+        assert np.allclose(series.values, exact, rtol=1e-4, atol=0.0)
 
 
 class TestStaticScans:

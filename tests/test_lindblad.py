@@ -4,13 +4,14 @@ import scipy.linalg as sla
 
 from starkprobe.lindblad import (
     DensityMatrix,
+    _hermitian_basis,
     build_liouvillian,
     devectorize,
     propagate,
     trace_distance,
     vectorize,
 )
-from starkprobe.model import LatticeSpec, build_stark, middle_site, site_state
+from starkprobe.model import LatticeSpec, build_dephasing_ops, build_stark, middle_site, site_state
 
 
 def random_density(rng, dim):
@@ -93,6 +94,20 @@ class TestLiouvillian:
         gen = build_liouvillian(LatticeSpec(L, 1.0, 0.2, 0.3))
         assert sla.eigvals(gen).real.max() < 1e-10
 
+    def test_matches_kronecker_sum_over_jump_operators(self):
+        # reference: the per-site sum of Kronecker products the one-step
+        # diagonal dissipator replaces
+        spec = LatticeSpec(5, 1.0, 0.3, 0.4)
+        H = build_stark(spec).entries
+        I = np.eye(5)
+        ref = -1j * (np.kron(I, H) - np.kron(H.T, I))
+        for op in build_dephasing_ops(spec):
+            n = op.entries
+            ndn = n.conj().T @ n
+            ref = ref + (spec.gamma / 2.0) * (
+                2.0 * np.kron(n.conj(), n) - np.kron(I, ndn) - np.kron(ndn.T, I))
+        assert np.abs(build_liouvillian(spec) - ref).max() < 1e-15
+
     def test_trace_preservation_functional(self):
         spec = LatticeSpec(5, 1.0, 0.1, 0.4)
         gen = build_liouvillian(spec)
@@ -101,6 +116,24 @@ class TestLiouvillian:
         for _ in range(4):
             v = vectorize(random_density(rng, 5))
             assert abs(np.vdot(vec_id, gen @ v)) < 1e-10
+
+
+class TestHermitianBasis:
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_map_is_unitary(self, dim):
+        T = _hermitian_basis(dim).toarray()
+        assert np.abs(T @ T.conj().T - np.eye(dim * dim)).max() < 1e-15
+        assert (np.count_nonzero(T, axis=1) <= 2).all()
+
+    def test_hermitian_input_has_real_coordinates(self):
+        rng = np.random.default_rng(3)
+        rho = random_density(rng, 6)
+        x = _hermitian_basis(6) @ vectorize(rho)
+        assert np.abs(x.imag).max() < 1e-15
+        assert np.allclose(x[:6], np.diag(rho).real)
+        a, b = np.triu_indices(6, 1)
+        assert np.allclose(x[6:6 + a.size], np.sqrt(2) * rho[a, b].real)
+        assert np.allclose(x[6 + a.size:], np.sqrt(2) * rho[a, b].imag)
 
 
 class TestPropagate:
@@ -191,3 +224,19 @@ class TestPropagate:
         plus = np.array([1.0, 1.0]) / np.sqrt(2)
         with pytest.raises(PositivityLoss):
             propagate(DensityMatrix.from_pure(plus), spec, [2.5e-7], generator=bad)
+
+    @pytest.mark.parametrize("L", range(2, 9))
+    @pytest.mark.parametrize("times", [np.arange(1.0, 6.0), [0.0, 0.3, 2.0, 2.1, 9.5]])
+    def test_matches_complex_liouvillian_exponential(self, L, times):
+        spec = LatticeSpec(L, 1.0, 0.3, 0.1)
+        rho0 = DensityMatrix.from_pure(site_state(L, middle_site(L)))
+        gen = build_liouvillian(spec)
+        for t, dm in zip(times, propagate(rho0, spec, times)):
+            exact = devectorize(sla.expm(gen * t) @ vectorize(rho0))
+            assert np.abs(dm.entries - exact).max() < 1e-12
+
+    def test_rejects_generator_that_breaks_hermiticity(self):
+        spec = LatticeSpec(4, 1.0, 0.2, 0.1)
+        rho0 = DensityMatrix.from_pure(site_state(4, 2))
+        with pytest.raises(ValueError, match="Hermiticity"):
+            propagate(rho0, spec, [1.0], generator=1j * build_liouvillian(spec))
