@@ -34,7 +34,7 @@ from .model import (
 )
 from .nh import evolve_nh_grid, evolve_nh_series
 from .spectral import eig_biorthogonal, eig_hermitian, unidirectional_eigvec_normalized
-from .trajectory import TrajectoryConfig, run_ensemble
+from .trajectory import MAX_DP_PER_STEP, TrajectoryConfig, run_ensemble
 
 __all__ = [
     "unitary_qfi_series",
@@ -363,9 +363,16 @@ def _spec(L, h, gamma) -> LatticeSpec:
         raise ConfigError(f"params: {exc}") from exc
 
 
+def _steps(t: float, dt: float, key: str) -> int:
+    """Number of dt steps to reach t; t must be a nonnegative multiple of dt."""
+    n = round(t / dt)
+    if t < 0 or abs(n * dt - t) > 1e-9 * max(1.0, t):
+        raise ConfigError(f"params.{key}: {t} is not a nonnegative multiple of dt = {dt}")
+    return n
+
+
 def _time_grid(t_max: float, dt: float) -> np.ndarray:
-    n = int(round(t_max / dt))
-    return dt * np.arange(1, n + 1)
+    return dt * np.arange(1, _steps(t_max, dt, "t_max") + 1)
 
 
 def _tuple_row(formalism, spec, t, seed, **extra) -> dict:
@@ -412,6 +419,13 @@ def run_traj_validate(params: dict, seed: int, threads: int):
     times = np.asarray(_number_list(params, "times"), dtype=float)
 
     spec = _spec(L, h, gamma)
+    if gamma * dt >= MAX_DP_PER_STEP:
+        raise ConfigError(f"params.dt: gamma*dt = {gamma * dt:.3g} must stay "
+                          f"below {MAX_DP_PER_STEP}; reduce dt")
+    for t in times:
+        _steps(t, dt, "times")
+    if np.any(np.diff(times) < 0):
+        raise ConfigError(f"params.times: must be ascending, got {times.tolist()}")
     psi0 = site_state(L, middle_site(L))
     cfg = TrajectoryConfig(dt=dt, t_final=float(times.max()), n_traj=n_traj, seed=seed)
     ensemble = run_ensemble(psi0, spec, cfg, times)
@@ -488,6 +502,11 @@ def run_uni_static(params: dict, seed: int, threads: int):
 
 
 def _dynamic_rows(kind, specs, times, seed, threads, psi0_of):
+    if times.size < 3:
+        # peak_qfi_over_t2 needs three samples to find a peak.
+        raise ConfigError(f"params.t_max: needs at least 3 time points, got "
+                          f"{times.size}; raise t_max or lower dt")
+
     def one(spec):
         return nh_qfi_series(kind, spec, times, psi0_of(spec))
 

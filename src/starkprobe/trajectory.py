@@ -8,10 +8,14 @@ exact norm loss for the jump probability, which agrees with the first-order
 textbook update gamma*dt*sum_j <n_j> to O(dt^2) while removing its
 step-size bias.
 
+Cost: the no-jump evolutions of the initial state and of the L site states
+are stepped once per ensemble and tabulated, so each trajectory does work
+per jump (about gamma * t of them) rather than per time step.
+
 Reproducibility: trajectory k draws from a counter-based Philox stream under
-the two-word key (seed, k), and the ensemble reducer accumulates fixed-size
-blocks in index order, so results are independent of execution order and
-identical between serial and parallel drivers.
+the two-word key (seed, k), two uniforms per step whether or not they are
+read, so results are independent of execution order and identical between
+serial and parallel drivers.
 """
 
 from __future__ import annotations
@@ -34,7 +38,9 @@ MAX_DP_PER_STEP = 0.1
 # Norm^2 below which a trajectory is considered collapsed.
 NORM_COLLAPSE_FLOOR = 1e-24
 
-_BLOCK = 256
+# Trajectories walked between reductions; bounds the segment lists and the
+# checkpoint gathers, so memory does not grow with the ensemble size.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,15 @@ def run_ensemble(psi0, spec: LatticeSpec, cfg: TrajectoryConfig, times) -> list[
     ``times`` must lie on the dt grid.  Deterministic given cfg.seed;
     trajectory k consumes only its own Philox stream (two uniforms per step:
     jump decision and jump-site selection), so the result does not depend on
-    block or execution order.
+    execution order.
+
+    Between jumps a trajectory is the normalized no-jump evolution of psi0
+    or of the site state it last jumped to, so those L + 1 columns are
+    stepped once for the whole ensemble into a table of
+    (n_steps + 1) * (L + 1) * L complex values.  A trajectory visits only
+    the steps whose jump uniform lies below the largest per-step jump
+    probability, so its cost grows with its jumps, not its steps; each
+    checkpoint is one gather from the table and one matrix product.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-8:
@@ -100,60 +114,57 @@ def run_ensemble(psi0, spec: LatticeSpec, cfg: TrajectoryConfig, times) -> list[
     n_steps = max(steps_of, default=0)
     if n_steps * cfg.dt > cfg.t_final + 1e-9:
         raise ValueError("requested times extend beyond t_final")
-    checkpoints: dict[int, list[int]] = {}
-    for idx, k in enumerate(steps_of):
-        checkpoints.setdefault(k, []).append(idx)
 
     L = spec.L
     H_eff = build_effective_dephasing(spec).entries
     E = sla.expm(-1j * H_eff * cfg.dt)
 
-    sums = [np.zeros((L, L), dtype=complex) for _ in times]
+    # No-jump table: column 0 starts at psi0, column 1 + j at site j.
+    # table[m][:, c] is column c after m normalized steps; dp[m, c] is the
+    # norm loss of the next step, which is its jump probability.
+    table = np.empty((n_steps + 1, L, L + 1), dtype=complex)
+    table[0] = np.column_stack([psi0, np.eye(L)])
+    dp = np.empty((n_steps, L + 1))
+    for m in range(n_steps):
+        phi = E @ table[m]
+        q = np.einsum("ij,ij->j", phi.conj(), phi).real
+        if np.any(q < NORM_COLLAPSE_FLOOR):
+            # H_eff - H is a multiple of the identity, so the norm loss is
+            # the same from every state: every trajectory meets this step.
+            raise NormCollapse(f"norm^2 = {q.min():.3e} at step {m}")
+        dp[m] = 1.0 - q
+        table[m + 1] = phi / np.sqrt(q)
+    dp_max = dp.max(initial=0.0)  # dp is empty when n_steps = 0
 
-    for start in range(0, cfg.n_traj, _BLOCK):
-        block = min(_BLOCK, cfg.n_traj - start)
-        # Two uniforms per step per trajectory, drawn up front from the
-        # per-trajectory streams so the consumption pattern is fixed.
-        u_jump = np.empty((block, n_steps))
-        u_site = np.empty((block, n_steps))
-        for b in range(block):
-            u = _philox(cfg.seed, start + b).random((2, n_steps))
-            u_jump[b] = u[0]
-            u_site[b] = u[1]
+    sums = [np.zeros((L, L), dtype=complex) for _ in steps_of]
+    for start in range(0, cfg.n_traj, _CHUNK):
+        trajs = range(start, min(start + _CHUNK, cfg.n_traj))
+        # Segments (k, b, c): from step b on, trajectory k is column c of
+        # the table, b steps late.  Every trajectory opens with (k, 0, 0).
+        segs = []
+        for k in trajs:
+            u_jump, u_site = _philox(cfg.seed, k).random((2, n_steps))
+            b, c = 0, 0
+            segs.append((k, b, c))
+            # A step can only jump if its uniform lies below the largest dp.
+            for s in np.flatnonzero(u_jump < dp_max).tolist():
+                if u_jump[s] < dp[s - b, c]:
+                    # Cumulative selection over the pre-step weights; sites
+                    # of zero weight can never be the first to exceed the draw.
+                    cum = np.cumsum(np.abs(table[s - b, :, c]) ** 2)
+                    site = int(np.argmax(cum > u_site[s] * cum[-1]))
+                    # The post-jump phase cancels in |psi><psi|.
+                    b, c = s + 1, 1 + site
+                    segs.append((k, b, c))
 
-        psi = np.tile(psi0[:, np.newaxis], (1, block))
-        if 0 in checkpoints:
-            for idx in checkpoints[0]:
-                sums[idx] += block * np.outer(psi0, psi0.conj())
-
-        for s in range(n_steps):
-            pre = psi  # jump weights and phases come from the pre-step state
-            prob = np.abs(pre) ** 2  # columns sum to 1
-            phi = E @ pre
-            q = np.einsum("ij,ij->j", phi.conj(), phi).real
-            if np.any(q < NORM_COLLAPSE_FLOOR):
-                b = int(np.argmin(q))
-                raise NormCollapse(
-                    f"trajectory {start + b}: norm^2 = {q[b]:.3e} at step {s}"
-                )
-            dp = 1.0 - q
-            psi = phi / np.sqrt(q)[np.newaxis, :]
-
-            jumpers = np.flatnonzero(u_jump[:, s] < dp)
-            if jumpers.size:
-                # Cumulative selection with one uniform per jumper; sites of
-                # zero weight can never be the first to exceed the draw.
-                cum = np.cumsum(prob[:, jumpers], axis=0)
-                r = u_site[jumpers, s] * cum[-1]
-                sites = (cum > r[np.newaxis, :]).argmax(axis=0)
-                amps = pre[sites, jumpers]
-                cols = np.zeros((L, jumpers.size), dtype=complex)
-                cols[sites, np.arange(jumpers.size)] = amps / np.abs(amps)
-                psi[:, jumpers] = cols
-
-            if (s + 1) in checkpoints:
-                for idx in checkpoints[s + 1]:
-                    sums[idx] += psi @ psi.conj().T
+        # Segment keys ascend, so the last segment opened by step n of each
+        # trajectory is one sorted search away.
+        seg_traj, seg_start, seg_col = np.array(segs).T
+        key = seg_traj * (n_steps + 1) + seg_start
+        first = np.array(trajs) * (n_steps + 1)
+        for S, n in zip(sums, steps_of):
+            seg = np.searchsorted(key, first + n, side="right") - 1
+            v = table[n - seg_start[seg], :, seg_col[seg]]
+            S += v.T @ v.conj()
 
     return [DensityMatrix((S + S.conj().T) / (2.0 * cfg.n_traj)) for S in sums]
-

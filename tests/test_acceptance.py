@@ -46,6 +46,9 @@ from starkprobe.spectral import (
 )
 from starkprobe.trajectory import TrajectoryConfig, run_ensemble
 
+# Minutes of sweeps: `pytest -m "not slow"` runs the unit suite without them.
+pytestmark = pytest.mark.slow
+
 
 def report(number, description, ok, detail=""):
     status = "PASS" if ok else "FAIL"

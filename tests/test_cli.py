@@ -166,6 +166,23 @@ class TestConfigErrors:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment, change, key", [
+        ("traj-validate", {"times": [0.35]}, "times"),
+        ("traj-validate", {"times": [-1.0]}, "times"),
+        ("traj-validate", {"times": [2.0, 1.0]}, "times"),
+        ("traj-validate", {"gamma": 0.5, "dt": 0.5, "times": [1.0]}, "dt"),
+        ("hn-dynamic", {"t_max": 0.2, "dt": 0.5}, "t_max"),
+        ("hn-dynamic", {"t_max": 1.0, "dt": 0.5}, "t_max"),
+        ("uni-dynamic", {"t_max": 0.2, "dt": 0.5}, "t_max"),
+        ("lindblad-sweep", {"t_max": 0.5, "dt": 1.0}, "t_max"),
+        ("lindblad-sweep", {"t_max": 10.0, "dt": 3.0}, "t_max"),
+    ])
+    def test_bad_time_grid_names_key(self, tmp_path, capsys, experiment, change, key):
+        cfg = write_config(tmp_path, {"experiment": experiment,
+                                      "params": {**TINY_CONFIGS[experiment], **change}})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: params.{key}:" in capsys.readouterr().err
+
     def test_manifest_records_resolved_params(self, tmp_path):
         cfg = write_config(tmp_path, {"experiment": "hn-static", "seed": 1,
                                       "params": {"L": [8], "gamma": [0.05],
@@ -184,25 +201,25 @@ class TestConfigErrors:
         assert rerun["outputs"] == manifest["outputs"]
 
 
+# Strong nonreciprocity makes the Hatano-Nelson eigenbasis too ill-conditioned
+# to trust (condition number ~1e18 at L = 10): the eigensolver raises mid-run.
+ILL_CONDITIONED = {**TINY_CONFIGS["hn-dynamic"], "gamma": 50.0}
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
-    # dt too coarse for gamma: the per-step jump budget guard trips mid-run
-    cfg = write_config(tmp_path, {
-        "experiment": "traj-validate", "seed": 0,
-        "params": {"L": 4, "gamma": 0.9, "h": 0.1, "n_traj": 10,
-                   "dt": 0.2, "times": [1.0]},
-    })
+    cfg = write_config(tmp_path, {"experiment": "hn-dynamic", "seed": 0,
+                                  "params": ILL_CONDITIONED})
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    assert "numerical failure: ExceptionalPointProximity" in capsys.readouterr().err
 
 
 def test_failing_rerun_leaves_no_manifest(tmp_path):
     out = tmp_path / "o"
-    good = write_config(tmp_path, {"experiment": "traj-validate", "seed": 0,
-                                   "params": TINY_CONFIGS["traj-validate"]})
+    good = write_config(tmp_path, {"experiment": "hn-dynamic", "seed": 0,
+                                   "params": TINY_CONFIGS["hn-dynamic"]})
     assert main(["run", str(good), "--out", str(out)]) == 0
     assert (out / "manifest.json").exists()
-    bad = write_config(tmp_path, {"experiment": "traj-validate", "seed": 0,
-                                  "params": {**TINY_CONFIGS["traj-validate"],
-                                             "gamma": 0.9, "dt": 0.2}})
+    bad = write_config(tmp_path, {"experiment": "hn-dynamic", "seed": 0,
+                                  "params": ILL_CONDITIONED})
     assert main(["run", str(bad), "--out", str(out)]) == 3
     assert not (out / "manifest.json").exists()

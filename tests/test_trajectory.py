@@ -4,7 +4,7 @@ import scipy.linalg as sla
 
 from starkprobe.lindblad import DensityMatrix, propagate, trace_distance
 from starkprobe.model import LatticeSpec, build_effective_dephasing, build_stark, site_state
-from starkprobe.trajectory import TrajectoryConfig, run_ensemble
+from starkprobe.trajectory import TrajectoryConfig, _philox, run_ensemble
 
 
 class TestConfig:
@@ -145,3 +145,64 @@ class TestEnsemble:
         psi0 = site_state(4, 2)
         out = run_ensemble(psi0, spec, cfg, [0.0, 1.0])
         assert trace_distance(out[0], np.outer(psi0, psi0.conj())) < 1e-14
+
+
+def per_step_ensemble(psi0, spec, cfg, times):
+    """Reference sampler: every trajectory takes every dt step.
+
+    Same Philox streams and rules as run_ensemble (jump when the uniform is
+    below the step's norm loss, site by cumulative pre-step weight), with no
+    table.  Returns the averaged states and whether any trajectory jumped on
+    two consecutive steps.
+    """
+    n = cfg.n_traj
+    steps = [round(t / cfg.dt) for t in times]
+    E = sla.expm(-1j * build_effective_dephasing(spec).entries * cfg.dt)
+    u = np.array([_philox(cfg.seed, k).random((2, max(steps))) for k in range(n)])
+    psi = np.tile(np.asarray(psi0, dtype=complex)[:, np.newaxis], (1, n))
+    sums = {0: psi @ psi.conj().T}
+    last_jump = np.full(n, -2)
+    consecutive = False
+    for s in range(max(steps)):
+        phi = E @ psi
+        q = np.einsum("ij,ij->j", phi.conj(), phi).real
+        jumpers = np.flatnonzero(u[:, 0, s] < 1.0 - q)
+        post = phi / np.sqrt(q)
+        if jumpers.size:
+            cum = np.cumsum(np.abs(psi[:, jumpers]) ** 2, axis=0)
+            sites = (cum > u[jumpers, 1, s] * cum[-1]).argmax(axis=0)
+            amps = psi[sites, jumpers]
+            post[:, jumpers] = 0.0
+            post[sites, jumpers] = amps / np.abs(amps)
+            consecutive |= bool(np.any(last_jump[jumpers] == s - 1))
+            last_jump[jumpers] = s
+        psi = post
+        sums[s + 1] = psi @ psi.conj().T
+    rhos = [(sums[k] + sums[k].conj().T) / (2.0 * n) for k in steps]
+    return rhos, consecutive
+
+
+class TestPerStepOracle:
+    """run_ensemble against the per-step reference on the same random numbers."""
+
+    @pytest.mark.parametrize("L, h, gamma, dt, n_traj, times, state", [
+        (4, 0.1, 0.3, 0.05, 300, [0.0, 0.5, 1.5], "site"),
+        (5, 0.2, 0.5, 0.1, 257, [1.0, 0.0, 3.0], "uniform"),
+        (6, 0.05, 0.99, 0.1, 300, [0.0, 2.0, 4.0], "site"),
+        (6, 0.3, 0.2, 0.2, 100, [0.0], "uniform"),
+        (4, 0.1, 0.5, 0.1, 4500, [0.0, 0.5, 1.0], "uniform"),  # two chunks
+    ])
+    def test_matches_reference(self, L, h, gamma, dt, n_traj, times, state):
+        spec = LatticeSpec(L, 1.0, h, gamma)
+        if state == "site":
+            psi0 = site_state(L, 2)
+        else:
+            psi0 = np.exp(1j * np.arange(L)) / np.sqrt(L)
+        cfg = TrajectoryConfig(dt=dt, t_final=max(times), n_traj=n_traj, seed=11)
+        ref, consecutive = per_step_ensemble(psi0, spec, cfg, times)
+        out = run_ensemble(psi0, spec, cfg, times)
+        for t, a, b in zip(times, out, ref):
+            assert np.abs(a.entries - b).max() < 1e-12, f"t = {t}"
+        if gamma * dt > 0.09:
+            # near the ceiling, jumps on back-to-back steps occur
+            assert consecutive
