@@ -34,12 +34,11 @@ from .model import (
     build_hatano_nelson,
     build_stark,
     build_unidirectional,
-    decompose_hermitian_antihermitian,
     gaussian_packet,
     middle_site,
     site_state,
 )
-from .nh import evolve_nh_density, trace_preserving_rhs
+from .nh import evolve_nh_density
 from .spectral import (
     BiorthogonalSystem,
     eig_biorthogonal,
@@ -59,7 +58,6 @@ __all__ = [
     "build_effective_dephasing",
     "build_hatano_nelson",
     "build_unidirectional",
-    "decompose_hermitian_antihermitian",
     "site_state",
     "middle_site",
     "gaussian_packet",
@@ -76,7 +74,6 @@ __all__ = [
     "TrajectoryConfig",
     "run_ensemble",
     "evolve_nh_density",
-    "trace_preserving_rhs",
     "FisherResult",
     "qfi_pure",
     "qfi_mixed",

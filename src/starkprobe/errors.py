@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-``ConfigError`` maps to CLI exit code 2, ``NumericalError`` (and the builtin
-``OverflowError`` raised by the exponential overflow guard) to exit code 3.
+``ConfigError`` maps to CLI exit code 2.  ``NumericalError``, and the builtin
+``OverflowError``, ``ValueError`` and ``ZeroDivisionError`` that numerical
+routines raise, map to exit code 3.
 """
 
 
@@ -31,10 +32,6 @@ class NormCollapse(NumericalError):
 
 class TraceCollapse(NumericalError):
     """A conjugated density matrix lost essentially all of its trace."""
-
-
-class StepCollapse(NumericalError):
-    """Finite-difference derivatives at two step sizes disagree; result unreliable."""
 
 
 class PeakAtBoundary(StarkProbeError):

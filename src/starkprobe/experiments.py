@@ -14,7 +14,6 @@ formalism has one propagation route.
 
 from __future__ import annotations
 
-import copy
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -248,111 +247,149 @@ def refine_peak(xs, ys, log_x: bool = False):
 # Config plumbing shared by the experiment drivers
 # ---------------------------------------------------------------------------
 
-# Every params key of each experiment with its default.  Any other key is a
-# config error; the merged values are what a run records in its manifest.
+# A check takes a params value and its key, raises ConfigError naming
+# params.<key>, and returns the coerced value.
+
+_FLOAT_MAX = np.finfo(float).max
+
+
+def _scalar(kind, positive=False):
+    """Check of a finite number (``kind`` float) or an integer (``kind`` int)."""
+    def check(value, key: str):
+        # abs(value) <= max also rejects inf, nan and integers too large for a float.
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int) \
+                or not abs(value) <= _FLOAT_MAX:
+            what = "a finite number" if kind is float else "an integer"
+            raise ConfigError(f"params.{key}: expected {what}, got {value!r}")
+        if positive and value <= 0:
+            raise ConfigError(f"params.{key}: must be > 0, got {value}")
+        return kind(value)
+    return check
+
+
+_number, _positive = _scalar(float), _scalar(float, positive=True)
+_integer, _positive_int = _scalar(int), _scalar(int, positive=True)
+
+
+def _list_of(check):
+    def checked(value, key: str) -> list:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"params.{key}: expected a non-empty list, got {value!r}")
+        return [check(v, key) for v in value]
+    return checked
+
+
+def _state_label(value, key: str):
+    if value not in ("ground", "mid") and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(f"params.{key}: expected 'ground', 'mid' or an index, got {value!r}")
+    return value
+
+
+def _optional_int(value, key: str):
+    return None if value is None else _integer(value, key)
+
+
+def _scale(value, key: str) -> str:
+    if value not in ("log", "linear"):
+        raise ConfigError(f"params.{key}: expected 'log' or 'linear', got {value!r}")
+    return value
+
+
+_GRID_FIELDS = {"lo": _positive, "hi": _positive, "n": _positive_int, "scale": _scale}
+
+
+def _h_grid(value, key: str):
+    """A field grid: an ascending list of fields, or a lo/hi/n/scale object."""
+    if isinstance(value, (list, tuple)):
+        grid = _list_of(_positive)(value, key)
+        # refine_peak fits a parabola through neighbouring grid points.
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ConfigError(f"params.{key}: must be strictly ascending, got {grid}")
+        return grid
+    if not isinstance(value, dict):
+        raise ConfigError(f"params.{key}: expected a list or a lo/hi/n object, got {value!r}")
+    grid = {f: check(value[f], f"{key}.{f}") for f, check in _GRID_FIELDS.items()}
+    if grid["hi"] <= grid["lo"]:
+        raise ConfigError(f"params.{key}: hi must exceed lo")
+    return grid
+
+
+_numbers, _sizes = _list_of(_number), _list_of(_positive_int)
+
+# Every params key of each experiment as (default, check); any other key is a
+# config error.  The drivers check what ties keys together (an index and L, a
+# time and dt) and the physics ranges of LatticeSpec.
 PARAMS = {
-    "lindblad-sweep": {"L": [10, 20, 30, 40], "gamma": [0.0, 0.01],
-                       "h": [0.05, 0.1, 0.3], "t_max": 100.0, "dt": 1.0},
-    "traj-validate": {"L": 10, "gamma": 0.02, "h": 0.05, "n_traj": 5000,
-                      "dt": 0.05, "times": [10.0, 25.0, 50.0]},
-    "hn-static": {"L": [100], "gamma": [0.02, 0.05, 0.1],
-                  "h_grid": {"lo": 3e-6, "hi": 1e-3, "n": 25, "scale": "log"},
-                  "state_index": None},
-    "hn-dynamic": {"L": [100], "gamma": 0.05, "h": [0.001, 0.1],
-                   "t_max": 150.0, "dt": 0.5},
-    "uni-static": {"L": [400], "states": ["ground", "mid"],
-                   "h_grid": {"lo": 5e-4, "hi": 0.1, "n": 48, "scale": "log"}},
-    "uni-dynamic": {"L": [100], "h": [0.001, 0.1], "sigma": 2.0,
-                    "t_max": 120.0, "dt": 0.5},
-    "table1": {"M": 1000, "gamma": 0.01, "L_lindblad": 40, "L_nh": 100,
-               "t_fixed": 10.0, "t_max": 120.0, "dt_lindblad": 1.0, "dt_nh": 0.5,
-               "lindblad_h": [0.01, 0.05, 0.5], "hn_h": [0.001, 0.01, 0.1],
-               "uni_h": [0.001, 0.01, 0.1]},
+    "lindblad-sweep": {"L": ([10, 20, 30, 40], _sizes), "gamma": ([0.0, 0.01], _numbers),
+                       "h": ([0.05, 0.1, 0.3], _numbers), "t_max": (100.0, _positive),
+                       "dt": (1.0, _positive)},
+    "traj-validate": {"L": (10, _positive_int), "gamma": (0.02, _number),
+                      "h": (0.05, _number), "n_traj": (5000, _positive_int),
+                      "dt": (0.05, _positive), "times": ([10.0, 25.0, 50.0], _numbers)},
+    "hn-static": {"L": ([100], _sizes), "gamma": ([0.02, 0.05, 0.1], _numbers),
+                  "h_grid": ({"lo": 3e-6, "hi": 1e-3, "n": 25, "scale": "log"}, _h_grid),
+                  "state_index": (None, _optional_int)},
+    "hn-dynamic": {"L": ([100], _sizes), "gamma": (0.05, _number),
+                   "h": ([0.001, 0.1], _numbers), "t_max": (150.0, _positive),
+                   "dt": (0.5, _positive)},
+    "uni-static": {"L": ([400], _sizes), "states": (["ground", "mid"], _list_of(_state_label)),
+                   "h_grid": ({"lo": 5e-4, "hi": 0.1, "n": 48, "scale": "log"}, _h_grid)},
+    "uni-dynamic": {"L": ([100], _sizes), "h": ([0.001, 0.1], _numbers),
+                    "sigma": (2.0, _positive), "t_max": (120.0, _positive),
+                    "dt": (0.5, _positive)},
+    "table1": {"M": (1000, _positive_int), "gamma": (0.01, _number),
+               "L_lindblad": (40, _positive_int), "L_nh": (100, _positive_int),
+               "t_fixed": (10.0, _positive), "t_max": (120.0, _positive),
+               "dt_lindblad": (1.0, _positive), "dt_nh": (0.5, _positive),
+               "lindblad_h": ([0.01, 0.05, 0.5], _numbers),
+               "hn_h": ([0.001, 0.01, 0.1], _numbers), "uni_h": ([0.001, 0.01, 0.1], _numbers)},
 }
 
 
 def resolve_params(experiment: str, params: dict) -> dict:
-    """``params`` over the defaults of ``experiment``; unknown keys raise ConfigError.
+    """``params`` over the defaults of ``experiment``, each value checked once.
 
-    An object-valued default (an h grid) is merged one level down, so a
-    partial grid keeps the defaults of the fields it leaves out.
+    Every value, given or default, passes its check in ``PARAMS``.  The
+    result holds plain JSON values, is what a run records in its manifest,
+    and resolves to itself.  An object-valued default (an h grid) is merged
+    one level down, so a partial grid keeps the defaults of the fields it
+    leaves out.  An unknown or malformed key raises ConfigError naming it.
     """
-    return _merge(copy.deepcopy(PARAMS[experiment]), params, "params")
+    table = PARAMS[experiment]
+    _reject_unknown(params, table, "params")
+    resolved = {}
+    for key, (default, check) in table.items():
+        value = params.get(key, default)
+        if isinstance(default, dict) and isinstance(value, dict):
+            _reject_unknown(value, default, f"params.{key}")
+            value = {**default, **value}
+        resolved[key] = check(value, key)
+    return resolved
 
 
-def _merge(into: dict, given: dict, path: str) -> dict:
-    for key, value in given.items():
-        if key not in into:
+def _reject_unknown(given: dict, known: dict, path: str) -> None:
+    for key in given:
+        if key not in known:
             raise ConfigError(f"{path}.{key}: unknown key, expected one of "
-                              f"{', '.join(sorted(into))}")
-        if isinstance(into[key], dict) and isinstance(value, dict):
-            value = _merge(into[key], value, f"{path}.{key}")
-        into[key] = value
-    return into
+                              f"{', '.join(sorted(known))}")
 
 
-def _want(params: dict, key: str, kind, *, positive=False):
-    value = params[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"params.{key}: expected a number, got {value!r}")
-        value = float(value)
-        if positive and value <= 0:
-            raise ConfigError(f"params.{key}: must be > 0, got {value}")
-    elif kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"params.{key}: expected an integer, got {value!r}")
-        if positive and value <= 0:
-            raise ConfigError(f"params.{key}: must be > 0, got {value}")
-    elif kind is list:
-        if not isinstance(value, (list, tuple)) or not value:
-            raise ConfigError(f"params.{key}: expected a non-empty list, got {value!r}")
-        value = list(value)
-    elif kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"params.{key}: expected a string, got {value!r}")
-    return value
+def _grid_points(grid) -> np.ndarray:
+    """The field values of a checked ``h_grid``."""
+    if isinstance(grid, list):
+        return np.asarray(grid)
+    space = np.geomspace if grid["scale"] == "log" else np.linspace
+    return space(grid["lo"], grid["hi"], grid["n"])
 
 
-def _number_list(params: dict, key: str) -> list[float]:
-    values = _want(params, key, list)
-    out = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"params.{key}: expected numbers, got {v!r}")
-        out.append(float(v))
-    return out
-
-
-def _int_list(params: dict, key: str) -> list[int]:
-    values = _want(params, key, list)
-    out = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"params.{key}: expected integers, got {v!r}")
-        out.append(v)
-    return out
-
-
-def _h_grid(params: dict, key: str) -> np.ndarray:
-    raw = params[key]
-    if isinstance(raw, (list, tuple)):
-        return np.asarray(_number_list(params, key), dtype=float)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"params.{key}: expected a list or a lo/hi/n object")
-    # Dotted keys, so an error names params.<key>.lo and not params.lo.
-    raw = {f"{key}.{k}": v for k, v in raw.items()}
-    lo = _want(raw, f"{key}.lo", float, positive=True)
-    hi = _want(raw, f"{key}.hi", float, positive=True)
-    n = _want(raw, f"{key}.n", int, positive=True)
-    scale = _want(raw, f"{key}.scale", str)
-    if hi <= lo:
-        raise ConfigError(f"params.{key}: hi must exceed lo")
-    if scale == "log":
-        return np.geomspace(lo, hi, n)
-    if scale == "linear":
-        return np.linspace(lo, hi, n)
-    raise ConfigError(f"params.{key}.scale: expected 'log' or 'linear', got {scale!r}")
+def _state_index(state, L: int, key: str) -> int:
+    """Eigenstate index of a label, None or index at size L; it must lie in 0..L-1."""
+    # Under the 1..L site gauge the structured extremal state ("ground", and
+    # the default) carries the top closed-form index.
+    index = {None: L - 1, "ground": L - 1, "mid": L // 2}.get(state, state)
+    if not 0 <= index < L:
+        raise ConfigError(f"params.{key}: index {index} is outside 0..{L - 1} at L = {L}")
+    return index
 
 
 def _spec(L, h, gamma) -> LatticeSpec:
@@ -388,14 +425,9 @@ def _tuple_row(formalism, spec, t, seed, **extra) -> dict:
 
 def run_lindblad_sweep(params: dict, seed: int, threads: int):
     """QFI(t) under dephasing over a (L, gamma, h) product grid."""
-    params = resolve_params("lindblad-sweep", params)
-    Ls = _int_list(params, "L")
-    gammas = _number_list(params, "gamma")
-    hs = _number_list(params, "h")
-    t_max = _want(params, "t_max", float, positive=True)
-    dt = _want(params, "dt", float, positive=True)
-    times = _time_grid(t_max, dt)
-    specs = [_spec(L, h, g) for L in Ls for g in gammas for h in hs]
+    p = resolve_params("lindblad-sweep", params)
+    times = _time_grid(p["t_max"], p["dt"])
+    specs = [_spec(L, h, g) for L in p["L"] for g in p["gamma"] for h in p["h"]]
 
     def one(spec):
         return lindblad_qfi_series(spec, times)
@@ -410,17 +442,13 @@ def run_lindblad_sweep(params: dict, seed: int, threads: int):
 
 def run_traj_validate(params: dict, seed: int, threads: int):
     """Trace distance between the trajectory ensemble and the exact propagation."""
-    params = resolve_params("traj-validate", params)
-    L = _want(params, "L", int, positive=True)
-    gamma = _want(params, "gamma", float)
-    h = _want(params, "h", float)
-    n_traj = _want(params, "n_traj", int, positive=True)
-    dt = _want(params, "dt", float, positive=True)
-    times = np.asarray(_number_list(params, "times"), dtype=float)
+    p = resolve_params("traj-validate", params)
+    L, dt, n_traj = p["L"], p["dt"], p["n_traj"]
+    times = np.asarray(p["times"])
 
-    spec = _spec(L, h, gamma)
-    if gamma * dt >= MAX_DP_PER_STEP:
-        raise ConfigError(f"params.dt: gamma*dt = {gamma * dt:.3g} must stay "
+    spec = _spec(L, p["h"], p["gamma"])
+    if spec.gamma * dt >= MAX_DP_PER_STEP:
+        raise ConfigError(f"params.dt: gamma*dt = {spec.gamma * dt:.3g} must stay "
                           f"below {MAX_DP_PER_STEP}; reduce dt")
     for t in times:
         _steps(t, dt, "times")
@@ -445,18 +473,13 @@ def run_hn_static(params: dict, seed: int, threads: int):
     ``state_index`` defaults to the competition state L-1 (see
     :func:`static_qfi_scan`).
     """
-    params = resolve_params("hn-static", params)
-    Ls = _int_list(params, "L")
-    gammas = _number_list(params, "gamma")
-    grid = _h_grid(params, "h_grid")
-    index = params["state_index"]
-    if index is not None and (isinstance(index, bool) or not isinstance(index, int)):
-        raise ConfigError(f"params.state_index: expected an integer, got {index!r}")
-    specs = [_spec(L, 0.0, g) for L in Ls for g in gammas]
+    p = resolve_params("hn-static", params)
+    grid = _grid_points(p["h_grid"])
+    specs = [_spec(L, 0.0, g) for L in p["L"] for g in p["gamma"]]
+    indices = [_state_index(p["state_index"], spec.L, "state_index") for spec in specs]
 
     curves, maxima = [], []
-    for spec in specs:
-        idx = (spec.L - 1) if index is None else index
+    for spec, idx in zip(specs, indices):
         values, h_max, fq_max = static_qfi_scan(
             "hatano-nelson", spec, grid, state_index=idx, threads=threads)
         for h, fq in zip(grid, values):
@@ -469,43 +492,36 @@ def run_hn_static(params: dict, seed: int, threads: int):
 
 def run_uni_static(params: dict, seed: int, threads: int):
     """Closed-form eigenstate QFI of the unidirectional chain."""
-    params = resolve_params("uni-static", params)
-    Ls = _int_list(params, "L")
-    states = _want(params, "states", list)
-    grid = _h_grid(params, "h_grid")
-    specs = [_spec(L, 0.0, 0.0) for L in Ls]
+    p = resolve_params("uni-static", params)
+    grid = _grid_points(p["h_grid"])
+    specs = [_spec(L, 0.0, 0.0) for L in p["L"]]
+    cases = [(spec, label, _state_index(label, spec.L, "states"))
+             for spec in specs for label in p["states"]]
 
     curves, maxima = [], []
-    for spec in specs:
-        for label in states:
-            if label == "ground":
-                # Under the 1..L site gauge the structured extremal state
-                # carries the top closed-form index.
-                index = spec.L - 1
-            elif label == "mid":
-                index = spec.L // 2
-            elif isinstance(label, int) and not isinstance(label, bool):
-                index = label
-            else:
-                raise ConfigError(
-                    f"params.states: expected 'ground', 'mid' or an index, got {label!r}")
-            values, h_max, fq_max = static_qfi_scan(
-                "unidirectional", spec, grid, state_index=index, threads=threads)
-            for h, fq in zip(grid, values):
-                curves.append(_tuple_row("uni-static", spec.with_field(float(h)), 0.0,
-                                         seed, state=str(label), state_index=index,
-                                         fq=float(fq)))
-            maxima.append(_tuple_row("uni-static", spec.with_field(h_max), 0.0, seed,
-                                     state=str(label), state_index=index,
-                                     fq_max=fq_max, h_max=h_max))
+    for spec, label, index in cases:
+        values, h_max, fq_max = static_qfi_scan(
+            "unidirectional", spec, grid, state_index=index, threads=threads)
+        for h, fq in zip(grid, values):
+            curves.append(_tuple_row("uni-static", spec.with_field(float(h)), 0.0,
+                                     seed, state=str(label), state_index=index,
+                                     fq=float(fq)))
+        maxima.append(_tuple_row("uni-static", spec.with_field(h_max), 0.0, seed,
+                                 state=str(label), state_index=index,
+                                 fq_max=fq_max, h_max=h_max))
     return {"uni_static": curves, "uni_static_maxima": maxima}
 
 
-def _dynamic_rows(kind, specs, times, seed, threads, psi0_of):
+def _peak_times(times: np.ndarray) -> np.ndarray:
+    """``times``, which must hold the three samples peak_qfi_over_t2 needs."""
     if times.size < 3:
-        # peak_qfi_over_t2 needs three samples to find a peak.
         raise ConfigError(f"params.t_max: needs at least 3 time points, got "
-                          f"{times.size}; raise t_max or lower dt")
+                          f"{times.size}; raise t_max or lower the time step")
+    return times
+
+
+def _dynamic_rows(kind, specs, times, seed, threads, psi0_of):
+    _peak_times(times)
 
     def one(spec):
         return nh_qfi_series(kind, spec, times, psi0_of(spec))
@@ -529,15 +545,9 @@ def _dynamic_rows(kind, specs, times, seed, threads, psi0_of):
 
 def run_hn_dynamic(params: dict, seed: int, threads: int):
     """F/t^2 evolution of the nonreciprocal chain from a mid-lattice particle."""
-    params = resolve_params("hn-dynamic", params)
-    Ls = _int_list(params, "L")
-    gamma = _want(params, "gamma", float)
-    hs = _number_list(params, "h")
-    t_max = _want(params, "t_max", float, positive=True)
-    dt = _want(params, "dt", float, positive=True)
-    times = _time_grid(t_max, dt)
-
-    specs = [_spec(L, h, gamma) for L in Ls for h in hs]
+    p = resolve_params("hn-dynamic", params)
+    times = _time_grid(p["t_max"], p["dt"])
+    specs = [_spec(L, h, p["gamma"]) for L in p["L"] for h in p["h"]]
     curves, maxima = _dynamic_rows(
         "hatano-nelson", specs, times, seed, threads,
         lambda spec: site_state(spec.L, middle_site(spec.L)))
@@ -546,18 +556,12 @@ def run_hn_dynamic(params: dict, seed: int, threads: int):
 
 def run_uni_dynamic(params: dict, seed: int, threads: int):
     """F/t^2 evolution of the unidirectional chain from a Gaussian packet."""
-    params = resolve_params("uni-dynamic", params)
-    Ls = _int_list(params, "L")
-    hs = _number_list(params, "h")
-    sigma = _want(params, "sigma", float, positive=True)
-    t_max = _want(params, "t_max", float, positive=True)
-    dt = _want(params, "dt", float, positive=True)
-    times = _time_grid(t_max, dt)
-
-    specs = [_spec(L, h, 0.0) for L in Ls for h in hs]
+    p = resolve_params("uni-dynamic", params)
+    times = _time_grid(p["t_max"], p["dt"])
+    specs = [_spec(L, h, 0.0) for L in p["L"] for h in p["h"]]
     curves, maxima = _dynamic_rows(
         "unidirectional", specs, times, seed, threads,
-        lambda spec: gaussian_packet(spec.L, sigma))
+        lambda spec: gaussian_packet(spec.L, p["sigma"]))
     return {"uni_dynamic": curves, "uni_dynamic_maxima": maxima}
 
 
@@ -572,32 +576,25 @@ def run_table1(params: dict, seed: int, threads: int):
     singularities.  When no interior peak exists the fixed reporting time is
     used and the row is flagged.
     """
-    params = resolve_params("table1", params)
-    M = _want(params, "M", int, positive=True)
-    gamma = _want(params, "gamma", float)
-    L_lind = _want(params, "L_lindblad", int, positive=True)
-    L_nh = _want(params, "L_nh", int, positive=True)
-    t_fixed = _want(params, "t_fixed", float, positive=True)
-    t_max = _want(params, "t_max", float, positive=True)
-    dt_lind = _want(params, "dt_lindblad", float, positive=True)
-    dt_nh = _want(params, "dt_nh", float, positive=True)
-    lind_h = _number_list(params, "lindblad_h")
-    hn_h = _number_list(params, "hn_h")
-    uni_h = _number_list(params, "uni_h")
+    p = resolve_params("table1", params)
+    t_fixed, t_max = p["t_fixed"], p["t_max"]
+
+    def case(kind, spec, dt, horizon):
+        n = max(int(np.floor(horizon / dt)), int(round(t_fixed / dt)))
+        return kind, spec, _peak_times(dt * np.arange(1, n + 1))
 
     cases = []
-    for h in lind_h:
-        cases.append(("lindblad", _spec(L_lind, h, gamma), dt_lind, t_max))
-    for h in hn_h:
-        cases.append(("hatano-nelson", _spec(L_nh, h, gamma), dt_nh, t_max))
-    for h in uni_h:
-        horizon = min(t_max, 0.95 * np.pi / h)
-        cases.append(("unidirectional", _spec(L_nh, h, 0.0), dt_nh, horizon))
+    for h in p["lindblad_h"]:
+        cases.append(case("lindblad", _spec(p["L_lindblad"], h, p["gamma"]),
+                          p["dt_lindblad"], t_max))
+    for h in p["hn_h"]:
+        cases.append(case("hatano-nelson", _spec(p["L_nh"], h, p["gamma"]), p["dt_nh"], t_max))
+    for h in p["uni_h"]:
+        cases.append(case("unidirectional", _spec(p["L_nh"], h, 0.0), p["dt_nh"],
+                          min(t_max, 0.95 * np.pi / h)))
 
     def one(case):
-        kind, spec, dt, horizon = case
-        n = max(int(np.floor(horizon / dt)), int(round(t_fixed / dt)))
-        times = dt * np.arange(1, n + 1)
+        kind, spec, times = case
         if kind == "lindblad":
             series = lindblad_qfi_series(spec, times)
         else:
@@ -615,13 +612,13 @@ def run_table1(params: dict, seed: int, threads: int):
 
     rows = []
     for case, (t_opt, fq_opt, fq_fixed, boundary) in zip(cases, _pmap(one, cases, threads)):
-        kind, spec, _, _ = case
+        kind, spec, _ = case
         phase = "localized" if spec.h >= 8.0 * spec.J / spec.L else "extended"
         rows.append(_tuple_row(kind, spec, t_opt, seed,
-                               phase=phase, M=M,
+                               phase=phase, M=p["M"],
                                t_opt=t_opt,
-                               snr_topt=snr(spec.h, M, fq_opt),
-                               snr_tfixed=snr(spec.h, M, fq_fixed),
+                               snr_topt=snr(spec.h, p["M"], fq_opt),
+                               snr_tfixed=snr(spec.h, p["M"], fq_fixed),
                                fq_topt=fq_opt, fq_tfixed=fq_fixed,
                                no_interior_peak=boundary))
     return {"table1": rows}

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, StepCollapse
+from .errors import NumericalError
 from .lindblad import _entries
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "state_derivative",
     "default_step",
     "snr",
-    "align_phase",
     "qfi_pure_batch",
 ]
 
@@ -143,7 +142,7 @@ def cfi(p, dp, *, threshold: float = CFI_PROBABILITY_FLOOR) -> float:
     return float((dp[live] ** 2 / p[live]).sum())
 
 
-def align_phase(v: np.ndarray, ref: np.ndarray) -> np.ndarray:
+def _align_phase(v: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Rotate v by a global phase to maximize its real overlap with ref."""
     z = complex(np.vdot(ref, v))
     if z == 0.0:
@@ -156,43 +155,25 @@ def default_step(h: float) -> float:
     return max(1e-6, 1e-4 * abs(h))
 
 
-def state_derivative(evolve, h: float, *, delta: float | None = None,
-                     richardson: bool = False):
+def state_derivative(evolve, h: float, *, delta: float | None = None):
     """State and its field derivative by gauge-aligned central differences.
 
     ``evolve(h')`` must deterministically return either a state vector or a
     density matrix.  Vectors at h +/- delta are phase-rotated to maximize
     their real overlap with the vector at h before differencing (matrices
-    are differenced entrywise with no gauge step).  ``richardson`` requests
-    a second evaluation at delta/2 and the extrapolated derivative; a
-    relative disagreement above 1e-3 between the two steps raises
-    StepCollapse (non-smooth point).
+    are differenced entrywise with no gauge step).
 
     Returns (state, derivative, delta).
     """
     if delta is None:
         delta = default_step(h)
     base = np.asarray(evolve(h), dtype=complex)
-
-    def central(d: float) -> np.ndarray:
-        plus = np.asarray(evolve(h + d), dtype=complex)
-        minus = np.asarray(evolve(h - d), dtype=complex)
-        if base.ndim == 1:
-            plus = align_phase(plus, base)
-            minus = align_phase(minus, base)
-        return (plus - minus) / (2.0 * d)
-
-    der = central(delta)
-    if richardson:
-        der_half = central(delta / 2.0)
-        scale = max(float(np.linalg.norm(der_half)), 1e-300)
-        gap = float(np.linalg.norm(der_half - der)) / scale
-        if gap > 1e-3:
-            raise StepCollapse(
-                f"step sizes {delta:.2e} and {delta / 2:.2e} disagree by {gap:.2e}"
-            )
-        der = (4.0 * der_half - der) / 3.0
-    return base, der, delta
+    plus = np.asarray(evolve(h + delta), dtype=complex)
+    minus = np.asarray(evolve(h - delta), dtype=complex)
+    if base.ndim == 1:
+        plus = _align_phase(plus, base)
+        minus = _align_phase(minus, base)
+    return base, (plus - minus) / (2.0 * delta), delta
 
 
 def qfi_pure_batch(states, states_plus, states_minus, delta: float) -> np.ndarray:

@@ -24,7 +24,6 @@ __all__ = [
     "build_effective_dephasing",
     "build_hatano_nelson",
     "build_unidirectional",
-    "decompose_hermitian_antihermitian",
     "site_state",
     "middle_site",
     "gaussian_packet",
@@ -185,26 +184,6 @@ def build_unidirectional(spec: LatticeSpec) -> OperatorMatrix:
     H[off, off + 1] = spec.J
     H[np.arange(L), np.arange(L)] = spec.h * spec.sites()
     return OperatorMatrix(H, hermitian=False)
-
-
-def decompose_hermitian_antihermitian(H, gamma: float | None = None):
-    """Split H = H_h - i*gamma_scale*H_ah with both parts Hermitian.
-
-    ``gamma_scale`` is the caller-supplied gamma (passed through) or 1 when
-    unspecified or zero.  Recomposition H_h - i*gamma_scale*H_ah reproduces
-    the input exactly.
-
-    Returns (H_h, H_ah, gamma_scale) with Hermiticity tags set.
-    """
-    A = as_matrix(H)
-    scale = 1.0 if gamma is None or gamma == 0.0 else float(gamma)
-    H_h = (A + A.conj().T) / 2.0
-    H_ah = 1j * (A - A.conj().T) / (2.0 * scale)
-    return (
-        OperatorMatrix(H_h, hermitian=True),
-        OperatorMatrix(H_ah, hermitian=True),
-        scale,
-    )
 
 
 def middle_site(L: int) -> int:

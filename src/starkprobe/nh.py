@@ -2,9 +2,7 @@
 
 The normalized state sum_n exp(-i E_n t) <L_n|psi0> |R_n> / ||...|| is exact
 for any diagonalizable generator; conjugation-and-renormalization gives the
-density-matrix form, and the equivalent Lindblad-like equation of motion
-(built from the Hermitian / anti-Hermitian split of the generator) preserves
-trace and keeps pure states pure.
+density-matrix form, which preserves trace and keeps pure states pure.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from .spectral import BiorthogonalSystem
 __all__ = [
     "evolve_nh_series",
     "evolve_nh_grid",
-    "trace_preserving_rhs",
     "evolve_nh_density",
 ]
 
@@ -73,26 +70,6 @@ def evolve_nh_grid(psi0, H_NH, times) -> np.ndarray:
             steps_done += 1
         out[i] = psi
     return out
-
-
-def trace_preserving_rhs(rho, H_h, H_ah, gamma: float) -> np.ndarray:
-    """Right-hand side -i[H_h, rho] + gamma(2 Tr(rho H_ah) rho - {H_ah, rho}).
-
-    Requires Hermitian H_h and H_ah and a trace-one rho; the result is then
-    traceless, so the evolution preserves normalization.
-    """
-    r = _entries(rho)
-    Hh = as_matrix(H_h)
-    Hah = as_matrix(H_ah)
-    for name, M in (("H_h", Hh), ("H_ah", Hah)):
-        scale = float(np.abs(M).max())
-        if scale > 0.0 and float(np.abs(M - M.conj().T).max()) > 1e-10 * scale:
-            raise ValueError(f"{name} must be Hermitian")
-    if abs(complex(np.trace(r)) - 1.0) > 1e-8:
-        raise ValueError("rho must have unit trace")
-    comm = Hh @ r - r @ Hh
-    anti = Hah @ r + r @ Hah
-    return -1j * comm + gamma * (2.0 * np.trace(r @ Hah) * r - anti)
 
 
 def evolve_nh_density(rho0, H_NH, t: float) -> DensityMatrix:

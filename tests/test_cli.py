@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from starkprobe.cli import main
+from starkprobe.experiments import PARAMS, resolve_params
 
 
 def write_config(tmp_path: Path, payload: dict) -> Path:
@@ -176,12 +177,49 @@ class TestConfigErrors:
         ("uni-dynamic", {"t_max": 0.2, "dt": 0.5}, "t_max"),
         ("lindblad-sweep", {"t_max": 0.5, "dt": 1.0}, "t_max"),
         ("lindblad-sweep", {"t_max": 10.0, "dt": 3.0}, "t_max"),
+        ("table1", {"t_max": 1.0, "t_fixed": 1.0, "dt_nh": 0.5}, "t_max"),
     ])
     def test_bad_time_grid_names_key(self, tmp_path, capsys, experiment, change, key):
         cfg = write_config(tmp_path, {"experiment": experiment,
                                       "params": {**TINY_CONFIGS[experiment], **change}})
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"config error: params.{key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, change, key", [
+        ("hn-static", {"state_index": 40}, "state_index"),
+        ("hn-static", {"state_index": -1}, "state_index"),
+        ("uni-static", {"states": [20]}, "states"),
+        ("uni-static", {"states": [-1]}, "states"),
+        ("hn-static", {"h_grid": [-0.1, 0.2, 0.3]}, "h_grid"),
+        ("hn-static", {"h_grid": [0.3, 0.2, 0.1]}, "h_grid"),
+        ("uni-static", {"h_grid": [0.0, 0.1, 0.2]}, "h_grid"),
+    ])
+    def test_bad_value_names_key(self, tmp_path, capsys, experiment, change, key):
+        cfg = write_config(tmp_path, {"experiment": experiment,
+                                      "params": {**TINY_CONFIGS[experiment], **change}})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: params.{key}:" in capsys.readouterr().err
+
+    def test_overflowing_number_names_key(self, tmp_path, capsys):
+        # JSON reads 1e400 as inf
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"experiment": "lindblad-sweep", "params": {"t_max": 1e400}}')
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: params.t_max:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, key", [
+        (experiment, key) for experiment in PARAMS for key in PARAMS[experiment]])
+    def test_wrong_type_names_key(self, tmp_path, capsys, experiment, key):
+        cfg = write_config(tmp_path, {"experiment": experiment, "params": {key: "x"}})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: params.{key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", sorted(PARAMS))
+    def test_resolved_params_resolve_to_themselves(self, experiment):
+        # the CLI resolves a config, and the driver resolves the result again
+        resolved = resolve_params(experiment, {})
+        assert resolve_params(experiment, resolved) == resolved
+        assert json.loads(json.dumps(resolved)) == resolved
 
     def test_manifest_records_resolved_params(self, tmp_path):
         cfg = write_config(tmp_path, {"experiment": "hn-static", "seed": 1,

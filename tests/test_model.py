@@ -10,7 +10,6 @@ from starkprobe.model import (
     build_hatano_nelson,
     build_stark,
     build_unidirectional,
-    decompose_hermitian_antihermitian,
     gaussian_packet,
     middle_site,
     site_state,
@@ -189,43 +188,6 @@ class TestUnidirectional:
 
 
 class TestDecomposition:
-    def test_hermitian_input_has_zero_antihermitian_part(self):
-        H = build_stark(LatticeSpec(5, 1.0, 0.4))
-        H_h, H_ah, scale = decompose_hermitian_antihermitian(H)
-        assert scale == 1.0
-        assert np.allclose(H_h.entries, H.entries)
-        assert np.abs(H_ah.entries).max() < 1e-15
-
-    def test_effective_dephasing_split(self):
-        spec = LatticeSpec(6, 1.0, 0.3, 0.1)
-        H_h, H_ah, scale = decompose_hermitian_antihermitian(
-            build_effective_dephasing(spec), gamma=spec.gamma)
-        assert scale == spec.gamma
-        assert np.allclose(H_h.entries, build_stark(spec).entries)
-        assert np.allclose(spec.gamma * H_ah.entries, 0.05 * np.eye(6))
-
-    def test_hatano_nelson_split_matches_closed_form(self):
-        spec = LatticeSpec(5, 1.0, 0.0, 0.05)
-        H_h, H_ah, scale = decompose_hermitian_antihermitian(
-            build_hatano_nelson(spec), gamma=spec.gamma)
-        off = np.arange(spec.L - 1)
-        sym = np.zeros((5, 5), complex)
-        sym[off, off + 1] = sym[off + 1, off] = spec.J * np.cosh(spec.mu)
-        anti = np.zeros((5, 5), complex)
-        anti[off, off + 1] = 1j * spec.J
-        anti[off + 1, off] = -1j * spec.J
-        assert np.allclose(H_h.entries, sym, atol=1e-14)
-        assert np.allclose(H_ah.entries, anti, atol=1e-12)
-
-    def test_recomposition_identity(self):
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-            gamma = float(rng.uniform(0.01, 2.0))
-            H_h, H_ah, scale = decompose_hermitian_antihermitian(A, gamma=gamma)
-            back = H_h.entries - 1j * scale * H_ah.entries
-            assert np.abs(back - A).max() < 1e-14 * max(1.0, np.abs(A).max())
-
     def test_constant_shift_gauge(self):
         # c*I moves every eigenvalue by c and no eigenvector.
         spec = LatticeSpec(8, 1.0, 0.15)
