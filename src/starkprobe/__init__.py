@@ -28,7 +28,6 @@ from .lindblad import (
 from .metrology import FisherResult, cfi, qfi_mixed, qfi_pure, snr, state_derivative
 from .model import (
     LatticeSpec,
-    OperatorMatrix,
     build_dephasing_ops,
     build_effective_dephasing,
     build_hatano_nelson,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "LatticeSpec",
-    "OperatorMatrix",
     "build_stark",
     "build_dephasing_ops",
     "build_effective_dephasing",

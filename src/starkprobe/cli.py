@@ -27,12 +27,14 @@ __all__ = ["main", "run_from_config"]
 
 
 def _load_config(path: Path) -> dict:
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc.reason}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     return raw
@@ -87,7 +89,10 @@ def run_from_config(config: dict, out_dir: Path) -> dict:
     """Execute a validated config, write CSVs + manifest, return the manifest."""
     resolved = _validate(config)
     runner = EXPERIMENTS[resolved["experiment"]]
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {out_dir} as output directory: {exc.strerror}") from exc
     # A stale marker would make a rerun that fails midway look complete.
     (out_dir / "manifest.json").unlink(missing_ok=True)
 

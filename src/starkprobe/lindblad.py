@@ -113,11 +113,11 @@ def build_liouvillian(spec: LatticeSpec) -> np.ndarray:
     space and is built in one step from their diagonals.  Assembled sparse,
     returned as a dense complex array.
     """
-    H = sp.csr_matrix(build_stark(spec).entries)
+    H = sp.csr_matrix(build_stark(spec))
     eye = sp.identity(spec.L, dtype=complex, format="csr")
     gen = -1j * (sp.kron(eye, H) - sp.kron(H.T, eye))
     if spec.gamma > 0.0:
-        d = np.array([np.diag(op.entries) for op in build_dephasing_ops(spec)])
+        d = np.array([np.diag(op) for op in build_dephasing_ops(spec)])
         weight = (np.abs(d) ** 2).sum(axis=0)
         # [a, b] is the vec-space diagonal entry at index a + b*L.
         diss = 2.0 * (d.T @ d.conj()) - weight[:, np.newaxis] - weight[np.newaxis, :]

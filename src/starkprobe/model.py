@@ -6,6 +6,10 @@ and leaves every Fisher-information quantity unchanged, which makes the
 index base a pure gauge choice (covered by tests).  Units: ``hbar = 1``,
 energies in units of the tunneling ``J``, time in ``1/J``.  Open boundary
 conditions throughout.
+
+Every builder returns a plain dense complex ``ndarray``.  The three chains
+differ only in their two hopping amplitudes and share one constructor;
+whoever needs Hermiticity (``spectral.eig_hermitian``) checks it numerically.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ import numpy as np
 
 __all__ = [
     "LatticeSpec",
-    "OperatorMatrix",
-    "as_matrix",
     "build_stark",
     "build_dephasing_ops",
     "build_effective_dephasing",
@@ -28,9 +30,6 @@ __all__ = [
     "middle_site",
     "gaussian_packet",
 ]
-
-# Hermiticity tag tolerance, relative to the largest entry.
-HERMITICITY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,105 +84,47 @@ class LatticeSpec:
         return np.arange(1, self.L + 1, dtype=float)
 
 
-@dataclass
-class OperatorMatrix:
-    """Dense complex square matrix with an explicit Hermiticity tag.
-
-    The tag is verified at construction: when set, the anti-Hermitian part
-    must vanish to within ``HERMITICITY_RTOL`` relative to the largest entry.
-    """
-
-    entries: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        A = np.array(self.entries, dtype=complex)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"entries must be a square matrix, got shape {A.shape}")
-        if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
-            raise ValueError("entries must be finite")
-        if self.hermitian:
-            scale = float(np.abs(A).max())
-            if scale > 0.0 and float(np.abs(A - A.conj().T).max()) >= HERMITICITY_RTOL * scale:
-                raise ValueError("hermitian tag set on a non-Hermitian matrix")
-        self.entries = A
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+def _chain(spec: LatticeSpec, upper: float, lower: float) -> np.ndarray:
+    """Tilted chain: (j, j+1) = upper, (j+1, j) = lower, diagonal h*j for j = 1..L."""
+    hop = np.ones(spec.L - 1)
+    H = np.diag(spec.h * spec.sites()) + np.diag(upper * hop, 1) + np.diag(lower * hop, -1)
+    return H.astype(complex)
 
 
-def as_matrix(op) -> np.ndarray:
-    """Return the dense complex array behind an OperatorMatrix or array-like."""
-    if isinstance(op, OperatorMatrix):
-        return op.entries
-    A = np.asarray(op, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    return A
+def build_stark(spec: LatticeSpec) -> np.ndarray:
+    """Tight-binding chain with a linear gradient: hopping J both ways."""
+    return _chain(spec, spec.J, spec.J)
 
 
-def build_stark(spec: LatticeSpec) -> OperatorMatrix:
-    """Tight-binding chain with a linear gradient.
-
-    Off-diagonals (j, j+1) = (j+1, j) = J, diagonal h*j for j = 1..L.
-    """
-    L = spec.L
-    H = np.zeros((L, L), dtype=complex)
-    off = np.arange(L - 1)
-    H[off, off + 1] = spec.J
-    H[off + 1, off] = spec.J
-    H[np.arange(L), np.arange(L)] = spec.h * spec.sites()
-    return OperatorMatrix(H, hermitian=True)
-
-
-def build_dephasing_ops(spec: LatticeSpec) -> list[OperatorMatrix]:
+def build_dephasing_ops(spec: LatticeSpec) -> list[np.ndarray]:
     """Site-occupation projectors |j><j| acting as the dephasing jump operators."""
-    ops = []
-    for j in range(spec.L):
-        n = np.zeros((spec.L, spec.L), dtype=complex)
-        n[j, j] = 1.0
-        ops.append(OperatorMatrix(n, hermitian=True))
-    return ops
+    return [np.diag(row) for row in np.eye(spec.L, dtype=complex)]
 
 
-def build_effective_dephasing(spec: LatticeSpec) -> OperatorMatrix:
+def build_effective_dephasing(spec: LatticeSpec) -> np.ndarray:
     """No-jump effective Hamiltonian H_S - (i*gamma/2) * sum_j n_j^dag n_j.
 
     The site projectors sum to the identity, so this is the chain
     Hamiltonian with a uniform imaginary shift -i*gamma/2.
     """
-    H = build_stark(spec).entries.copy()
-    H -= 0.5j * spec.gamma * np.eye(spec.L)
-    return OperatorMatrix(H, hermitian=(spec.gamma == 0.0))
+    return build_stark(spec) - 0.5j * spec.gamma * np.eye(spec.L)
 
 
-def build_hatano_nelson(spec: LatticeSpec) -> OperatorMatrix:
+def build_hatano_nelson(spec: LatticeSpec) -> np.ndarray:
     """Nonreciprocal chain with J_L = J e^mu leftward and J_R = J e^-mu rightward.
 
     mu = sinh^-1(gamma), so gamma = 0 reduces to the reciprocal chain and
     J_L * J_R = J^2 for every gamma.
     """
-    L, mu = spec.L, spec.mu
-    H = np.zeros((L, L), dtype=complex)
-    off = np.arange(L - 1)
-    H[off, off + 1] = spec.J * math.exp(mu)
-    H[off + 1, off] = spec.J * math.exp(-mu)
-    H[np.arange(L), np.arange(L)] = spec.h * spec.sites()
-    return OperatorMatrix(H, hermitian=(spec.gamma == 0.0))
+    return _chain(spec, spec.J * math.exp(spec.mu), spec.J * math.exp(-spec.mu))
 
 
-def build_unidirectional(spec: LatticeSpec) -> OperatorMatrix:
+def build_unidirectional(spec: LatticeSpec) -> np.ndarray:
     """Chain with hopping in one direction only: (j, j+1) = J, (j+1, j) = 0.
 
     Upper triangular, so the spectrum is exactly the diagonal h*j.
     """
-    L = spec.L
-    H = np.zeros((L, L), dtype=complex)
-    off = np.arange(L - 1)
-    H[off, off + 1] = spec.J
-    H[np.arange(L), np.arange(L)] = spec.h * spec.sites()
-    return OperatorMatrix(H, hermitian=False)
+    return _chain(spec, spec.J, 0.0)
 
 
 def middle_site(L: int) -> int:

@@ -12,8 +12,7 @@ import scipy.linalg as sla
 
 from .errors import TraceCollapse
 from .lindblad import DensityMatrix, _entries
-from .model import as_matrix
-from .spectral import BiorthogonalSystem
+from .spectral import BiorthogonalSystem, _square
 
 __all__ = [
     "evolve_nh_series",
@@ -60,7 +59,7 @@ def evolve_nh_grid(psi0, H_NH, times) -> np.ndarray:
     k = np.rint(times / dt)
     if np.max(np.abs(k * dt - times)) > 1e-9 * max(1.0, float(times[-1])):
         raise ValueError("times do not form a uniform grid")
-    E = sla.expm(-1j * as_matrix(H_NH) * dt)
+    E = sla.expm(-1j * _square(H_NH) * dt)
     out = np.empty((times.size, psi0.size), dtype=complex)
     psi = _normalized(psi0)
     steps_done = 0
@@ -79,7 +78,7 @@ def evolve_nh_density(rho0, H_NH, t: float) -> DensityMatrix:
     an unphysical parameter regime).
     """
     r0 = _entries(rho0)
-    M = sla.expm(-1j * as_matrix(H_NH) * t)
+    M = sla.expm(-1j * _square(H_NH) * t)
     r = M @ r0 @ M.conj().T
     tr = float(np.trace(r).real)
     if not np.isfinite(tr) or tr < TRACE_COLLAPSE_FLOOR:

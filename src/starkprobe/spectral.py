@@ -1,9 +1,11 @@
 """Dense spectral machinery.
 
-Hermitian and biorthogonal (left/right) eigendecompositions and the
-closed-form eigenvectors of the unidirectional chain.  Everything here is
-dense; the dimensions in this package stay well below the point where sparse
-or Krylov methods would pay off.
+Hermitian and biorthogonal (left/right) eigendecompositions of plain
+square arrays, and the closed-form eigenvectors of the unidirectional chain.
+Both eigensolvers check their input square and finite; ``eig_hermitian``
+also checks Hermiticity numerically.  Everything here is dense; the
+dimensions in this package stay well below the point where sparse or Krylov
+methods would pay off.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import scipy.linalg as sla
 from scipy.special import gammaln
 
 from .errors import ExceptionalPointProximity
-from .model import LatticeSpec, OperatorMatrix, as_matrix
+from .model import LatticeSpec
 
 __all__ = [
     "BiorthogonalSystem",
@@ -44,35 +46,36 @@ class BiorthogonalSystem:
     left_vectors: np.ndarray
     condition: float
 
-    @property
-    def dim(self) -> int:
-        return self.right_vectors.shape[0]
-
     def overlaps(self, psi: np.ndarray) -> np.ndarray:
         """Expansion coefficients <L_n|psi> of a state in the right basis."""
         return self.left_vectors.conj().T @ np.asarray(psi, dtype=complex)
 
 
-def _require_hermitian(H) -> np.ndarray:
-    if isinstance(H, OperatorMatrix):
-        if not H.hermitian:
-            raise ValueError("eig_hermitian requires the hermitian tag")
-        return H.entries
-    A = as_matrix(H)
-    scale = float(np.abs(A).max())
-    if scale > 0.0 and float(np.abs(A - A.conj().T).max()) >= 1e-12 * scale:
-        raise ValueError("eig_hermitian called with a non-Hermitian matrix")
+def _square(H) -> np.ndarray:
+    """``H`` as a dense complex array, checked square and finite.
+
+    ``np.linalg.eigh`` returns NaN eigenvalues for an ``inf`` entry and
+    raises nothing, so the check has to come first.
+    """
+    A = np.asarray(H, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix entries must be finite")
     return A
 
 
 def eig_hermitian(H):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
-    Rejects input without a verified Hermiticity tag.
+    Raises ValueError unless ``H`` is square, finite and Hermitian to within
+    1e-12 of its largest entry.
     """
-    A = _require_hermitian(H)
-    w, V = np.linalg.eigh(A)
-    return w, V
+    A = _square(H)
+    scale = float(np.abs(A).max())
+    if scale > 0.0 and float(np.abs(A - A.conj().T).max()) >= 1e-12 * scale:
+        raise ValueError("eig_hermitian called with a non-Hermitian matrix")
+    return np.linalg.eigh(A)
 
 
 def eig_biorthogonal(H) -> BiorthogonalSystem:
@@ -85,7 +88,7 @@ def eig_biorthogonal(H) -> BiorthogonalSystem:
     exceeds ``EIGENVECTOR_CONDITION_LIMIT`` (defective or nearly defective
     input, e.g. the unidirectional chain at h = 0).
     """
-    A = as_matrix(H)
+    A = _square(H)
     w, vr = sla.eig(A)
     order = np.lexsort((w.imag, w.real))
     w = w[order]

@@ -116,7 +116,7 @@ def run_ensemble(psi0, spec: LatticeSpec, cfg: TrajectoryConfig, times) -> list[
         raise ValueError("requested times extend beyond t_final")
 
     L = spec.L
-    H_eff = build_effective_dephasing(spec).entries
+    H_eff = build_effective_dephasing(spec)
     E = sla.expm(-1j * H_eff * cfg.dt)
 
     # No-jump table: column 0 starts at psi0, column 1 + j at site j.

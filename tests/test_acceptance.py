@@ -3,8 +3,9 @@
 Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them all)
 and asserts the stated tolerance.  Heavy sweeps are shared through
 module-scoped fixtures; everything is deterministic except the seeded
-trajectory ensembles.  Expected total runtime is roughly 15-20 minutes on a
-laptop-class machine, dominated by the L = 40 Liouvillian sweeps.
+trajectory ensembles.  The whole module took 199 s on a 2-core machine
+(Python 3.11, numpy 2.4, OpenBLAS), dominated by the L = 40 Liouvillian
+sweeps.
 """
 
 import numpy as np
@@ -191,9 +192,9 @@ def test_criterion_6_effective_hamiltonian_identity():
     spec = LatticeSpec(40, 1.0, 0.05, 0.02)
     psi0 = site_state(40, middle_site(40))
     t = 50.0
-    raw = sla.expm(-1j * build_effective_dephasing(spec).entries * t) @ psi0
+    raw = sla.expm(-1j * build_effective_dephasing(spec) * t) @ psi0
     no_jump = raw / np.linalg.norm(raw)
-    unitary = sla.expm(-1j * build_stark(spec).entries * t) @ psi0
+    unitary = sla.expm(-1j * build_stark(spec) * t) @ psi0
     deficit = 1.0 - abs(np.vdot(unitary, no_jump)) ** 2
     ok = deficit < 1e-10
     report(6, "normalized no-jump evolution equals unitary evolution at tJ=50",
@@ -256,13 +257,13 @@ def test_criterion_7c_static_scaling_beta():
 def test_criterion_8_unidirectional_statics():
     # exact ladder spectrum
     spec = LatticeSpec(40, 1.0, 0.07)
-    w = np.sort(sla.eigvals(build_unidirectional(spec).entries).real)
+    w = np.sort(sla.eigvals(build_unidirectional(spec)).real)
     ladder_err = float(np.abs(w - spec.h * np.arange(1, 41)).max())
     ladder_ok = ladder_err < 1e-12
 
     # closed form against the general eigensolver at J/h = 20
     cf_spec = LatticeSpec(30, 1.0, 0.05)
-    H = build_unidirectional(cf_spec).entries
+    H = build_unidirectional(cf_spec)
     vals, vecs = sla.eig(H)
     order = np.argsort(vals.real)
     vecs = vecs[:, order]
@@ -408,7 +409,7 @@ def test_criterion_12_metrology_self_consistency():
 
         # global-phase invariance under h-proportional diagonal shifts
         def shifted(hp, t=7.0):
-            H = build_stark(spec.with_field(hp)).entries + 5.0 * hp * np.eye(12)
+            H = build_stark(spec.with_field(hp)) + 5.0 * hp * np.eye(12)
             return sla.expm(-1j * H * t) @ psi0
 
         psi_s, dpsi_s, _ = state_derivative(shifted, h, delta=delta)

@@ -106,6 +106,29 @@ class TestConfigErrors:
         path.write_text("{not json")
         assert main(["run", str(path)]) == 2
 
+    def test_non_utf8_config_names_path(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"experiment": "table1", "out": "caf\xe9"}')
+        assert main(["run", str(path)]) == 2
+        assert f"config error: config file {path}" in capsys.readouterr().err
+
+    def test_deeply_nested_config_names_path(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"params": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["run", str(path)]) == 2
+        assert f"config error: config file {path} is not valid JSON" in capsys.readouterr().err
+
+    def test_directory_as_config_names_path(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        assert f"config error: cannot read config file {tmp_path}" in capsys.readouterr().err
+
+    def test_out_is_existing_file_names_path(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"experiment": "table1", "params": TINY_CONFIGS["table1"]})
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["run", str(cfg), "--out", str(taken)]) == 2
+        assert f"config error: cannot use {taken} as output directory" in capsys.readouterr().err
+
     def test_unknown_experiment(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"experiment": "not-a-thing"})
         assert main(["run", str(cfg)]) == 2

@@ -76,7 +76,7 @@ class TestLiouvillian:
     def test_unitary_spectrum_is_bohr_frequencies(self):
         spec = LatticeSpec(4, 1.0, 0.3, 0.0)
         gen = build_liouvillian(spec)
-        w = np.linalg.eigvalsh(build_stark(spec).entries)
+        w = np.linalg.eigvalsh(build_stark(spec))
         expected = np.sort_complex((-1j * (np.subtract.outer(w, w))).flatten())
         got = np.sort_complex(sla.eigvals(gen))
         assert np.abs(np.sort(got.imag) - np.sort(expected.imag)).max() < 1e-10
@@ -98,11 +98,10 @@ class TestLiouvillian:
         # reference: the per-site sum of Kronecker products the one-step
         # diagonal dissipator replaces
         spec = LatticeSpec(5, 1.0, 0.3, 0.4)
-        H = build_stark(spec).entries
+        H = build_stark(spec)
         I = np.eye(5)
         ref = -1j * (np.kron(I, H) - np.kron(H.T, I))
-        for op in build_dephasing_ops(spec):
-            n = op.entries
+        for n in build_dephasing_ops(spec):
             ndn = n.conj().T @ n
             ref = ref + (spec.gamma / 2.0) * (
                 2.0 * np.kron(n.conj(), n) - np.kron(I, ndn) - np.kron(ndn.T, I))
@@ -143,7 +142,7 @@ class TestPropagate:
         rho0 = DensityMatrix.from_pure(psi0)
         times = [1.0, 3.0, 7.0]
         out = propagate(rho0, spec, times)
-        H = build_stark(spec).entries
+        H = build_stark(spec)
         for t, dm in zip(times, out):
             U = sla.expm(-1j * H * t)
             exact = U @ rho0.entries @ U.conj().T

@@ -183,7 +183,7 @@ class TestStateDerivative:
         # exact reference: first-order perturbation theory of the real,
         # sign-fixed ground state, d v_0 = sum_m v_m (v_m.D v_0)/(E_0 - E_m)
         h, L = 0.05, 12
-        w, V = np.linalg.eigh(build_stark(LatticeSpec(L, 1.0, h)).entries)
+        w, V = np.linalg.eigh(build_stark(LatticeSpec(L, 1.0, h)))
         v0 = stark_ground_state(h, L)
         D = np.diag(np.arange(1.0, L + 1))
         d_ref = sum(V[:, m] * (V[:, m] @ D @ v0) / (w[0] - w[m]) for m in range(1, L))
@@ -212,7 +212,7 @@ class TestInvariances:
 
         def evolved(shift_scale):
             def factory(h):
-                H = build_stark(spec.with_field(h)).entries + shift_scale * h * np.eye(10)
+                H = build_stark(spec.with_field(h)) + shift_scale * h * np.eye(10)
                 return sla.expm(-1j * H * t) @ psi0
             return factory
 

@@ -4,7 +4,6 @@ import scipy.linalg as sla
 
 from starkprobe.model import (
     LatticeSpec,
-    OperatorMatrix,
     build_dephasing_ops,
     build_effective_dephasing,
     build_hatano_nelson,
@@ -40,89 +39,85 @@ class TestLatticeSpec:
         assert shifted.h == 0.2 and shifted.J == 2.0 and shifted.gamma == 0.3
 
 
-class TestOperatorMatrix:
-    def test_hermitian_tag_enforced(self):
-        with pytest.raises(ValueError):
-            OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
 
-    def test_rejects_non_square_and_non_finite(self):
-        with pytest.raises(ValueError):
-            OperatorMatrix(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            OperatorMatrix(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+@pytest.mark.parametrize("builder", [
+    build_stark, build_effective_dephasing, build_hatano_nelson, build_unidirectional,
+])
+def test_builders_return_plain_complex_arrays(builder):
+    H = builder(LatticeSpec(5, 1.0, 0.2, 0.1))
+    assert type(H) is np.ndarray and H.dtype == complex and H.shape == (5, 5)
 
 
 class TestBuildStark:
     def test_two_site_field_free(self):
-        H = build_stark(LatticeSpec(2, 1.0, 0.0)).entries
+        H = build_stark(LatticeSpec(2, 1.0, 0.0))
         assert np.allclose(H, [[0, 1], [1, 0]])
 
     def test_three_site(self):
-        H = build_stark(LatticeSpec(3, 1.0, 1.0)).entries
+        H = build_stark(LatticeSpec(3, 1.0, 1.0))
         expected = [[1, 1, 0], [1, 2, 1], [0, 1, 3]]
         assert np.allclose(H, expected)
 
     def test_three_site_characteristic_polynomial_roots(self):
         # det(H - x) = -(x^3 - 6x^2 + 9x - 2) factors to (x-2)(x^2-4x+1),
         # giving the frozen spectrum {2-sqrt(3), 2, 2+sqrt(3)}.
-        H = build_stark(LatticeSpec(3, 1.0, 1.0)).entries
+        H = build_stark(LatticeSpec(3, 1.0, 1.0))
         w = np.linalg.eigvalsh(H)
         assert np.allclose(w, [2 - np.sqrt(3), 2.0, 2 + np.sqrt(3)], atol=1e-12)
 
     def test_lowest_eigenvalue_cross_solver(self):
         # Independent oracle: general (non-symmetric) dense eigensolver.
-        H = build_stark(LatticeSpec(40, 1.0, 0.05)).entries
+        H = build_stark(LatticeSpec(40, 1.0, 0.05))
         hermitian = np.linalg.eigvalsh(H).min()
         general = np.sort_complex(sla.eigvals(H)).real.min()
         assert hermitian == pytest.approx(general, abs=1e-10)
 
     def test_exactly_symmetric_real(self):
-        H = build_stark(LatticeSpec(17, 1.0, 0.3)).entries
+        H = build_stark(LatticeSpec(17, 1.0, 0.3))
         assert np.abs(H.imag).max() == 0.0
         assert np.array_equal(H, H.T)
 
     def test_hermitian_and_general_solver_agree(self):
         H = build_stark(LatticeSpec(12, 1.0, 0.2))
-        assert H.hermitian
-        w_h = np.linalg.eigvalsh(H.entries)
-        w_g = np.sort(sla.eigvals(H.entries).real)
+        assert np.abs(H - H.conj().T).max() < 1e-12 * np.abs(H).max()
+        w_h = np.linalg.eigvalsh(H)
+        w_g = np.sort(sla.eigvals(H).real)
         assert np.abs(w_h - w_g).max() < 1e-10
 
 
 class TestDephasingOps:
     def test_two_site(self):
         ops = build_dephasing_ops(LatticeSpec(2))
-        assert np.allclose(ops[0].entries, np.diag([1.0, 0.0]))
-        assert np.allclose(ops[1].entries, np.diag([0.0, 1.0]))
+        assert np.allclose(ops[0], np.diag([1.0, 0.0]))
+        assert np.allclose(ops[1], np.diag([0.0, 1.0]))
 
     def test_projector_identities(self):
         ops = build_dephasing_ops(LatticeSpec(7))
-        for op in ops:
-            n = op.entries
+        for n in ops:
             assert np.allclose(n @ n, n)
             assert np.allclose(n, n.conj().T)
 
     def test_completeness(self):
         ops = build_dephasing_ops(LatticeSpec(9))
-        assert np.allclose(sum(op.entries for op in ops), np.eye(9))
+        assert np.allclose(sum(ops), np.eye(9))
 
 
 class TestEffectiveDephasing:
     def test_gamma_zero_is_stark(self):
         spec = LatticeSpec(6, 1.0, 0.3, 0.0)
         H = build_effective_dephasing(spec)
-        assert H.hermitian
-        assert np.array_equal(H.entries, build_stark(spec).entries)
+        assert np.abs(H - H.conj().T).max() < 1e-12 * np.abs(H).max()
+        assert np.array_equal(H, build_stark(spec))
 
     def test_two_site_uniform_shift(self):
         H = build_effective_dephasing(LatticeSpec(2, 1.0, 0.0, 0.1))
-        assert not H.hermitian
-        assert np.allclose(H.entries, [[-0.05j, 1.0], [1.0, -0.05j]])
+        assert np.abs(H - H.conj().T).max() >= 1e-12 * np.abs(H).max()
+        assert np.allclose(H, [[-0.05j, 1.0], [1.0, -0.05j]])
 
     def test_spectrum_shifted_by_half_gamma(self):
         spec = LatticeSpec(8, 1.0, 0.2, 0.07)
-        w_eff = np.sort_complex(sla.eigvals(build_effective_dephasing(spec).entries))
-        w_stark = np.linalg.eigvalsh(build_stark(spec).entries)
+        w_eff = np.sort_complex(sla.eigvals(build_effective_dephasing(spec)))
+        w_stark = np.linalg.eigvalsh(build_stark(spec))
         assert np.abs(w_eff.real - w_stark).max() < 1e-12
         assert np.abs(w_eff.imag + spec.gamma / 2).max() < 1e-12
 
@@ -130,11 +125,11 @@ class TestEffectiveDephasing:
 class TestHatanoNelson:
     def test_gamma_zero_is_stark(self):
         spec = LatticeSpec(5, 1.0, 0.2, 0.0)
-        assert np.array_equal(build_hatano_nelson(spec).entries, build_stark(spec).entries)
+        assert np.array_equal(build_hatano_nelson(spec), build_stark(spec))
 
     def test_coupling_product_invariant(self):
         spec = LatticeSpec(4, 1.3, 0.0, 0.05)
-        H = build_hatano_nelson(spec).entries
+        H = build_hatano_nelson(spec)
         assert H[0, 1] * H[1, 0] == pytest.approx(spec.J**2, rel=1e-14)
         assert H[0, 1] == pytest.approx(spec.J * np.exp(np.arcsinh(0.05)))
 
@@ -142,16 +137,16 @@ class TestHatanoNelson:
         # Oracle: diag(e^{-mu j}) H_S diag(e^{mu j}) reproduces H_HN exactly,
         # so the open-boundary spectrum equals the (real) reciprocal one.
         spec = LatticeSpec(3, 1.0, 0.0, 0.05)
-        H = build_hatano_nelson(spec).entries
+        H = build_hatano_nelson(spec)
         S = np.diag(np.exp(-spec.mu * np.arange(1, spec.L + 1)))
-        gauge = S @ build_stark(spec).entries @ np.linalg.inv(S)
+        gauge = S @ build_stark(spec) @ np.linalg.inv(S)
         assert np.abs(gauge - H).max() < 1e-14
         assert np.abs(sla.eigvals(H).imag).max() < 1e-8
 
     @pytest.mark.parametrize("L,gamma", [(50, 0.05), (120, 0.4)])
     def test_spectrum_real_large(self, L, gamma):
         spec = LatticeSpec(L, 1.0, 0.1, gamma)
-        w = sla.eigvals(build_hatano_nelson(spec).entries)
+        w = sla.eigvals(build_hatano_nelson(spec))
         assert np.abs(w.imag).max() < 1e-8 * spec.J
 
     def test_spectrum_real_extreme_corner_via_gauge(self):
@@ -160,10 +155,10 @@ class TestHatanoNelson:
         # is certified through the diagonal gauge similarity to the
         # reciprocal chain instead.
         spec = LatticeSpec(200, 1.0, 0.1, 1.0)
-        H = build_hatano_nelson(spec).entries
+        H = build_hatano_nelson(spec)
         j = np.arange(1, spec.L + 1)
         expo = np.exp(-spec.mu * j)
-        H_s = build_stark(spec).entries
+        H_s = build_stark(spec)
         gauged = (expo[:, None] * H_s) / expo[None, :]
         assert np.abs(gauged - H).max() < 1e-12 * np.abs(H).max()
         w = sla.eigvals(H)
@@ -172,16 +167,16 @@ class TestHatanoNelson:
 
 class TestUnidirectional:
     def test_two_site(self):
-        H = build_unidirectional(LatticeSpec(2, 1.0, 1.0)).entries
+        H = build_unidirectional(LatticeSpec(2, 1.0, 1.0))
         assert np.allclose(H, [[1, 1], [0, 2]])
 
     def test_triangular_spectrum(self):
         spec = LatticeSpec(9, 1.0, 0.25)
-        w = np.sort(sla.eigvals(build_unidirectional(spec).entries).real)
+        w = np.sort(sla.eigvals(build_unidirectional(spec)).real)
         assert np.allclose(w, 0.25 * np.arange(1, 10), atol=1e-12)
 
     def test_field_free_maximal_jordan_block(self):
-        H = build_unidirectional(LatticeSpec(6, 1.0, 0.0)).entries
+        H = build_unidirectional(LatticeSpec(6, 1.0, 0.0))
         assert np.abs(sla.eigvals(H)).max() < 1e-12
         # geometric multiplicity 1: the nilpotent shift has rank L-1
         assert np.linalg.matrix_rank(H) == 5
@@ -191,7 +186,7 @@ class TestDecomposition:
     def test_constant_shift_gauge(self):
         # c*I moves every eigenvalue by c and no eigenvector.
         spec = LatticeSpec(8, 1.0, 0.15)
-        H = build_stark(spec).entries
+        H = build_stark(spec)
         w0, V0 = np.linalg.eigh(H)
         w1, V1 = np.linalg.eigh(H + 3.7 * np.eye(8))
         assert np.abs(w1 - (w0 + 3.7)).max() < 1e-10

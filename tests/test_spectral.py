@@ -5,7 +5,6 @@ import scipy.linalg as sla
 from starkprobe.errors import ExceptionalPointProximity
 from starkprobe.model import (
     LatticeSpec,
-    OperatorMatrix,
     build_hatano_nelson,
     build_stark,
     build_unidirectional,
@@ -16,31 +15,39 @@ from starkprobe.spectral import (
     unidirectional_eigvec_normalized,
 )
 
+# np.linalg.eigh returns NaN eigenvalues for an inf entry instead of raising.
+BAD_INPUTS = [np.zeros((2, 3)), np.array([[np.inf, 0.0], [0.0, 0.0]])]
+
 
 class TestEigHermitian:
     def test_two_site(self):
-        w, V = eig_hermitian(OperatorMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), hermitian=True))
+        w, V = eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert np.allclose(w, [-1.0, 1.0])
         assert np.allclose(V.conj().T @ V, np.eye(2), atol=1e-12)
 
     def test_diagonal(self):
-        w, V = eig_hermitian(OperatorMatrix(np.diag([1.0, 2.0, 3.0]), hermitian=True))
+        w, V = eig_hermitian(np.diag([1.0, 2.0, 3.0]))
         assert np.allclose(w, [1, 2, 3])
         assert np.allclose(np.abs(V), np.eye(3))
 
     def test_rejects_untagged_nonhermitian(self):
         with pytest.raises(ValueError):
-            eig_hermitian(OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
-        with pytest.raises(ValueError):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError):
+            eig_hermitian(np.array([[0.0, 1j], [1j, 0.0]]))
+
+    @pytest.mark.parametrize("H", BAD_INPUTS, ids=["non-square", "inf-entry"])
+    def test_rejects_non_square_and_non_finite(self, H):
+        with pytest.raises(ValueError):
+            eig_hermitian(H)
 
     def test_stark_residuals_and_ladder(self):
         spec = LatticeSpec(10, 1.0, 0.5)
         H = build_stark(spec)
         w, V = eig_hermitian(H)
-        scale = np.linalg.norm(H.entries, 2)
+        scale = np.linalg.norm(H, 2)
         for k in range(10):
-            assert np.linalg.norm(H.entries @ V[:, k] - w[k] * V[:, k]) < 1e-10 * scale
+            assert np.linalg.norm(H @ V[:, k] - w[k] * V[:, k]) < 1e-10 * scale
         # strong fields: interior spacings approach h (Wannier-Stark ladder)
         strong = build_stark(LatticeSpec(10, 1.0, 5.0))
         ws, _ = eig_hermitian(strong)
@@ -77,7 +84,7 @@ class TestEigBiorthogonal:
         resolution = system.right_vectors @ system.left_vectors.conj().T
         assert np.abs(resolution - np.eye(12)).max() < 1e-8 * system.condition
         H_back = (system.right_vectors * system.eigenvalues) @ system.left_vectors.conj().T
-        H = build_hatano_nelson(LatticeSpec(12, 1.0, 0.1, 0.2)).entries
+        H = build_hatano_nelson(LatticeSpec(12, 1.0, 0.1, 0.2))
         assert np.abs(H_back - H).max() < 1e-8 * system.condition
 
     def test_sorted_and_phase_fixed(self):
@@ -100,6 +107,11 @@ class TestEigBiorthogonal:
         with pytest.raises(ExceptionalPointProximity):
             eig_biorthogonal(build_unidirectional(LatticeSpec(8, 1.0, 0.0)))
 
+    @pytest.mark.parametrize("H", BAD_INPUTS, ids=["non-square", "inf-entry"])
+    def test_rejects_non_square_and_non_finite(self, H):
+        with pytest.raises(ValueError):
+            eig_biorthogonal(H)
+
 
 class TestUnidirectionalEigvec:
     def test_bottom_state_is_e1(self):
@@ -113,7 +125,7 @@ class TestUnidirectionalEigvec:
 
     def test_eigen_residual_all_indices(self):
         spec = LatticeSpec(12, 1.0, 0.5)
-        H = build_unidirectional(spec).entries
+        H = build_unidirectional(spec)
         for n in range(12):
             v = unidirectional_eigvec_normalized(n, spec)
             E = spec.h * (n + 1)
@@ -136,7 +148,7 @@ class TestUnidirectionalEigvec:
         # biorthogonal route refuses, but the raw general eigensolver still
         # produces accurate individual eigenvectors to compare against.
         spec = LatticeSpec(30, 1.0, 0.05)
-        H = build_unidirectional(spec).entries
+        H = build_unidirectional(spec)
         w, vr = sla.eig(H)
         order = np.argsort(w.real)
         vr = vr[:, order]

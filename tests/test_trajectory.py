@@ -43,7 +43,7 @@ class TestStep:
         spec = LatticeSpec(4, 1.0, 0.1, 0.4)
         dt = 0.05
         psi = np.full(4, 0.5, dtype=complex)
-        phi = sla.expm(-1j * build_effective_dephasing(spec).entries * dt) @ psi
+        phi = sla.expm(-1j * build_effective_dephasing(spec) * dt) @ psi
         phi /= np.linalg.norm(phi)
         no_jump = np.outer(phi, phi.conj())
         jumps = 0
@@ -83,7 +83,7 @@ class TestEnsemble:
         psi0 = site_state(6, 3)
         cfg = TrajectoryConfig(dt=0.1, t_final=5.0, n_traj=10, seed=1)
         out = run_ensemble(psi0, spec, cfg, [5.0])[0]
-        exact = sla.expm(-1j * build_stark(spec).entries * 5.0) @ psi0
+        exact = sla.expm(-1j * build_stark(spec) * 5.0) @ psi0
         assert trace_distance(out, np.outer(exact, exact.conj())) < 1e-9
         assert out.purity() == pytest.approx(1.0, abs=1e-10)
 
@@ -157,7 +157,7 @@ def per_step_ensemble(psi0, spec, cfg, times):
     """
     n = cfg.n_traj
     steps = [round(t / cfg.dt) for t in times]
-    E = sla.expm(-1j * build_effective_dephasing(spec).entries * cfg.dt)
+    E = sla.expm(-1j * build_effective_dephasing(spec) * cfg.dt)
     u = np.array([_philox(cfg.seed, k).random((2, max(steps))) for k in range(n)])
     psi = np.tile(np.asarray(psi0, dtype=complex)[:, np.newaxis], (1, n))
     sums = {0: psi @ psi.conj().T}
