@@ -93,6 +93,11 @@ def run_from_config(config: dict, out_dir: Path) -> dict:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot use {out_dir} as output directory: {exc.strerror}") from exc
+    # Checked before the run, so a taken output name fails fast instead of
+    # after the whole experiment.
+    for path in [out_dir / "manifest.json", *sorted(out_dir.glob("*.csv"))]:
+        if path.is_dir():
+            raise ConfigError(f"cannot write output {path}: it is a directory")
     # A stale marker would make a rerun that fails midway look complete.
     (out_dir / "manifest.json").unlink(missing_ok=True)
 

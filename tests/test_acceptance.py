@@ -3,7 +3,7 @@
 Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them all)
 and asserts the stated tolerance.  Heavy sweeps are shared through
 module-scoped fixtures; everything is deterministic except the seeded
-trajectory ensembles.  The whole module took 199 s on a 2-core machine
+trajectory ensembles.  The whole module took 167 s on a 2-core machine
 (Python 3.11, numpy 2.4, OpenBLAS), dominated by the L = 40 Liouvillian
 sweeps.
 """

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from starkprobe.cli import main
-from starkprobe.experiments import PARAMS, resolve_params
+from starkprobe.experiments import EXPERIMENTS, PARAMS, resolve_params
 
 
 def write_config(tmp_path: Path, payload: dict) -> Path:
@@ -128,6 +128,21 @@ class TestConfigErrors:
         taken.write_text("")
         assert main(["run", str(cfg), "--out", str(taken)]) == 2
         assert f"config error: cannot use {taken} as output directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["uni_dynamic.csv", "manifest.json"])
+    def test_output_name_taken_by_directory_names_path(self, tmp_path, capsys, monkeypatch, name):
+        cfg = write_config(tmp_path, {"experiment": "uni-dynamic",
+                                      "params": TINY_CONFIGS["uni-dynamic"]})
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+
+        def must_not_run(*args):
+            raise AssertionError("experiment ran before the output check")
+
+        monkeypatch.setitem(EXPERIMENTS, "uni-dynamic", must_not_run)
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: cannot write output {out / name}: it is a directory" in \
+            capsys.readouterr().err
 
     def test_unknown_experiment(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"experiment": "not-a-thing"})

@@ -10,6 +10,7 @@ from starkprobe.model import (
     build_unidirectional,
 )
 from starkprobe.spectral import (
+    EIGENVECTOR_CONDITION_LIMIT,
     eig_biorthogonal,
     eig_hermitian,
     unidirectional_eigvec_normalized,
@@ -17,6 +18,32 @@ from starkprobe.spectral import (
 
 # np.linalg.eigh returns NaN eigenvalues for an inf entry instead of raising.
 BAD_INPUTS = [np.zeros((2, 3)), np.array([[np.inf, 0.0], [0.0, 0.0]])]
+
+SCIPY_EIG = sla.eig
+
+
+def general_reference(H):
+    """The general route built from scipy.linalg.eig: sorted, phase-fixed, inverted."""
+    w, vr = SCIPY_EIG(np.asarray(H, dtype=complex))
+    order = np.lexsort((w.imag, w.real))
+    w, vr = w[order], vr[:, order]
+    cond = np.linalg.cond(vr)
+    peaks = vr[np.argmax(np.abs(vr), axis=0), np.arange(vr.shape[1])]
+    vr = vr / (peaks / np.abs(peaks))
+    return w, vr, np.linalg.inv(vr).conj().T, cond
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Counts calls of the general eigensolver scipy.linalg.eig."""
+    calls = []
+
+    def counting_eig(*args, **kwargs):
+        calls.append(1)
+        return SCIPY_EIG(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "eig", counting_eig)
+    return calls
 
 
 class TestEigHermitian:
@@ -111,6 +138,84 @@ class TestEigBiorthogonal:
     def test_rejects_non_square_and_non_finite(self, H):
         with pytest.raises(ValueError):
             eig_biorthogonal(H)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.05, 0.2])
+    @pytest.mark.parametrize("L", [12, 20, 100])
+    def test_gauge_path_matches_general_solver(self, eig_calls, L, gamma):
+        # h > 0 breaks the mirror symmetry that would leave the phase fix a
+        # tie between two equal peaks at h = gamma = 0.
+        H = build_hatano_nelson(LatticeSpec(L, 1.0, 0.1, gamma))
+        w_ref, right_ref, _, cond_ref = general_reference(H)
+        system = eig_biorthogonal(H)
+        assert not eig_calls
+        assert np.abs(system.eigenvalues - w_ref).max() < 1e-12 * np.abs(w_ref).max()
+        assert np.abs(system.right_vectors - right_ref).max() < 1e-10
+        assert system.condition == pytest.approx(cond_ref, rel=1e-6)
+        gram = system.left_vectors.conj().T @ system.right_vectors
+        assert np.abs(gram - np.eye(L)).max() < 1e-10
+
+    def test_gauge_biorthonormality_where_inverse_loses_it(self):
+        # Condition 1e8 with the right vectors spread over many scales: the
+        # inverse of the right-vector matrix misses <L_m|R_n> = delta_mn by
+        # 2e-3 here, the closed-form left vectors by 5e-9.
+        system = eig_biorthogonal(build_hatano_nelson(LatticeSpec(100, 1.0, 0.01, 0.2)))
+        gram = system.left_vectors.conj().T @ system.right_vectors
+        assert np.abs(gram - np.eye(100)).max() < 1e-7
+
+    def test_gauge_path_negative_hoppings(self, eig_calls):
+        chain = build_hatano_nelson(LatticeSpec(20, 1.0, 0.1, 0.2))
+        H = 2 * np.diag(np.diag(chain)) - chain  # every hopping negated
+        system = eig_biorthogonal(H)
+        assert not eig_calls
+        residual = H @ system.right_vectors - system.right_vectors * system.eigenvalues
+        assert np.linalg.norm(residual) < 1e-10
+
+    @pytest.mark.parametrize("H", [
+        build_hatano_nelson(LatticeSpec(6, 1.0, 0.3, 0.1)) * np.where(np.tri(6, k=-1), -1, 1),
+        build_unidirectional(LatticeSpec(4, 1.0, 1.0)),
+        build_hatano_nelson(LatticeSpec(8, 1.0, 0.3, 0.1)) + np.diag([0.5j] + [0] * 6, 1),
+        build_hatano_nelson(LatticeSpec(8, 1.0, 0.3, 0.1)) + 0.1 * np.eye(8, k=3),
+    ], ids=["opposite-sign-hoppings", "zero-hopping", "complex-hopping", "outside-band"])
+    def test_other_inputs_keep_general_route(self, eig_calls, H):
+        w_ref, right_ref, left_ref, cond_ref = general_reference(H)
+        system = eig_biorthogonal(H)
+        assert len(eig_calls) == 1
+        assert np.abs(system.eigenvalues - w_ref).max() < 1e-12 * np.abs(w_ref).max()
+        assert np.abs(system.right_vectors - right_ref).max() < 1e-12
+        assert np.abs(system.left_vectors - left_ref).max() < 1e-12 * np.abs(left_ref).max()
+        assert system.condition == pytest.approx(cond_ref, rel=1e-12)
+
+    def test_inaccurate_gauge_result_falls_back(self, eig_calls):
+        # Strong field and strong nonreciprocity: the gauge amplifies rounding
+        # in the small eigenvector components of the symmetric chain to a
+        # 3e-3 error here, which the residual bound catches.
+        H = build_hatano_nelson(LatticeSpec(30, 1.0, 3.0, 5.0))
+        w_ref, right_ref, _, _ = general_reference(H)
+        system = eig_biorthogonal(H)
+        assert len(eig_calls) == 1
+        assert np.abs(system.eigenvalues - w_ref).max() < 1e-12 * np.abs(w_ref).max()
+        assert np.abs(system.right_vectors - right_ref).max() < 1e-10
+
+    @pytest.mark.parametrize("h", [0.0, 1.0])
+    def test_acceptance_matches_general_solver(self, h):
+        # The gauge and general routes accept and reject the same chains; the
+        # gamma values straddle the condition limit at L = 100.
+        for L in (10, 50, 100, 200):
+            for gamma in (0.05, 0.1, 0.2, 0.23, 0.25, 0.3, 1.0, 50.0):
+                H = build_hatano_nelson(LatticeSpec(L, 1.0, h, gamma))
+                accepted = general_reference(H)[3] <= EIGENVECTOR_CONDITION_LIMIT
+                try:
+                    eig_biorthogonal(H)
+                except ExceptionalPointProximity:
+                    assert not accepted, (L, gamma)
+                else:
+                    assert accepted, (L, gamma)
+
+    def test_far_skin_effect_rejected_cleanly(self):
+        # The gauge spans e^-176 here; the input must come back as
+        # ExceptionalPointProximity, not as an overflow or LinAlgError.
+        with pytest.raises(ExceptionalPointProximity):
+            eig_biorthogonal(build_hatano_nelson(LatticeSpec(200, 1.0, 0.0, 1.0)))
 
 
 class TestUnidirectionalEigvec:
