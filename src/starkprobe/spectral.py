@@ -116,8 +116,14 @@ def _checked_condition(vr: np.ndarray) -> float:
 
 
 def _peak_phases(vr: np.ndarray) -> np.ndarray:
-    """Unit phase of each column's largest-magnitude component."""
-    peak = np.argmax(np.abs(vr), axis=0)
+    """Unit phase of each column's first component of (near-)largest magnitude.
+
+    A mirror-symmetric chain has two peaks of equal magnitude that rounding
+    orders either way; taking the lowest index within a relative 1e-8 of the
+    maximum gives every eigensolver the same phase.
+    """
+    mag = np.abs(vr)
+    peak = np.argmax(mag >= (1.0 - 1e-8) * mag.max(axis=0), axis=0)
     phases = vr[peak, np.arange(vr.shape[1])]
     return phases / np.abs(phases)
 

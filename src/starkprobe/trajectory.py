@@ -12,10 +12,13 @@ Cost: the no-jump evolutions of the initial state and of the L site states
 are stepped once per ensemble and tabulated, so each trajectory does work
 per jump (about gamma * t of them) rather than per time step.
 
-Reproducibility: trajectory k draws from a counter-based Philox stream under
-the two-word key (seed, k), two uniforms per step whether or not they are
-read, so results are independent of execution order and identical between
-serial and parallel drivers.
+Reproducibility: trajectory k owns the counter-based Philox stream under the
+two-word key (seed, k), two uniforms per step: the rows of its first
+(2, n_steps) block are the jump and the site uniforms.  So results are
+independent of execution order and identical between serial and parallel
+drivers.  Philox computes any draw from its counter alone (Salmon et al.,
+SC11 (2011)), so only the draws the walk reads are generated: the jump row,
+and the site uniform of each step that jumps.
 """
 
 from __future__ import annotations
@@ -71,21 +74,38 @@ class TrajectoryConfig:
         return steps
 
 
-def _philox(seed: int, k: int) -> np.random.Generator:
-    # Two-word key: XORing the seed with the index would only permute one
-    # run's key set into another's, making different seeds share streams.
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed, k], dtype=np.uint64))
-    )
+def _seek(rng: np.random.Generator, seed: int, k: int, block: int) -> None:
+    """Move rng's Philox generator to block ``block`` of stream (seed, k).
+
+    Each block holds four draws; the generator steps its counter before it
+    fills the buffer, so counter ``block`` with the buffer spent makes draw
+    4 * block the next one read.  Two-word key: XORing the seed with the
+    index would only permute one run's key set into another's, making
+    different seeds share streams.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [block, 0, 0, 0], "key": [seed, k]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+
+
+def _draw(rng: np.random.Generator, seed: int, k: int, d: int) -> float:
+    """Uniform number d of stream (seed, k), generating at most four."""
+    _seek(rng, seed, k, d // 4)
+    return rng.random(d % 4 + 1)[-1]
 
 
 def run_ensemble(psi0, spec: LatticeSpec, cfg: TrajectoryConfig, times) -> list[DensityMatrix]:
     """Average |psi_k(t)><psi_k(t)| over cfg.n_traj dephasing trajectories.
 
     ``times`` must lie on the dt grid.  Deterministic given cfg.seed;
-    trajectory k consumes only its own Philox stream (two uniforms per step:
-    jump decision and jump-site selection), so the result does not depend on
-    execution order.
+    trajectory k reads only its own Philox stream (seed, k), which holds
+    two uniforms per step: the jump decisions as draws 0 .. n_steps-1 and
+    the site selections as draws n_steps .. 2 n_steps - 1.  So the result
+    does not depend on execution order.  One reused generator is moved onto
+    each stream by its counter; it generates the jump row and, per jump,
+    only the block holding that step's site uniform.
 
     Between jumps a trajectory is the normalized no-jump evolution of psi0
     or of the site state it last jumped to, so those L + 1 columns are
@@ -125,17 +145,20 @@ def run_ensemble(psi0, spec: LatticeSpec, cfg: TrajectoryConfig, times) -> list[
     table = np.empty((n_steps + 1, L, L + 1), dtype=complex)
     table[0] = np.column_stack([psi0, np.eye(L)])
     dp = np.empty((n_steps, L + 1))
+    phi = np.empty((L, L + 1), dtype=complex)
     for m in range(n_steps):
-        phi = E @ table[m]
+        np.matmul(E, table[m], out=phi)
         q = np.einsum("ij,ij->j", phi.conj(), phi).real
         if np.any(q < NORM_COLLAPSE_FLOOR):
             # H_eff - H is a multiple of the identity, so the norm loss is
             # the same from every state: every trajectory meets this step.
             raise NormCollapse(f"norm^2 = {q.min():.3e} at step {m}")
         dp[m] = 1.0 - q
-        table[m + 1] = phi / np.sqrt(q)
+        np.divide(phi, np.sqrt(q), out=table[m + 1])
     dp_max = dp.max(initial=0.0)  # dp is empty when n_steps = 0
 
+    rng = np.random.Generator(np.random.Philox())
+    u_jump = np.empty(n_steps)
     sums = [np.zeros((L, L), dtype=complex) for _ in steps_of]
     for start in range(0, cfg.n_traj, _CHUNK):
         trajs = range(start, min(start + _CHUNK, cfg.n_traj))
@@ -143,7 +166,8 @@ def run_ensemble(psi0, spec: LatticeSpec, cfg: TrajectoryConfig, times) -> list[
         # the table, b steps late.  Every trajectory opens with (k, 0, 0).
         segs = []
         for k in trajs:
-            u_jump, u_site = _philox(cfg.seed, k).random((2, n_steps))
+            _seek(rng, cfg.seed, k, 0)
+            rng.random(out=u_jump)
             b, c = 0, 0
             segs.append((k, b, c))
             # A step can only jump if its uniform lies below the largest dp.
@@ -152,7 +176,8 @@ def run_ensemble(psi0, spec: LatticeSpec, cfg: TrajectoryConfig, times) -> list[
                     # Cumulative selection over the pre-step weights; sites
                     # of zero weight can never be the first to exceed the draw.
                     cum = np.cumsum(np.abs(table[s - b, :, c]) ** 2)
-                    site = int(np.argmax(cum > u_site[s] * cum[-1]))
+                    u_site = _draw(rng, cfg.seed, k, n_steps + s)
+                    site = int(np.argmax(cum > u_site * cum[-1]))
                     # The post-jump phase cancels in |psi><psi|.
                     b, c = s + 1, 1 + site
                     segs.append((k, b, c))

@@ -4,7 +4,7 @@ import scipy.linalg as sla
 
 from starkprobe.lindblad import DensityMatrix, propagate, trace_distance
 from starkprobe.model import LatticeSpec, build_effective_dephasing, build_stark, site_state
-from starkprobe.trajectory import TrajectoryConfig, _philox, run_ensemble
+from starkprobe.trajectory import TrajectoryConfig, _draw, run_ensemble
 
 
 class TestConfig:
@@ -147,6 +147,25 @@ class TestEnsemble:
         assert trace_distance(out[0], np.outer(psi0, psi0.conj())) < 1e-14
 
 
+def philox_stream(seed, k):
+    """A fresh generator on stream (seed, k), read from its start."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
+
+
+class TestStreamPositions:
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 2501])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("k", [0, 12345])
+    def test_site_uniform_is_second_row_of_stream(self, n_steps, seed, k):
+        # The site uniform of a jump at step s is entry [1, s] of the
+        # (2, n_steps) block of stream (seed, k), on every lane of a Philox
+        # block, whatever draws the generator served before.
+        ref = philox_stream(seed, k).random((2, n_steps))[1]
+        rng = np.random.Generator(np.random.Philox())
+        got = [_draw(rng, seed, k, n_steps + s) for s in range(n_steps)]
+        assert np.array_equal(got, ref)
+
+
 def per_step_ensemble(psi0, spec, cfg, times):
     """Reference sampler: every trajectory takes every dt step.
 
@@ -158,7 +177,7 @@ def per_step_ensemble(psi0, spec, cfg, times):
     n = cfg.n_traj
     steps = [round(t / cfg.dt) for t in times]
     E = sla.expm(-1j * build_effective_dephasing(spec) * cfg.dt)
-    u = np.array([_philox(cfg.seed, k).random((2, max(steps))) for k in range(n)])
+    u = np.array([philox_stream(cfg.seed, k).random((2, max(steps))) for k in range(n)])
     psi = np.tile(np.asarray(psi0, dtype=complex)[:, np.newaxis], (1, n))
     sums = {0: psi @ psi.conj().T}
     last_jump = np.full(n, -2)
@@ -191,6 +210,9 @@ class TestPerStepOracle:
         (6, 0.05, 0.99, 0.1, 300, [0.0, 2.0, 4.0], "site"),
         (6, 0.3, 0.2, 0.2, 100, [0.0], "uniform"),
         (4, 0.1, 0.5, 0.1, 4500, [0.0, 0.5, 1.0], "uniform"),  # two chunks
+        # odd step counts start the site uniforms on lanes 3 and 1 of a block
+        (5, 0.1, 0.95, 0.1, 400, [0.7, 0.3], "site"),
+        (4, 0.2, 0.92, 0.1, 400, [2.5, 1.0], "uniform"),
     ])
     def test_matches_reference(self, L, h, gamma, dt, n_traj, times, state):
         spec = LatticeSpec(L, 1.0, h, gamma)
