@@ -6,16 +6,26 @@ the fully resolved configuration, defaults included.  Identical config and
 seed reproduce every CSV byte for byte; the manifest, written last, marks
 completion.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+``threads`` is the only parallelism: while a run executes, every loaded
+OpenBLAS is held at one thread, so task threads do not compete with BLAS
+threads for the cores, and CSV bytes do not depend on
+``OPENBLAS_NUM_THREADS``.  The previous count is put back when the run ends,
+and the manifest's ``blas_threads`` records what was capped.
+
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (including
+running out of memory).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import ctypes
 import hashlib
 import json
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -85,6 +95,61 @@ def _write_csv(path: Path, rows: list[dict]) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# Thread-count entry points of the OpenBLAS that numpy and scipy each bundle,
+# and of a plain OpenBLAS, looked up the way threadpoolctl does
+# (https://github.com/joblib/threadpoolctl).
+_OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads")
+_blas_lock = threading.Lock()
+_blas = {"entries": 0, "saved": {}}  # saved: {file name: (count before, set)}
+
+
+def _openblas_libraries() -> dict:
+    """``{file name: (get, set)}`` of each loaded OpenBLAS with a known symbol pair."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()
+                            and line.split()[-1].startswith("/")})
+    except OSError:
+        return {}
+    found = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        symbol = next((s for s in _OPENBLAS_SYMBOLS if hasattr(lib, s.format("get"))
+                       and hasattr(lib, s.format("set"))), None)
+        if symbol is not None:
+            get, set_ = getattr(lib, symbol.format("get")), getattr(lib, symbol.format("set"))
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            found[Path(path).name] = (get, set_)
+    return found
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Hold every loaded OpenBLAS at one thread; yield ``{name: count before}``.
+
+    Nested and concurrent entries share one cap: the first entry saves the
+    counts and caps them, and the last exit restores what the first saw.
+    """
+    with _blas_lock:
+        if _blas["entries"] == 0:
+            _blas["saved"] = {name: (get(), set_)
+                              for name, (get, set_) in _openblas_libraries().items()}
+            for _, set_ in _blas["saved"].values():
+                set_(1)
+        _blas["entries"] += 1
+        before = {name: count for name, (count, _) in _blas["saved"].items()}
+    try:
+        yield before
+    finally:
+        with _blas_lock:
+            _blas["entries"] -= 1
+            if _blas["entries"] == 0:
+                for count, set_ in _blas["saved"].values():
+                    set_(count)
+
+
 def run_from_config(config: dict, out_dir: Path) -> dict:
     """Execute a validated config, write CSVs + manifest, return the manifest."""
     resolved = _validate(config)
@@ -102,7 +167,8 @@ def run_from_config(config: dict, out_dir: Path) -> dict:
     (out_dir / "manifest.json").unlink(missing_ok=True)
 
     started = time.time()
-    tables = runner(resolved["params"], resolved["seed"], resolved["threads"])
+    with _single_threaded_blas() as blas_before:
+        tables = runner(resolved["params"], resolved["seed"], resolved["threads"])
     runtime = time.time() - started
 
     outputs = {}
@@ -119,6 +185,9 @@ def run_from_config(config: dict, out_dir: Path) -> dict:
         "version": __version__,
         "runtime_seconds": runtime,
         "outputs": outputs,
+        "blas_threads": ({name: {"before": count, "run": 1}
+                          for name, count in blas_before.items()}
+                         or "unchanged: no OpenBLAS with a known thread-count symbol is loaded"),
     }
     # Manifest lands last: its presence marks a completed run.
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -152,7 +221,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, OverflowError, ValueError, ZeroDivisionError) as exc:
+    except (NumericalError, MemoryError, OverflowError, ValueError, ZeroDivisionError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -409,7 +409,11 @@ def _steps(t: float, dt: float, key: str) -> int:
 
 
 def _time_grid(t_max: float, dt: float) -> np.ndarray:
-    return dt * np.arange(1, _steps(t_max, dt, "t_max") + 1)
+    n = _steps(t_max, dt, "t_max")
+    if n == 0:
+        raise ConfigError(f"params.t_max: {t_max} is below dt = {dt}, so the time grid "
+                          f"is empty; raise t_max or lower dt")
+    return dt * np.arange(1, n + 1)
 
 
 def _tuple_row(formalism, spec, t, seed, **extra) -> dict:
@@ -559,9 +563,12 @@ def run_uni_dynamic(params: dict, seed: int, threads: int):
     p = resolve_params("uni-dynamic", params)
     times = _time_grid(p["t_max"], p["dt"])
     specs = [_spec(L, h, 0.0) for L in p["L"] for h in p["h"]]
+    try:
+        packets = {L: gaussian_packet(L, p["sigma"]) for L in p["L"]}
+    except ValueError as exc:
+        raise ConfigError(f"params.sigma: {exc}; raise sigma") from exc
     curves, maxima = _dynamic_rows(
-        "unidirectional", specs, times, seed, threads,
-        lambda spec: gaussian_packet(spec.L, p["sigma"]))
+        "unidirectional", specs, times, seed, threads, lambda spec: packets[spec.L])
     return {"uni_dynamic": curves, "uni_dynamic_maxima": maxima}
 
 

@@ -1,9 +1,14 @@
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from starkprobe.cli import main
+from starkprobe import cli
+from starkprobe.cli import main, run_from_config
+from starkprobe.errors import NumericalError
 from starkprobe.experiments import EXPERIMENTS, PARAMS, resolve_params
 
 
@@ -215,6 +220,10 @@ class TestConfigErrors:
         ("uni-dynamic", {"t_max": 0.2, "dt": 0.5}, "t_max"),
         ("lindblad-sweep", {"t_max": 0.5, "dt": 1.0}, "t_max"),
         ("lindblad-sweep", {"t_max": 10.0, "dt": 3.0}, "t_max"),
+        # t_max below dt rounds to a grid of zero points
+        ("lindblad-sweep", {"t_max": 1e-12, "dt": 1.0}, "t_max"),
+        ("hn-dynamic", {"t_max": 1e-12, "dt": 1.0}, "t_max"),
+        ("uni-dynamic", {"t_max": 1e-12, "dt": 1.0}, "t_max"),
         ("table1", {"t_max": 1.0, "t_fixed": 1.0, "dt_nh": 0.5}, "t_max"),
     ])
     def test_bad_time_grid_names_key(self, tmp_path, capsys, experiment, change, key):
@@ -231,6 +240,10 @@ class TestConfigErrors:
         ("hn-static", {"h_grid": [-0.1, 0.2, 0.3]}, "h_grid"),
         ("hn-static", {"h_grid": [0.3, 0.2, 0.1]}, "h_grid"),
         ("uni-static", {"h_grid": [0.0, 0.1, 0.2]}, "h_grid"),
+        # packets whose peak underflows: 2 sigma^2 is 0, and the nearest
+        # site lies half a site from the center L/2 at odd L
+        ("uni-dynamic", {"sigma": 1e-300}, "sigma"),
+        ("uni-dynamic", {"L": [9], "sigma": 0.01}, "sigma"),
     ])
     def test_bad_value_names_key(self, tmp_path, capsys, experiment, change, key):
         cfg = write_config(tmp_path, {"experiment": experiment,
@@ -299,3 +312,185 @@ def test_failing_rerun_leaves_no_manifest(tmp_path):
                                   "params": ILL_CONDITIONED})
     assert main(["run", str(bad), "--out", str(out)]) == 3
     assert not (out / "manifest.json").exists()
+
+
+def test_memory_error_exits_3_without_manifest(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, {"experiment": "uni-dynamic", "seed": 0,
+                                  "params": TINY_CONFIGS["uni-dynamic"]})
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 121. GiB for an array")
+
+    monkeypatch.setitem(EXPERIMENTS, "uni-dynamic", out_of_memory)
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == \
+        "numerical failure: MemoryError: Unable to allocate 121. GiB for an array\n"
+    assert not (out / "manifest.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread policy: one level of parallelism inside a run
+# ---------------------------------------------------------------------------
+
+BLAS = cli._openblas_libraries()
+needs_openblas = pytest.mark.skipif(
+    not BLAS, reason="no loaded OpenBLAS exposes a known thread-count symbol")
+# One dense expm of a 144 x 144 Liouvillian: large enough that its bytes
+# depend on the OpenBLAS thread count when nothing holds it fixed.
+BLAS_SENSITIVE = {"L": [12], "gamma": [0.05], "h": [0.1], "t_max": 100.0, "dt": 100.0}
+
+
+def blas_counts() -> dict:
+    return {name: get() for name, (get, _) in BLAS.items()}
+
+
+def set_blas(count: int) -> None:
+    for _, set_ in BLAS.values():
+        set_(count)
+
+
+@pytest.fixture
+def blas_at_two():
+    """Every OpenBLAS at 2 threads, the caller's counts put back afterwards."""
+    before = blas_counts()
+    set_blas(2)
+    yield
+    for name, (_, set_) in BLAS.items():
+        set_(before[name])
+
+
+@needs_openblas
+@pytest.mark.parametrize("params", [TINY_CONFIGS["lindblad-sweep"], BLAS_SENSITIVE],
+                         ids=["tiny", "dense-expm"])
+def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, monkeypatch, blas_at_two, params):
+    seen, sweep = [], EXPERIMENTS["lindblad-sweep"]
+
+    def recording(params, seed, threads):
+        seen.append(blas_counts())
+        return sweep(params, seed, threads)
+
+    monkeypatch.setitem(EXPERIMENTS, "lindblad-sweep", recording)
+    config = {"experiment": "lindblad-sweep", "seed": 3, "params": params}
+    csv_bytes = []
+    for count in (1, 2):
+        set_blas(count)
+        run_from_config(json.loads(json.dumps(config)), tmp_path / str(count))
+        assert blas_counts() == dict.fromkeys(BLAS, count)
+        csv_bytes.append((tmp_path / str(count) / "lindblad_sweep.csv").read_bytes())
+    assert seen == [dict.fromkeys(BLAS, 1)] * 2
+    assert csv_bytes[0] == csv_bytes[1]
+
+
+@needs_openblas
+def test_manifest_records_blas_policy(tmp_path, blas_at_two):
+    cfg = write_config(tmp_path, {"experiment": "uni-dynamic",
+                                  "params": TINY_CONFIGS["uni-dynamic"]})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["blas_threads"] == {name: {"before": 2, "run": 1} for name in BLAS}
+
+
+def test_manifest_records_missing_blas(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_openblas_libraries", dict)
+    cfg = write_config(tmp_path, {"experiment": "uni-dynamic",
+                                  "params": TINY_CONFIGS["uni-dynamic"]})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["blas_threads"] == \
+        "unchanged: no OpenBLAS with a known thread-count symbol is loaded"
+
+
+@needs_openblas
+def test_blas_threads_restored_after_failing_run(tmp_path, monkeypatch, blas_at_two):
+    seen = []
+
+    def failing(params, seed, threads):
+        seen.append(blas_counts())
+        raise NumericalError("diverged")
+
+    monkeypatch.setitem(EXPERIMENTS, "lindblad-sweep", failing)
+    with pytest.raises(NumericalError):
+        run_from_config({"experiment": "lindblad-sweep"}, tmp_path)
+    assert seen == [dict.fromkeys(BLAS, 1)]
+    assert blas_counts() == dict.fromkeys(BLAS, 2)
+
+
+@needs_openblas
+def test_nested_run_keeps_the_cap(tmp_path, monkeypatch, blas_at_two):
+    seen = []
+
+    def outer(params, seed, threads):
+        run_from_config({"experiment": "uni-dynamic", "params": TINY_CONFIGS["uni-dynamic"]},
+                        tmp_path / "inner")
+        seen.append(blas_counts())
+        return {"rows": [{"seed": seed}]}
+
+    monkeypatch.setitem(EXPERIMENTS, "lindblad-sweep", outer)
+    manifest = run_from_config({"experiment": "lindblad-sweep"}, tmp_path / "outer")
+    inner = json.loads((tmp_path / "inner" / "manifest.json").read_text())
+    assert seen == [dict.fromkeys(BLAS, 1)]
+    # the inner run reports the counts the outer run found, not its own cap
+    assert inner["blas_threads"] == manifest["blas_threads"] == \
+        {name: {"before": 2, "run": 1} for name in BLAS}
+    assert blas_counts() == dict.fromkeys(BLAS, 2)
+
+
+@needs_openblas
+def test_concurrent_runs_share_one_cap(tmp_path, monkeypatch, blas_at_two):
+    # Both runs enter, then seed 1 leaves first: seed 2 must still run at
+    # one thread, and the counts come back only when the last run leaves.
+    both_inside = threading.Barrier(2)
+    first_left = threading.Event()
+    seen = {}
+
+    def runner(params, seed, threads):
+        both_inside.wait(timeout=30)
+        if seed == 2:
+            assert first_left.wait(timeout=30)
+        seen[seed] = blas_counts()
+        return {"rows": [{"seed": seed}]}
+
+    def run(seed):
+        run_from_config({"experiment": "lindblad-sweep", "seed": seed}, tmp_path / str(seed))
+        if seed == 1:
+            seen["between"] = blas_counts()
+            first_left.set()
+
+    monkeypatch.setitem(EXPERIMENTS, "lindblad-sweep", runner)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for future in [pool.submit(run, seed) for seed in (1, 2)]:
+            future.result()
+    capped = dict.fromkeys(BLAS, 1)
+    assert seen == {1: capped, "between": capped, 2: capped}
+    assert blas_counts() == dict.fromkeys(BLAS, 2)
+
+
+@needs_openblas
+def test_many_concurrent_runs_restore_once(tmp_path, monkeypatch, blas_at_two):
+    # More threads than cores and frequent switches: a lost update of the
+    # entry count would restore the counts mid-run or never.
+    seen = []
+
+    def runner(params, seed, threads):
+        seen.append(blas_counts())
+        return {"rows": [{"seed": seed}]}
+
+    def runs(worker):
+        for i in range(25):
+            run_from_config({"experiment": "lindblad-sweep", "seed": i},
+                            tmp_path / f"{worker}-{i}")
+
+    monkeypatch.setitem(EXPERIMENTS, "lindblad-sweep", runner)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for future in [pool.submit(runs, worker) for worker in range(8)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == [dict.fromkeys(BLAS, 1)] * 200
+    assert blas_counts() == dict.fromkeys(BLAS, 2)

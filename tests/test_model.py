@@ -212,3 +212,15 @@ class TestStates:
         assert int(np.argmax(np.abs(v))) == 49  # site 50, the center L/2
         ratio = abs(v[50]) / abs(v[49])
         assert ratio == pytest.approx(np.exp(-1.0 / 8.0), rel=1e-12)
+
+    @pytest.mark.parametrize("L, sigma", [(12, 1e-300), (9, 0.01), (9, 0.0185)])
+    def test_gaussian_packet_rejects_underflow(self, L, sigma):
+        # (9, 0.0185): the peak is finite, but its square is subnormal, so
+        # the norm would come out 1.6e-8 off
+        with pytest.raises(ValueError, match="underflows"):
+            gaussian_packet(L, sigma)
+
+    @pytest.mark.parametrize("L, sigma", [(9, 0.02), (12, 1e-160), (100, 1e300)])
+    def test_gaussian_packet_narrow_and_wide_limits(self, L, sigma):
+        v = gaussian_packet(L, sigma)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
