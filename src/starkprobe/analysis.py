@@ -8,7 +8,7 @@ participation-ratio / center-of-mass localization metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,8 @@ __all__ = [
     "skin_localization_metric",
 ]
 
-DEFAULT_ALPHA_WINDOW = (0.1, 1.0)
+# Short-time window of the F ~ t^alpha fit, in units of 1/J.
+ALPHA_WINDOW = (0.1, 1.0)
 
 # Relative cross-size spread below which curves count as collapsed.
 COLLAPSE_SPREAD_THRESHOLD = 0.1
@@ -34,11 +35,10 @@ COLLAPSE_SPREAD_THRESHOLD = 0.1
 
 @dataclass
 class TimeSeries:
-    """Sampled observable trajectory with its parameter record."""
+    """Sampled observable trajectory."""
 
     times: np.ndarray
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -96,13 +96,13 @@ def fit_power_law(xs, ys, window: tuple | None = None) -> ScalingFit:
     return ScalingFit(float(slope), float(np.exp(intercept)), r2, (lo, hi))
 
 
-def short_time_alpha(series: TimeSeries, window: tuple = DEFAULT_ALPHA_WINDOW) -> ScalingFit:
+def short_time_alpha(series: TimeSeries) -> ScalingFit:
     """Short-time growth exponent alpha of F ~ t^alpha.
 
-    Fits on the stated window (default [0.1, 1] in units of 1/J), which must
-    lie inside the sampled range.
+    Fits on the window ``ALPHA_WINDOW`` ([0.1, 1] in units of 1/J), which
+    must lie inside the sampled range.
     """
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = ALPHA_WINDOW
     t = series.times
     if lo < t[0] - 1e-12 or hi > t[-1] + 1e-12:
         raise ValueError(
@@ -128,17 +128,24 @@ def peak_qfi_over_t2(series: TimeSeries):
     i = int(np.argmax(y))
     if i == 0 or i == t.size - 1:
         raise PeakAtBoundary(f"argmax of F/t^2 at the grid endpoint t = {t[i]}")
-    t3, y3 = t[i - 1 : i + 2], y[i - 1 : i + 2]
-    a, b, c = np.polyfit(t3, y3, 2)
-    if a < 0.0:
-        t_opt = float(-b / (2.0 * a))
-        if not t3[0] <= t_opt <= t3[2]:
-            t_opt = float(t[i])
-        peak = float(np.polyval([a, b, c], t_opt))
-    else:
-        # degenerate curvature; keep the grid point
-        t_opt, peak = float(t[i]), float(y[i])
-    return t_opt, max(peak, float(y[i]))
+    vertex = _parabola_peak(t[i - 1 : i + 2], y[i - 1 : i + 2])
+    return vertex if vertex is not None else (float(t[i]), float(y[i]))
+
+
+def _parabola_peak(x3, y3):
+    """Vertex (x, y) of the parabola through three samples, the middle one largest.
+
+    None when the curvature is not negative, or when rounding puts the vertex
+    outside the bracket; the caller then keeps the middle grid point.  The
+    height is never below the middle sample.
+    """
+    a, b, c = np.polyfit(x3, y3, 2)
+    if a >= 0.0:
+        return None
+    x = float(-b / (2.0 * a))
+    if not x3[0] <= x <= x3[2]:
+        return None
+    return x, max(float(np.polyval([a, b, c], x)), float(y3[1]))
 
 
 def size_scaling_beta(sizes, peaks) -> ScalingFit:
@@ -163,22 +170,21 @@ def _curves(h_grid, values_per_L):
     return h, curves
 
 
-def localized_collapse_check(h_grid, values_per_L, J: float = 1.0,
-                             h_c: float | None = None):
+def localized_collapse_check(h_grid, values_per_L, h_c: float | None = None):
     """Exponent and size-independence of the localized-phase tail.
 
     Beyond the largest finite-size transition point the curves should
-    collapse onto a common power law ~ 1/h^2.  ``h_c`` defaults to the
-    8J/L estimate for the smallest supplied size; pass the extracted
-    transition point (see :func:`transition_point`) to measure the collapse
-    beyond the observed knee instead.  Fits the pooled tail samples and
-    reports the maximum relative spread across sizes there.
+    collapse onto a common power law ~ 1/h^2.  Fields are in units of J.
+    ``h_c`` defaults to the 8/L estimate for the smallest supplied size;
+    pass the extracted transition point (see :func:`transition_point`) to
+    measure the collapse beyond the observed knee instead.  Fits the pooled
+    tail samples and reports the maximum relative spread across sizes there.
 
     Returns (exponent, spread).
     """
     h, curves = _curves(h_grid, values_per_L)
     if h_c is None:
-        h_c = 8.0 * J / min(curves)
+        h_c = 8.0 / min(curves)
     tail = h > h_c
     if not np.any(tail):
         raise ValueError(f"h grid does not cross the transition point {h_c:.3g}")
@@ -193,22 +199,21 @@ def localized_collapse_check(h_grid, values_per_L, J: float = 1.0,
     return fit.exponent, spread
 
 
-def transition_point(h_grid, values_per_L, J: float = 1.0,
-                     threshold: float = COLLAPSE_SPREAD_THRESHOLD) -> dict:
+def transition_point(h_grid, values_per_L) -> dict:
     """Per-size transition field from the onset of size independence.
 
     Operational definition: the common localized tail is the region where
-    the cross-size relative spread stays below ``threshold`` (10% default);
-    a power law fitted there serves as the reference, and h_c for each L is
-    the smallest grid field beyond which that size's curve stays within
-    ``threshold`` of the reference.  Returns {L: h_c}.
+    the cross-size relative spread stays below ``COLLAPSE_SPREAD_THRESHOLD``
+    (10%); a power law fitted there serves as the reference, and h_c for
+    each L is the smallest grid field beyond which that size's curve stays
+    within the same threshold of the reference.  Returns {L: h_c}.
     """
     h, curves = _curves(h_grid, values_per_L)
     stack = np.stack([curves[L] for L in sorted(curves)])
     mean = stack.mean(axis=0)
     spread = (stack.max(axis=0) - stack.min(axis=0)) / np.where(mean > 0, mean, 1.0)
 
-    collapsed = spread < threshold
+    collapsed = spread < COLLAPSE_SPREAD_THRESHOLD
     # Smallest h with sustained collapse from there on.
     start = None
     for i in range(h.size):
@@ -228,7 +233,7 @@ def transition_point(h_grid, values_per_L, J: float = 1.0,
         dev = np.abs(curves[L] - tail_of) / tail_of
         h_c = None
         for i in range(h.size):
-            if np.all(dev[i:] < threshold):
+            if np.all(dev[i:] < COLLAPSE_SPREAD_THRESHOLD):
                 h_c = float(h[i])
                 break
         if h_c is None:

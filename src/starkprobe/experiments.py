@@ -6,6 +6,14 @@ non-Hermitian evolution, closed-form eigenstate probes).  The drivers wrap
 them into the named experiments the CLI exposes and return plain row dicts
 ready for CSV serialization.
 
+Each driver resolves its params and builds a plan, a list of cases, before
+any work runs: ``(formalism, spec, times, psi0)`` per QFI series, or
+``(spec, state_index, extra columns)`` per static scan over a shared field
+grid.  ``_run_series`` maps series cases through one dispatch on the
+formalism on ``threads`` task threads, in plan order; ``_curve_rows``,
+``_peak_rows`` and ``_table1_rows`` turn the series into rows, and
+``_static_tables`` runs and tabulates the static scans.
+
 Field derivatives follow one mechanism everywhere: central differences of
 the full evolution at h +/- delta, delta = default_step(h), with gauge
 alignment for state vectors (see :mod:`starkprobe.metrology`), and each
@@ -18,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .analysis import TimeSeries, peak_qfi_over_t2
+from .analysis import TimeSeries, _parabola_peak, peak_qfi_over_t2
 from .errors import ConfigError, PeakAtBoundary
 from .lindblad import DensityMatrix, propagate, trace_distance
 from .metrology import default_step, qfi_mixed, qfi_pure_batch, snr
@@ -39,8 +47,6 @@ __all__ = [
     "unitary_qfi_series",
     "lindblad_qfi_series",
     "nh_qfi_series",
-    "hn_state_qfi",
-    "unidirectional_state_qfi",
     "static_qfi_scan",
     "refine_peak",
     "EXPERIMENTS",
@@ -59,15 +65,14 @@ def _pmap(fn, items, threads):
 # QFI pipelines
 # ---------------------------------------------------------------------------
 
-def unitary_qfi_series(spec: LatticeSpec, times, psi0=None) -> TimeSeries:
-    """QFI(t) of the closed-system evolution from a pure initial state.
+def unitary_qfi_series(spec: LatticeSpec, times) -> TimeSeries:
+    """QFI(t) of the closed-system evolution from the mid-lattice site.
 
     Spectral propagation: one Hermitian eigendecomposition per field value
     (h and h +/- delta) yields the state at every requested time.
     """
     times = np.asarray(times, dtype=float)
-    if psi0 is None:
-        psi0 = site_state(spec.L, middle_site(spec.L))
+    psi0 = site_state(spec.L, middle_site(spec.L))
     delta = default_step(spec.h)
 
     states = {}
@@ -80,27 +85,21 @@ def unitary_qfi_series(spec: LatticeSpec, times, psi0=None) -> TimeSeries:
     values = qfi_pure_batch(
         states[spec.h], states[spec.h + delta], states[spec.h - delta], delta
     )
-    meta = {"formalism": "unitary", "L": spec.L, "J": spec.J, "h": spec.h,
-            "gamma": spec.gamma, "delta": delta}
-    return TimeSeries(times, values, meta)
+    return TimeSeries(times, values)
 
 
-def lindblad_qfi_series(spec: LatticeSpec, times, site=None) -> TimeSeries:
-    """QFI(t) of the dephasing master equation from a single-site state.
+def lindblad_qfi_series(spec: LatticeSpec, times) -> TimeSeries:
+    """QFI(t) of the dephasing master equation from the mid-lattice site.
 
     Three Liouvillian propagations (h and h +/- delta); the mixed-state QFI
     at each time comes from the symmetric logarithmic derivative.  gamma = 0
     routes through the closed-system pipeline, which is exact there.
     """
     times = np.asarray(times, dtype=float)
-    if site is None:
-        site = middle_site(spec.L)
     if spec.gamma == 0.0:
-        series = unitary_qfi_series(spec, times, site_state(spec.L, site))
-        series.meta.update({"formalism": "lindblad", "site": site})
-        return series
+        return unitary_qfi_series(spec, times)
 
-    rho0 = DensityMatrix.from_pure(site_state(spec.L, site))
+    rho0 = DensityMatrix.from_pure(site_state(spec.L, middle_site(spec.L)))
     delta = default_step(spec.h)
     evolved = {}
     for hp in (spec.h - delta, spec.h, spec.h + delta):
@@ -109,11 +108,9 @@ def lindblad_qfi_series(spec: LatticeSpec, times, site=None) -> TimeSeries:
     values = np.empty(times.size)
     for i in range(times.size):
         drho = (evolved[spec.h + delta][i].entries - evolved[spec.h - delta][i].entries) / (2.0 * delta)
-        result, _ = qfi_mixed(evolved[spec.h][i], drho, derivative_step=delta)
+        result, _ = qfi_mixed(evolved[spec.h][i], drho)
         values[i] = result.value
-    meta = {"formalism": "lindblad", "L": spec.L, "J": spec.J, "h": spec.h,
-            "gamma": spec.gamma, "delta": delta, "site": site}
-    return TimeSeries(times, values, meta)
+    return TimeSeries(times, values)
 
 
 _BUILDERS = {
@@ -123,13 +120,14 @@ _BUILDERS = {
 
 
 def nh_qfi_series(kind: str, spec: LatticeSpec, times, psi0=None) -> TimeSeries:
-    """QFI(t) of normalized non-Hermitian evolution.
+    """QFI(t) of normalized non-Hermitian evolution from ``psi0``.
 
-    ``kind`` picks the generator and with it the route.  The Hatano-Nelson
-    chain ("hatano-nelson") goes spectral, reusing one biorthogonal
-    decomposition per field value.  The unidirectional chain
-    ("unidirectional") steps a uniform time grid with one short-step
-    exponential, because its eigenbasis is too ill-conditioned at small h.
+    ``psi0`` defaults to the mid-lattice site.  ``kind`` picks the generator
+    and with it the route.  The Hatano-Nelson chain ("hatano-nelson") goes
+    spectral, reusing one biorthogonal decomposition per field value.  The
+    unidirectional chain ("unidirectional") steps a uniform time grid with
+    one short-step exponential, because its eigenbasis is too ill-conditioned
+    at small h.
     """
     if kind not in _BUILDERS:
         raise ValueError(f"unknown generator kind {kind!r}")
@@ -138,12 +136,11 @@ def nh_qfi_series(kind: str, spec: LatticeSpec, times, psi0=None) -> TimeSeries:
     if psi0 is None:
         psi0 = site_state(spec.L, middle_site(spec.L))
     delta = default_step(spec.h)
-    route = "spectral" if kind == "hatano-nelson" else "grid"
 
     states = {}
     for hp in (spec.h - delta, spec.h, spec.h + delta):
         H = builder(spec.with_field(hp))
-        if route == "spectral":
+        if kind == "hatano-nelson":
             states[hp] = evolve_nh_series(psi0, eig_biorthogonal(H), times)
         else:
             states[hp] = evolve_nh_grid(psi0, H, times)
@@ -151,70 +148,49 @@ def nh_qfi_series(kind: str, spec: LatticeSpec, times, psi0=None) -> TimeSeries:
     values = qfi_pure_batch(
         states[spec.h], states[spec.h + delta], states[spec.h - delta], delta
     )
-    meta = {"formalism": kind, "L": spec.L, "J": spec.J, "h": spec.h,
-            "gamma": spec.gamma, "delta": delta, "route": route}
-    return TimeSeries(times, values, meta)
+    return TimeSeries(times, values)
 
 
-def hn_state_qfi(spec: LatticeSpec, index: int = 0) -> float:
-    """QFI of one Hatano-Nelson eigenstate probe (default: lowest real energy).
-
-    The probe is the unit-normalized right eigenvector; its field derivative
-    is a gauge-aligned central difference across h +/- delta.
-    """
-    delta = default_step(spec.h)
-
-    def eigstate(hp):
-        system = eig_biorthogonal(build_hatano_nelson(spec.with_field(hp)))
-        v = system.right_vectors[:, index]
-        return v / np.linalg.norm(v)
-
-    h = spec.h
-    vals = qfi_pure_batch(
-        eigstate(h)[np.newaxis, :],
-        eigstate(h + delta)[np.newaxis, :],
-        eigstate(h - delta)[np.newaxis, :],
-        delta,
-    )
-    return float(vals[0])
+def _hn_eigenstate(n: int, spec: LatticeSpec) -> np.ndarray:
+    """Unit-normalized right eigenvector n of the Hatano-Nelson chain."""
+    v = eig_biorthogonal(build_hatano_nelson(spec)).right_vectors[:, n]
+    return v / np.linalg.norm(v)
 
 
-def unidirectional_state_qfi(spec: LatticeSpec, n: int) -> float:
-    """QFI of a closed-form unidirectional eigenstate probe (0-based index n).
-
-    Uses the log-space normalized eigenvector, which stays stable at the
-    large J/h values where the general eigensolver becomes unusable.
-    """
-    delta = default_step(spec.h)
-    h = spec.h
-    vals = qfi_pure_batch(
-        unidirectional_eigvec_normalized(n, spec)[np.newaxis, :],
-        unidirectional_eigvec_normalized(n, spec.with_field(h + delta))[np.newaxis, :],
-        unidirectional_eigvec_normalized(n, spec.with_field(h - delta))[np.newaxis, :],
-        delta,
-    )
-    return float(vals[0])
+# The eigenstate probe of each static scan, as eigenstate(n, spec).  The
+# unidirectional one is the log-space closed form, which stays stable at the
+# large J/h values where the general eigensolver becomes unusable.
+_EIGENSTATES = {
+    "hatano-nelson": _hn_eigenstate,
+    "unidirectional": unidirectional_eigvec_normalized,
+}
 
 
 def static_qfi_scan(kind: str, spec: LatticeSpec, h_grid, *, state_index=None,
                     threads: int = 1):
     """Eigenstate QFI over a field grid, plus the refined maximum.
 
-    Returns (values, h_max, fq_max).  ``state_index`` defaults to L-1 for
-    both chains: under the ascending 1..L site gauge that is the spectral
-    extremum where the gradient field competes with the skin effect (the
-    bottom state has both mechanisms pulling to the same edge and shows no
-    interior QFI maximum).
+    Returns (values, h_max, fq_max).  The probe at each field is eigenstate
+    ``state_index`` of the chain ``kind``, and its field derivative is a
+    gauge-aligned central difference across h +/- delta.  ``state_index``
+    defaults to L-1 for both chains: under the ascending 1..L site gauge that
+    is the spectral extremum where the gradient field competes with the skin
+    effect (the bottom state has both mechanisms pulling to the same edge and
+    shows no interior QFI maximum).
     """
+    if kind not in _EIGENSTATES:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    eigenstate = _EIGENSTATES[kind]
     h_grid = np.asarray(h_grid, dtype=float)
     idx = spec.L - 1 if state_index is None else int(state_index)
-    if kind == "hatano-nelson":
-        fn = lambda h: hn_state_qfi(spec.with_field(h), idx)
-    elif kind == "unidirectional":
-        fn = lambda h: unidirectional_state_qfi(spec.with_field(h), idx)
-    else:
-        raise ValueError(f"unknown generator kind {kind!r}")
-    values = np.array(_pmap(fn, h_grid, threads))
+
+    def qfi(h):
+        delta = default_step(h)
+        triple = [eigenstate(idx, spec.with_field(hp))[np.newaxis, :]
+                  for hp in (h, h + delta, h - delta)]
+        return float(qfi_pure_batch(*triple, delta)[0])
+
+    values = np.array(_pmap(qfi, h_grid, threads))
     h_max, fq_max, _ = refine_peak(h_grid, values, log_x=True)
     return values, h_max, fq_max
 
@@ -232,15 +208,11 @@ def refine_peak(xs, ys, log_x: bool = False):
     if i == 0 or i == xs.size - 1:
         return float(xs[i]), float(ys[i]), True
     x3 = np.log(xs[i - 1 : i + 2]) if log_x else xs[i - 1 : i + 2]
-    a, b, c = np.polyfit(x3, ys[i - 1 : i + 2], 2)
-    if a >= 0.0:
+    vertex = _parabola_peak(x3, ys[i - 1 : i + 2])
+    if vertex is None:
         return float(xs[i]), float(ys[i]), False
-    x_pk = -b / (2.0 * a)
-    if not x3[0] <= x_pk <= x3[2]:
-        return float(xs[i]), float(ys[i]), False
-    y_pk = float(np.polyval([a, b, c], x_pk))
-    x_out = float(np.exp(x_pk)) if log_x else float(x_pk)
-    return x_out, max(y_pk, float(ys[i])), False
+    x_pk, y_pk = vertex
+    return (float(np.exp(x_pk)) if log_x else x_pk), y_pk, False
 
 
 # ---------------------------------------------------------------------------
@@ -423,25 +395,112 @@ def _tuple_row(formalism, spec, t, seed, **extra) -> dict:
     return row
 
 
+def _peak_times(times: np.ndarray) -> np.ndarray:
+    """``times``, which must hold the three samples peak_qfi_over_t2 needs."""
+    if times.size < 3:
+        raise ConfigError(f"params.t_max: needs at least 3 time points, got "
+                          f"{times.size}; raise t_max or lower the time step")
+    return times
+
+
 # ---------------------------------------------------------------------------
-# Experiment drivers
+# Plan executors: series and static cases to rows
+# ---------------------------------------------------------------------------
+
+def _series(case) -> TimeSeries:
+    """QFI series of one series case ``(formalism, spec, times, psi0)``."""
+    formalism, spec, times, psi0 = case
+    if formalism == "lindblad":
+        return lindblad_qfi_series(spec, times)
+    return nh_qfi_series(formalism, spec, times, psi0)
+
+
+def _run_series(plan, threads: int) -> list:
+    """``(case, series)`` pairs of a series plan, in plan order."""
+    return list(zip(plan, _pmap(_series, plan, threads)))
+
+
+def _curve_rows(runs, seed) -> list:
+    """One row per case and time point: F and F/t^2."""
+    return [_tuple_row(formalism, spec, float(t), seed,
+                       fq=float(fq), fq_over_t2=float(fq / t**2))
+            for (formalism, spec, _, _), series in runs
+            for t, fq in zip(series.times, series.values)]
+
+
+def _peak(series: TimeSeries):
+    """(t_opt, peak of F/t^2, at_boundary): the refined interior peak, else
+    the grid maximum with the flag set."""
+    try:
+        return (*peak_qfi_over_t2(series), False)
+    except PeakAtBoundary:
+        ratio = series.values / series.times**2
+        i = int(np.argmax(ratio))
+        return float(series.times[i]), float(ratio[i]), True
+
+
+def _peak_rows(runs, seed) -> list:
+    """One row per case: where F/t^2 peaks and how high."""
+    rows = []
+    for (formalism, spec, _, _), series in runs:
+        t_opt, peak, boundary = _peak(series)
+        rows.append(_tuple_row(formalism, spec, t_opt, seed,
+                               peak_fq_over_t2=peak, peak_at_boundary=boundary))
+    return rows
+
+
+def _table1_rows(runs, t_fixed: float, M: int, seed) -> list:
+    """Signal-to-noise rows at t_opt and at t_fixed.
+
+    With no interior peak of F/t^2, t_opt falls back to t_fixed and the row
+    is flagged.
+    """
+    rows = []
+    for (formalism, spec, _, _), series in runs:
+        t_opt, peak, boundary = _peak(series)
+        fq_fixed = float(np.interp(t_fixed, series.times, series.values))
+        t_opt, fq_opt = (t_fixed, fq_fixed) if boundary else (t_opt, peak * t_opt**2)
+        phase = "localized" if spec.h >= 8.0 * spec.J / spec.L else "extended"
+        rows.append(_tuple_row(formalism, spec, t_opt, seed,
+                               phase=phase, M=M,
+                               t_opt=t_opt,
+                               snr_topt=snr(spec.h, M, fq_opt),
+                               snr_tfixed=snr(spec.h, M, fq_fixed),
+                               fq_topt=fq_opt, fq_tfixed=fq_fixed,
+                               no_interior_peak=boundary))
+    return rows
+
+
+def _static_tables(experiment: str, kind: str, plan, grid, seed, threads: int) -> dict:
+    """Curve and maximum tables of a static plan over one field grid.
+
+    Each case ``(spec, state_index, extra)`` runs one ``static_qfi_scan``;
+    the ``extra`` columns go before ``state_index`` in its rows.
+    """
+    curves, maxima = [], []
+    for spec, index, extra in plan:
+        values, h_max, fq_max = static_qfi_scan(kind, spec, grid, state_index=index,
+                                                threads=threads)
+        for h, fq in zip(grid, values):
+            curves.append(_tuple_row(experiment, spec.with_field(float(h)), 0.0, seed,
+                                     **extra, state_index=index, fq=float(fq)))
+        maxima.append(_tuple_row(experiment, spec.with_field(h_max), 0.0, seed,
+                                 **extra, state_index=index, fq_max=fq_max, h_max=h_max))
+    table = experiment.replace("-", "_")
+    return {table: curves, f"{table}_maxima": maxima}
+
+
+# ---------------------------------------------------------------------------
+# Experiment drivers: resolved params to a plan
 # ---------------------------------------------------------------------------
 
 def run_lindblad_sweep(params: dict, seed: int, threads: int):
     """QFI(t) under dephasing over a (L, gamma, h) product grid."""
     p = resolve_params("lindblad-sweep", params)
     times = _time_grid(p["t_max"], p["dt"])
-    specs = [_spec(L, h, g) for L in p["L"] for g in p["gamma"] for h in p["h"]]
-
-    def one(spec):
-        return lindblad_qfi_series(spec, times)
-
-    rows = []
-    for spec, series in zip(specs, _pmap(one, specs, threads)):
-        for t, fq in zip(series.times, series.values):
-            rows.append(_tuple_row("lindblad", spec, float(t), seed,
-                                   fq=float(fq), fq_over_t2=float(fq / t**2)))
-    return {"lindblad_sweep": rows}
+    plan = [("lindblad", _spec(L, h, g), times, None)
+            for L in p["L"] for g in p["gamma"] for h in p["h"]]
+    return {"lindblad_sweep": _curve_rows(_run_series(plan, threads), seed)}
 
 
 def run_traj_validate(params: dict, seed: int, threads: int):
@@ -480,18 +539,9 @@ def run_hn_static(params: dict, seed: int, threads: int):
     p = resolve_params("hn-static", params)
     grid = _grid_points(p["h_grid"])
     specs = [_spec(L, 0.0, g) for L in p["L"] for g in p["gamma"]]
-    indices = [_state_index(p["state_index"], spec.L, "state_index") for spec in specs]
-
-    curves, maxima = [], []
-    for spec, idx in zip(specs, indices):
-        values, h_max, fq_max = static_qfi_scan(
-            "hatano-nelson", spec, grid, state_index=idx, threads=threads)
-        for h, fq in zip(grid, values):
-            curves.append(_tuple_row("hn-static", spec.with_field(float(h)), 0.0,
-                                     seed, state_index=idx, fq=float(fq)))
-        maxima.append(_tuple_row("hn-static", spec.with_field(h_max), 0.0, seed,
-                                 state_index=idx, fq_max=fq_max, h_max=h_max))
-    return {"hn_static": curves, "hn_static_maxima": maxima}
+    plan = [(spec, _state_index(p["state_index"], spec.L, "state_index"), {})
+            for spec in specs]
+    return _static_tables("hn-static", "hatano-nelson", plan, grid, seed, threads)
 
 
 def run_uni_static(params: dict, seed: int, threads: int):
@@ -499,77 +549,39 @@ def run_uni_static(params: dict, seed: int, threads: int):
     p = resolve_params("uni-static", params)
     grid = _grid_points(p["h_grid"])
     specs = [_spec(L, 0.0, 0.0) for L in p["L"]]
-    cases = [(spec, label, _state_index(label, spec.L, "states"))
-             for spec in specs for label in p["states"]]
-
-    curves, maxima = [], []
-    for spec, label, index in cases:
-        values, h_max, fq_max = static_qfi_scan(
-            "unidirectional", spec, grid, state_index=index, threads=threads)
-        for h, fq in zip(grid, values):
-            curves.append(_tuple_row("uni-static", spec.with_field(float(h)), 0.0,
-                                     seed, state=str(label), state_index=index,
-                                     fq=float(fq)))
-        maxima.append(_tuple_row("uni-static", spec.with_field(h_max), 0.0, seed,
-                                 state=str(label), state_index=index,
-                                 fq_max=fq_max, h_max=h_max))
-    return {"uni_static": curves, "uni_static_maxima": maxima}
-
-
-def _peak_times(times: np.ndarray) -> np.ndarray:
-    """``times``, which must hold the three samples peak_qfi_over_t2 needs."""
-    if times.size < 3:
-        raise ConfigError(f"params.t_max: needs at least 3 time points, got "
-                          f"{times.size}; raise t_max or lower the time step")
-    return times
-
-
-def _dynamic_rows(kind, specs, times, seed, threads, psi0_of):
-    _peak_times(times)
-
-    def one(spec):
-        return nh_qfi_series(kind, spec, times, psi0_of(spec))
-
-    curves, maxima = [], []
-    for spec, series in zip(specs, _pmap(one, specs, threads)):
-        for t, fq in zip(series.times, series.values):
-            curves.append(_tuple_row(kind, spec, float(t), seed,
-                                     fq=float(fq), fq_over_t2=float(fq / t**2)))
-        try:
-            t_opt, peak = peak_qfi_over_t2(series)
-            boundary = False
-        except PeakAtBoundary:
-            ratio = series.values / series.times**2
-            i = int(np.argmax(ratio))
-            t_opt, peak, boundary = float(series.times[i]), float(ratio[i]), True
-        maxima.append(_tuple_row(kind, spec, t_opt, seed,
-                                 peak_fq_over_t2=peak, peak_at_boundary=boundary))
-    return curves, maxima
+    plan = [(spec, _state_index(label, spec.L, "states"), {"state": str(label)})
+            for spec in specs for label in p["states"]]
+    return _static_tables("uni-static", "unidirectional", plan, grid, seed, threads)
 
 
 def run_hn_dynamic(params: dict, seed: int, threads: int):
     """F/t^2 evolution of the nonreciprocal chain from a mid-lattice particle."""
     p = resolve_params("hn-dynamic", params)
-    times = _time_grid(p["t_max"], p["dt"])
-    specs = [_spec(L, h, p["gamma"]) for L in p["L"] for h in p["h"]]
-    curves, maxima = _dynamic_rows(
-        "hatano-nelson", specs, times, seed, threads,
-        lambda spec: site_state(spec.L, middle_site(spec.L)))
-    return {"hn_dynamic": curves, "hn_dynamic_maxima": maxima}
+    times = _peak_times(_time_grid(p["t_max"], p["dt"]))
+    plan = [("hatano-nelson", _spec(L, h, p["gamma"]), times, None)
+            for L in p["L"] for h in p["h"]]
+    runs = _run_series(plan, threads)
+    return {"hn_dynamic": _curve_rows(runs, seed), "hn_dynamic_maxima": _peak_rows(runs, seed)}
 
 
 def run_uni_dynamic(params: dict, seed: int, threads: int):
     """F/t^2 evolution of the unidirectional chain from a Gaussian packet."""
     p = resolve_params("uni-dynamic", params)
-    times = _time_grid(p["t_max"], p["dt"])
+    times = _peak_times(_time_grid(p["t_max"], p["dt"]))
     specs = [_spec(L, h, 0.0) for L in p["L"] for h in p["h"]]
     try:
         packets = {L: gaussian_packet(L, p["sigma"]) for L in p["L"]}
     except ValueError as exc:
         raise ConfigError(f"params.sigma: {exc}; raise sigma") from exc
-    curves, maxima = _dynamic_rows(
-        "unidirectional", specs, times, seed, threads, lambda spec: packets[spec.L])
-    return {"uni_dynamic": curves, "uni_dynamic_maxima": maxima}
+    plan = [("unidirectional", spec, times, packets[spec.L]) for spec in specs]
+    runs = _run_series(plan, threads)
+    return {"uni_dynamic": _curve_rows(runs, seed), "uni_dynamic_maxima": _peak_rows(runs, seed)}
+
+
+def _table1_times(dt: float, horizon: float, t_fixed: float) -> np.ndarray:
+    """The dt grid up to the search horizon, and at least up to t_fixed."""
+    n = max(int(np.floor(horizon / dt)), int(round(t_fixed / dt)))
+    return _peak_times(dt * np.arange(1, n + 1))
 
 
 def run_table1(params: dict, seed: int, threads: int):
@@ -577,58 +589,22 @@ def run_table1(params: dict, seed: int, threads: int):
 
     All rows start from a single particle at the mid-lattice site (the
     initialization that reproduces the reference values for every formalism).
-    t_opt is the interior peak of F/t^2 within the search horizon; for the
-    unidirectional chain the horizon stays below the first revival
-    half-period pi/h, where the sensitivity develops timing-precision
-    singularities.  When no interior peak exists the fixed reporting time is
-    used and the row is flagged.
+    t_opt is the interior peak of F/t^2 within the search horizon t_max; for
+    the unidirectional chain at h > 0 the horizon stays below the first
+    revival half-period pi/h, where the sensitivity develops timing-precision
+    singularities (h = 0 has no revival).  When no interior peak exists the
+    fixed reporting time is used and the row is flagged.
     """
     p = resolve_params("table1", params)
     t_fixed, t_max = p["t_fixed"], p["t_max"]
-
-    def case(kind, spec, dt, horizon):
-        n = max(int(np.floor(horizon / dt)), int(round(t_fixed / dt)))
-        return kind, spec, _peak_times(dt * np.arange(1, n + 1))
-
-    cases = []
-    for h in p["lindblad_h"]:
-        cases.append(case("lindblad", _spec(p["L_lindblad"], h, p["gamma"]),
-                          p["dt_lindblad"], t_max))
-    for h in p["hn_h"]:
-        cases.append(case("hatano-nelson", _spec(p["L_nh"], h, p["gamma"]), p["dt_nh"], t_max))
-    for h in p["uni_h"]:
-        cases.append(case("unidirectional", _spec(p["L_nh"], h, 0.0), p["dt_nh"],
-                          min(t_max, 0.95 * np.pi / h)))
-
-    def one(case):
-        kind, spec, times = case
-        if kind == "lindblad":
-            series = lindblad_qfi_series(spec, times)
-        else:
-            series = nh_qfi_series(kind, spec, times,
-                                   site_state(spec.L, middle_site(spec.L)))
-        try:
-            t_opt, peak = peak_qfi_over_t2(series)
-            fq_opt = peak * t_opt**2
-            boundary = False
-        except PeakAtBoundary:
-            t_opt, boundary = t_fixed, True
-            fq_opt = float(np.interp(t_fixed, series.times, series.values))
-        fq_fixed = float(np.interp(t_fixed, series.times, series.values))
-        return t_opt, fq_opt, fq_fixed, boundary
-
-    rows = []
-    for case, (t_opt, fq_opt, fq_fixed, boundary) in zip(cases, _pmap(one, cases, threads)):
-        kind, spec, _ = case
-        phase = "localized" if spec.h >= 8.0 * spec.J / spec.L else "extended"
-        rows.append(_tuple_row(kind, spec, t_opt, seed,
-                               phase=phase, M=p["M"],
-                               t_opt=t_opt,
-                               snr_topt=snr(spec.h, p["M"], fq_opt),
-                               snr_tfixed=snr(spec.h, p["M"], fq_fixed),
-                               fq_topt=fq_opt, fq_tfixed=fq_fixed,
-                               no_interior_peak=boundary))
-    return {"table1": rows}
+    plan = [("lindblad", _spec(p["L_lindblad"], h, p["gamma"]),
+             _table1_times(p["dt_lindblad"], t_max, t_fixed), None) for h in p["lindblad_h"]]
+    plan += [("hatano-nelson", _spec(p["L_nh"], h, p["gamma"]),
+              _table1_times(p["dt_nh"], t_max, t_fixed), None) for h in p["hn_h"]]
+    plan += [("unidirectional", _spec(p["L_nh"], h, 0.0),
+              _table1_times(p["dt_nh"], min(t_max, 0.95 * np.pi / h) if h > 0 else t_max,
+                            t_fixed), None) for h in p["uni_h"]]
+    return {"table1": _table1_rows(_run_series(plan, threads), t_fixed, p["M"], seed)}
 
 
 EXPERIMENTS = {

@@ -65,10 +65,6 @@ class DensityMatrix:
             raise _NotPositive(f"smallest eigenvalue {lo:.3e} violates positivity")
         self.entries = rho
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
     @classmethod
     def from_pure(cls, psi: np.ndarray) -> "DensityMatrix":
         psi = np.asarray(psi, dtype=complex)

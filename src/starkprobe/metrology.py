@@ -44,15 +44,12 @@ class FisherResult:
     """Fisher-information value with provenance.
 
     ``method`` is "pure" (state-overlap formula) or "sld" (symmetric
-    logarithmic derivative); ``derivative_step`` records the finite-difference
-    step that produced the derivative (0 when the derivative was supplied
-    directly); ``condition_flags`` collects soft diagnostics such as
-    "rank-deficient".
+    logarithmic derivative); ``condition_flags`` collects soft diagnostics
+    such as "rank-deficient".
     """
 
     value: float
     method: str
-    derivative_step: float = 0.0
     condition_flags: list[str] = field(default_factory=list)
 
 
@@ -68,7 +65,7 @@ def _clamped(value: float, context: str) -> float:
     return value
 
 
-def qfi_pure(psi, dpsi, *, derivative_step: float = 0.0) -> FisherResult:
+def qfi_pure(psi, dpsi) -> FisherResult:
     """Quantum Fisher information 4(<dpsi|dpsi> - |<dpsi|psi>|^2) of a pure probe.
 
     ``dpsi`` must be the parameter derivative of the normalized state; a
@@ -81,10 +78,10 @@ def qfi_pure(psi, dpsi, *, derivative_step: float = 0.0) -> FisherResult:
     grad = float(np.vdot(dpsi, dpsi).real)
     overlap = complex(np.vdot(dpsi, psi))
     value = 4.0 * (grad - abs(overlap) ** 2)
-    return FisherResult(_clamped(value, "qfi_pure"), "pure", derivative_step)
+    return FisherResult(_clamped(value, "qfi_pure"), "pure")
 
 
-def qfi_mixed(rho, drho, *, derivative_step: float = 0.0):
+def qfi_mixed(rho, drho):
     """Mixed-state QFI and SLD from the spectral decomposition of rho.
 
     With rho = sum_m p_m |m><m| the SLD matrix elements are
@@ -118,15 +115,16 @@ def qfi_mixed(rho, drho, *, derivative_step: float = 0.0):
         flags.append("rank-deficient")
 
     sld = V @ sld_eig @ V.conj().T
-    result = FisherResult(_clamped(value, "qfi_mixed"), "sld", derivative_step, flags)
+    result = FisherResult(_clamped(value, "qfi_mixed"), "sld", flags)
     return result, sld
 
 
-def cfi(p, dp, *, threshold: float = CFI_PROBABILITY_FLOOR) -> float:
+def cfi(p, dp) -> float:
     """Classical Fisher information sum_n (dp_n)^2 / p_n of an outcome distribution.
 
-    Outcomes with probability below ``threshold`` but a resolvable derivative
-    are singular (formally infinite information) and reported as ``inf``.
+    Outcomes with probability below ``CFI_PROBABILITY_FLOOR`` but a
+    resolvable derivative are singular (formally infinite information) and
+    reported as ``inf``.
     """
     p = np.asarray(p, dtype=float)
     dp = np.asarray(dp, dtype=float)
@@ -136,7 +134,7 @@ def cfi(p, dp, *, threshold: float = CFI_PROBABILITY_FLOOR) -> float:
         raise ValueError(f"probabilities sum to {p.sum():.10f}, expected 1")
     if abs(dp.sum()) > 1e-8:
         raise ValueError(f"probability derivatives sum to {dp.sum():.3e}, expected 0")
-    live = p > threshold
+    live = p > CFI_PROBABILITY_FLOOR
     if np.any(~live & (np.abs(dp) > 1e-10)):
         return math.inf
     return float((dp[live] ** 2 / p[live]).sum())

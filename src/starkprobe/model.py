@@ -141,20 +141,18 @@ def site_state(L: int, site: int) -> np.ndarray:
     return v
 
 
-def gaussian_packet(L: int, sigma: float = 2.0, center: float | None = None) -> np.ndarray:
-    """Normalized packet with amplitudes exp(-(j - center)^2 / (2 sigma^2)).
+def gaussian_packet(L: int, sigma: float = 2.0) -> np.ndarray:
+    """Normalized packet with amplitudes exp(-(j - L/2)^2 / (2 sigma^2)).
 
-    ``center`` defaults to L/2 on the 1-based site axis.  A ``sigma`` so
-    narrow that the squared peak amplitude underflows (no site near enough
-    to ``center``) leaves no norm to divide by and raises ValueError.
+    Centered at L/2 on the 1-based site axis.  A ``sigma`` so narrow that
+    the squared peak amplitude underflows (no site near enough to the
+    center) leaves no norm to divide by and raises ValueError.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    if center is None:
-        center = L / 2.0
     j = np.arange(1, L + 1, dtype=float)
     with np.errstate(all="ignore"):  # an underflowing packet is rejected below
-        v = np.exp(-((j - center) ** 2) / (2.0 * sigma * sigma))
+        v = np.exp(-((j - L / 2.0) ** 2) / (2.0 * sigma * sigma))
     if not v.max() >= np.sqrt(np.finfo(float).tiny):
         raise ValueError(f"sigma = {sigma} at L = {L}: the packet underflows")
     v = v.astype(complex)

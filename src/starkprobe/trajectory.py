@@ -65,14 +65,6 @@ class TrajectoryConfig:
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
-    def n_steps(self) -> int:
-        steps = round(self.t_final / self.dt)
-        if abs(steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
-            raise ValueError(
-                f"t_final = {self.t_final} is not a multiple of dt = {self.dt}"
-            )
-        return steps
-
 
 def _seek(rng: np.random.Generator, seed: int, k: int, block: int) -> None:
     """Move rng's Philox generator to block ``block`` of stream (seed, k).

@@ -66,7 +66,7 @@ def test_criterion_1_short_time_alpha():
     spec = LatticeSpec(40, 1.0, 0.05, 0.0)
     times = np.linspace(0.05, 1.2, 47)
     series = unitary_qfi_series(spec, times)
-    fit = short_time_alpha(series, window=(0.1, 1.0))
+    fit = short_time_alpha(series)
     ok = abs(fit.exponent - 4.0) <= 0.1
     report(1, "noiseless short-time exponent alpha = 4.0 +/- 0.1", ok,
            f"alpha = {fit.exponent:.4f}, r2 = {fit.r_squared:.6f}")

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -77,16 +79,18 @@ def test_reruns_are_byte_identical(tmp_path):
     assert man_a["outputs"] == man_b["outputs"]
 
 
-def test_thread_count_does_not_change_results(tmp_path):
-    base = {"experiment": "lindblad-sweep", "seed": 3,
-            "params": TINY_CONFIGS["lindblad-sweep"]}
-    cfg = write_config(tmp_path, base)
-    out_serial = tmp_path / "serial"
-    out_parallel = tmp_path / "parallel"
-    assert main(["run", str(cfg), "--out", str(out_serial), "--threads", "1"]) == 0
-    assert main(["run", str(cfg), "--out", str(out_parallel), "--threads", "4"]) == 0
-    name = "lindblad_sweep.csv"
-    assert (out_serial / name).read_bytes() == (out_parallel / name).read_bytes()
+@pytest.mark.parametrize("experiment", sorted(TINY_CONFIGS))
+def test_thread_count_does_not_change_results(tmp_path, experiment):
+    # Also pins the row order the plan executor keeps for each driver.
+    cfg = write_config(tmp_path, {"experiment": experiment, "seed": 3,
+                                  "params": TINY_CONFIGS[experiment]})
+    tables = {}
+    for threads in (1, 3):
+        out = tmp_path / f"threads{threads}"
+        assert main(["run", str(cfg), "--out", str(out), "--threads", str(threads)]) == 0
+        tables[threads] = {path.name: path.read_bytes() for path in out.glob("*.csv")}
+    assert tables[1]
+    assert tables[1] == tables[3]
 
 
 def test_seed_override_changes_stochastic_output(tmp_path):
@@ -329,6 +333,61 @@ def test_memory_error_exits_3_without_manifest(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == \
         "numerical failure: MemoryError: Unable to allocate 121. GiB for an array\n"
     assert not (out / "manifest.json").exists()
+
+
+def test_table1_unidirectional_zero_field(tmp_path, capsys):
+    # h = 0 has no Bloch revival, so the unidirectional search horizon is
+    # t_max.  The run then stops at the finite-difference step below h = 0,
+    # which ROADMAP item 7 removes.
+    cfg = write_config(tmp_path, {"experiment": "table1",
+                                  "params": {**TINY_CONFIGS["table1"], "uni_h": [0.0]}})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "ZeroDivisionError" not in err
+    assert "h must be >= 0, got -1e-06" in err
+
+
+def _until(item: int):
+    return pytest.mark.xfail(strict=True, reason=f"the central difference steps below "
+                                                 f"h = 0 until ROADMAP item {item} lands")
+
+
+@pytest.mark.parametrize("experiment, change", [
+    pytest.param("lindblad-sweep", {"gamma": [0.05], "h": [0.0]}, marks=_until(5)),
+    pytest.param("hn-dynamic", {"h": [0.0]}, marks=_until(6)),
+    pytest.param("uni-dynamic", {"h": [0.0]}, marks=_until(7)),
+    pytest.param("table1", {"uni_h": [0.0]}, marks=_until(7)),
+])
+def test_zero_field_runs(tmp_path, experiment, change):
+    cfg = write_config(tmp_path, {"experiment": experiment,
+                                  "params": {**TINY_CONFIGS[experiment], **change}})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+# Boundary-sweep cases that once ended in a MemoryError traceback (exit 1).
+# Each reaches its large allocation within about a second.
+@pytest.mark.parametrize("experiment, change", [
+    ("lindblad-sweep", {"dt": 1e-12}),  # 4e12 time points
+    ("lindblad-sweep", {"L": [300]}),  # a 121 GiB dense Liouvillian
+    ("hn-static", {"L": [20000]}),
+    ("uni-dynamic", {"dt": 1e-12}),
+])
+def test_out_of_memory_exits_3_without_traceback(tmp_path, experiment, change):
+    cfg = write_config(tmp_path, {"experiment": experiment,
+                                  "params": {**TINY_CONFIGS[experiment], **change}})
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    # The child caps its own address space at 3 GiB before it imports
+    # anything, so no Python code runs between fork and exec.
+    limited = ("import resource, sys; "
+               "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+               "from starkprobe.cli import main; sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", limited, "run", str(cfg),
+                           "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3, done.stderr
+    assert "numerical failure: MemoryError" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,15 @@ import scipy.linalg as sla
 
 from starkprobe.errors import ConfigError
 from starkprobe.experiments import (
-    hn_state_qfi,
     lindblad_qfi_series,
     nh_qfi_series,
     refine_peak,
     run_uni_static,
     static_qfi_scan,
-    unidirectional_state_qfi,
     unitary_qfi_series,
 )
 from starkprobe.metrology import default_step, qfi_pure_batch
-from starkprobe.model import LatticeSpec, build_unidirectional, gaussian_packet, site_state
+from starkprobe.model import LatticeSpec, build_unidirectional, gaussian_packet
 from starkprobe.nh import evolve_nh_series
 from starkprobe.spectral import eig_biorthogonal
 
@@ -24,9 +22,8 @@ class TestSeriesPipelines:
         spec = LatticeSpec(8, 1.0, 0.1, 0.0)
         times = np.array([1.0, 3.0, 6.0])
         a = lindblad_qfi_series(spec, times)
-        b = unitary_qfi_series(spec, times, site_state(8, 4))
+        b = unitary_qfi_series(spec, times)
         assert np.allclose(a.values, b.values, rtol=1e-12)
-        assert a.meta["formalism"] == "lindblad"
 
     def test_lindblad_small_gamma_approaches_unitary(self):
         times = np.array([1.0, 2.0])
@@ -109,7 +106,7 @@ class TestStaticScans:
 
         spec = LatticeSpec(40, 1.0, 0.05)
         n = 39
-        fd = unidirectional_state_qfi(spec, n)
+        fd = static_qfi_scan("unidirectional", spec, [spec.h], state_index=n)[0][0]
 
         v = unidirectional_eigvec_normalized(n, spec)
         k = np.maximum(n - np.arange(spec.L), 0)
@@ -127,7 +124,9 @@ class TestStaticScans:
         assert fq_max >= values.max() * (1 - 1e-9)
 
     def test_hn_state_qfi_positive(self):
-        assert hn_state_qfi(LatticeSpec(30, 1.0, 0.01, 0.05), 29) > 0
+        spec = LatticeSpec(30, 1.0, 0.01, 0.05)
+        values, _, _ = static_qfi_scan("hatano-nelson", spec, [spec.h], state_index=29)
+        assert values[0] > 0
 
 
 class TestRefinePeak:

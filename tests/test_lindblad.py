@@ -52,7 +52,7 @@ class TestVectorization:
 class TestDensityMatrix:
     def test_valid(self):
         dm = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
-        assert dm.dim == 2
+        assert dm.entries.shape == (2, 2)
         assert dm.purity() == pytest.approx(0.625)
 
     def test_rejects_bad_trace(self):

@@ -47,10 +47,10 @@ class TestQfiPure:
         h = 0.05
         delta = default_step(h)
         psi, dpsi, _ = state_derivative(stark_ground_state, h, delta=delta)
-        pure = qfi_pure(psi, dpsi, derivative_step=delta)
+        pure = qfi_pure(psi, dpsi)
         rho_of = lambda hp: np.outer(stark_ground_state(hp), stark_ground_state(hp).conj())
         drho = (rho_of(h + delta) - rho_of(h - delta)) / (2 * delta)
-        mixed, _ = qfi_mixed(rho_of(h), drho, derivative_step=delta)
+        mixed, _ = qfi_mixed(rho_of(h), drho)
         assert mixed.value == pytest.approx(pure.value, rel=1e-5)
 
 
@@ -172,8 +172,8 @@ class TestStateDerivative:
         h = 0.05
         fq_values = []
         for _ in range(3):
-            psi, dpsi, delta = state_derivative(noisy, h)
-            fq_values.append(qfi_pure(psi, dpsi, derivative_step=delta).value)
+            psi, dpsi, _ = state_derivative(noisy, h)
+            fq_values.append(qfi_pure(psi, dpsi).value)
         clean_psi, clean_dpsi, _ = state_derivative(stark_ground_state, h)
         reference = qfi_pure(clean_psi, clean_dpsi).value
         for value in fq_values:
@@ -218,8 +218,8 @@ class TestInvariances:
 
         values = []
         for scale in (0.0, 7.0):
-            psi, dpsi, delta = state_derivative(evolved(scale), spec.h)
-            values.append(qfi_pure(psi, dpsi, derivative_step=delta).value)
+            psi, dpsi, _ = state_derivative(evolved(scale), spec.h)
+            values.append(qfi_pure(psi, dpsi).value)
         assert values[1] == pytest.approx(values[0], rel=1e-6)
 
     def test_batch_matches_scalar_path(self):

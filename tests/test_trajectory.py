@@ -10,7 +10,7 @@ from starkprobe.trajectory import TrajectoryConfig, _draw, run_ensemble
 class TestConfig:
     def test_valid(self):
         cfg = TrajectoryConfig(dt=0.05, t_final=50.0, n_traj=100, seed=7)
-        assert cfg.n_steps() == 1000
+        assert (cfg.dt, cfg.t_final, cfg.n_traj, cfg.seed) == (0.05, 50.0, 100, 7)
 
     @pytest.mark.parametrize("kwargs", [
         dict(dt=0.0, t_final=1.0, n_traj=1),
@@ -24,8 +24,9 @@ class TestConfig:
             TrajectoryConfig(**kwargs)
 
     def test_misaligned_t_final(self):
-        with pytest.raises(ValueError):
-            TrajectoryConfig(dt=0.3, t_final=1.0, n_traj=1).n_steps()
+        cfg = TrajectoryConfig(dt=0.3, t_final=1.0, n_traj=1)
+        with pytest.raises(ValueError, match="does not lie on the dt = 0.3 grid"):
+            run_ensemble(site_state(4, 2), LatticeSpec(4, 1.0, 0.0, 0.1), cfg, [1.0])
 
     def test_dp_per_step_guard(self):
         spec = LatticeSpec(4, 1.0, 0.0, 0.5)
