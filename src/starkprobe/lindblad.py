@@ -2,17 +2,33 @@
 
 The Liouvillian maps Hermitian matrices to Hermitian matrices, so in the
 orthonormal Hermitian basis (rho_aa, sqrt(2) Re rho_ab, sqrt(2) Im rho_ab for
-a < b) its L^2 x L^2 generator is real.  :func:`propagate` converts the
-columnwise-vectorized generator to that basis once and evolves a real
-coordinate vector with dense real exponentials.  One exponential is computed
-per distinct time gap and reused, so uniform grids cost a single ``expm``
-plus repeated matrix-vector products.  This removes integrator tolerances as
-a confound in the scaling fits downstream.
+a < b) its n x n generator G, n = L^2, is real.  :func:`build_liouvillian`
+assembles the columnwise-vectorized generator sparse; :func:`propagate` takes
+it to that basis sparse, makes one dense real array of G and evolves a real
+coordinate vector with dense real exponentials.  This removes integrator
+tolerances as a confound in the scaling fits downstream.
+
+Cost model.  One ``expm`` of size n is computed per distinct gap g between
+consecutive requested times and reused for each of the u uses of that gap.
+``scipy.linalg.expm`` (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
+(2009)) scales G g down by 2^s, s = ceil(log2(||G g||_1 / THETA_13)), and
+squares the result back s times, each squaring an O(n^3) product.  A
+propagator that is only ever applied to a vector need not be squared up all
+the way: the propagator of g is exp(G g / 2^j), applied 2^j times per use,
+with j in [0, s] minimizing
+
+    (s - j) * C_SQUARE + (2^j - 1) * u
+
+in units of one matrix-vector product, C_SQUARE being the cost of one n x n
+product.  A 100-point grid (u = 100) keeps j = 0, one full exponential and
+one product with a vector per point.  A single late time (u = 1) trades most
+of the squarings for 2^j products with a vector.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +51,49 @@ TRACE_ATOL = 1e-10
 HERMITICITY_ATOL = 1e-10
 # Positivity floor of the type; propagate reports a breach as PositivityLoss.
 POSITIVITY_FLOOR = -1e-8
+# Largest ||A||_1 for which expm's degree-13 Pade approximant needs no
+# scaling (theta_13, Al-Mohy & Higham 2009, Table 3.1).
+THETA_13 = 5.37
+# Cost of one n x n real product, in n x n matrix-vector products.  With
+# OpenBLAS at one thread on a 2-core Xeon, a product took 0.58-0.62 ms and a
+# product with a vector 10.3-10.5 us at n = 256 (L = 16), a ratio of 56-60;
+# at n = 576 (L = 24) 6.5-7.3 ms against 91-101 us, 68-77.  The ratio grows
+# with n (94-102 at n = 1024); it must stay below 100 for a 100-point grid
+# to keep j = 0.
+C_SQUARE = 64
 
 
 class _NotPositive(ValueError):
-    """A DensityMatrix candidate has an eigenvalue at or below POSITIVITY_FLOOR."""
+    """A DensityMatrix candidate has an eigenvalue at or below POSITIVITY_FLOOR.
+
+    ``index`` is the position of that candidate in the checked stack.
+    """
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def _check(rho: np.ndarray) -> None:
+    """Validate a (k, d, d) stack of candidates against the DensityMatrix invariants.
+
+    One pass over the whole stack, with one batched ``eigvalsh``.  The first
+    candidate that breaks an invariant raises, for the first of trace,
+    Hermiticity and positivity that it breaks.  Each test is written so that
+    a NaN fails it.
+    """
+    trace_dev = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
+    asym = np.abs(rho - rho.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    lo = np.linalg.eigvalsh(rho).min(axis=1, initial=np.inf)
+    good = (trace_dev <= TRACE_ATOL) & (asym <= HERMITICITY_ATOL) & (lo > POSITIVITY_FLOOR)
+    if good.all():
+        return
+    i = int(np.argmin(good))
+    if not trace_dev[i] <= TRACE_ATOL:
+        raise ValueError(f"trace deviates from 1 by {trace_dev[i]:.3e}")
+    if not asym[i] <= HERMITICITY_ATOL:
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    raise _NotPositive(f"smallest eigenvalue {lo[i]:.3e} violates positivity", i)
 
 
 @dataclass
@@ -55,15 +110,19 @@ class DensityMatrix:
         rho = np.array(self.entries, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-        tr = complex(np.trace(rho))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        if float(np.abs(rho - rho.conj().T).max()) > HERMITICITY_ATOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        lo = float(np.linalg.eigvalsh(rho).min())
-        if lo <= POSITIVITY_FLOOR:
-            raise _NotPositive(f"smallest eigenvalue {lo:.3e} violates positivity")
+        _check(rho[np.newaxis])
         self.entries = rho
+
+    @classmethod
+    def _stack(cls, rho: np.ndarray) -> list["DensityMatrix"]:
+        """One state per matrix of a complex (k, d, d) stack, checked in one pass."""
+        _check(rho)
+        out = []
+        for entries in rho:
+            state = object.__new__(cls)
+            state.entries = entries
+            out.append(state)
+        return out
 
     @classmethod
     def from_pure(cls, psi: np.ndarray) -> "DensityMatrix":
@@ -100,14 +159,14 @@ def devectorize(v: np.ndarray) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
 
-def build_liouvillian(spec: LatticeSpec) -> np.ndarray:
+def build_liouvillian(spec: LatticeSpec) -> sp.csr_matrix:
     """Columnwise-vectorized generator of the dephasing master equation.
 
     -i(1 x H - H^T x 1) + (gamma/2) sum_j (2 n_j* x n_j - 1 x n_j^dag n_j
     - (n_j^dag n_j)^T x 1) with the site projectors n_j as jump operators.
     The jump operators are diagonal, so the dissipator is diagonal in vec
-    space and is built in one step from their diagonals.  Assembled sparse,
-    returned as a dense complex array.
+    space and is built in one step from their diagonals.  Returned as a
+    complex L^2 x L^2 CSR matrix.
     """
     H = sp.csr_matrix(build_stark(spec))
     eye = sp.identity(spec.L, dtype=complex, format="csr")
@@ -118,7 +177,7 @@ def build_liouvillian(spec: LatticeSpec) -> np.ndarray:
         # [a, b] is the vec-space diagonal entry at index a + b*L.
         diss = 2.0 * (d.T @ d.conj()) - weight[:, np.newaxis] - weight[np.newaxis, :]
         gen = gen + sp.diags((spec.gamma / 2.0) * diss.flatten(order="F"))
-    return gen.toarray()
+    return gen.tocsr()
 
 
 def _hermitian_basis(dim: int) -> sp.csr_matrix:
@@ -140,18 +199,50 @@ def _hermitian_basis(dim: int) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
 
 
+def _from_coordinates(x: np.ndarray, dim: int) -> np.ndarray:
+    """The (k, dim, dim) Hermitian matrices whose real coordinates are the rows of x.
+
+    The inverse of :func:`_hermitian_basis`, applied by index scatter.
+    """
+    a, b = np.triu_indices(dim, 1)
+    m = a.size
+    s = 1.0 / math.sqrt(2.0)
+    re, im = s * x[:, dim:dim + m], s * x[:, dim + m:]
+    rho = np.zeros((x.shape[0], dim, dim), dtype=complex)
+    diag = np.arange(dim)
+    rho.real[:, diag, diag] = x[:, :dim]
+    rho.real[:, a, b] = re
+    rho.real[:, b, a] = re
+    rho.imag[:, a, b] = im
+    rho.imag[:, b, a] = -im
+    return rho
+
+
+def _step(gen: np.ndarray, norm: float, gap: float, uses: int) -> tuple[np.ndarray, int]:
+    """Propagator of one gap as (exp(gen gap / 2^j), 2^j), for ``uses`` uses.
+
+    ``norm`` is ||gen gap||_1.  j follows the step rule of the module
+    docstring: expm would square s times, and each use applies the returned
+    matrix 2^j times.
+    """
+    s = math.ceil(math.log2(norm / THETA_13)) if THETA_13 < norm < math.inf else 0
+    j = min(range(s + 1), key=lambda j: (s - j) * C_SQUARE + (2 ** j - 1) * uses)
+    return sla.expm(gen * (gap / 2 ** j)), 2 ** j
+
+
 def propagate(rho0, spec: LatticeSpec, times, *, generator=None) -> list[DensityMatrix]:
     """Evolve rho0 to every requested time under the dephasing master equation.
 
     ``times`` must be sorted ascending with times[0] >= 0.  ``generator``
-    overrides the spec-built Liouvillian (a prebuilt or modified L^2 x L^2
-    columnwise generator).  The generator is converted once to the real
-    Hermitian basis; a ValueError is raised if it does not preserve
-    Hermiticity there.  The real propagator exp(G * gap) is computed once per
-    distinct gap between consecutive requested times and reused.  Each state
-    is mapped back to rho, which is Hermitian by construction, and validated
-    against the DensityMatrix invariants; a smallest eigenvalue at or below
-    -1e-8 raises PositivityLoss.
+    overrides the spec-built Liouvillian with a prebuilt or modified
+    L^2 x L^2 columnwise generator, dense or sparse.  The generator is taken
+    sparse to the real Hermitian basis; a ValueError is raised if it does not
+    preserve Hermiticity there.  One exponential is computed per distinct gap
+    between consecutive requested times and applied as the step rule of the
+    module docstring says.  The states are mapped back to rho, Hermitian by
+    construction, and validated together against the DensityMatrix
+    invariants; a smallest eigenvalue at or below -1e-8 raises PositivityLoss
+    naming the first time it occurs at.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -161,35 +252,37 @@ def propagate(rho0, spec: LatticeSpec, times, *, generator=None) -> list[Density
     if np.any(np.diff(times) < 0.0):
         raise ValueError("times must be sorted ascending")
 
-    gen = build_liouvillian(spec) if generator is None else np.asarray(generator, dtype=complex)
-    T = _hermitian_basis(_entries(rho0).shape[0])
-    back = T.conj().T.tocsr()
-    gen = T @ (gen @ back)  # T G T^dag
-    drift = float(np.abs(gen.imag).max())
-    if drift > 1e-12 * float(np.abs(gen.real).max(initial=0.0)):
+    gen = build_liouvillian(spec) if generator is None else sp.csr_matrix(generator, dtype=complex)
+    dim = _entries(rho0).shape[0]
+    T = _hermitian_basis(dim)
+    gen = T @ (gen @ T.conj().T)  # T G T^dag
+    drift = float(np.abs(gen.data.imag).max(initial=0.0))
+    if drift > 1e-12 * float(np.abs(gen.data.real).max(initial=0.0)):
         raise ValueError(f"generator does not preserve Hermiticity: imaginary part "
                          f"{drift:.3e} in the Hermitian basis")
-    gen = np.ascontiguousarray(gen.real)
+    gen = gen.real
+    norm = float(abs(gen).sum(axis=0).max())  # ||G||_1
+    gen = gen.toarray()
     # The real part is the Hermitian part of rho0.
     x = (T @ vectorize(rho0)).real
-    propagators: dict[float, np.ndarray] = {}
-    out = []
-    prev = 0.0
-    for t in times:
-        gap = float(t - prev)
+
+    gaps = [float(gap) for gap in np.diff(times, prepend=0.0)]
+    uses = Counter(round(gap, 12) for gap in gaps if gap > 0.0)
+    steps: dict[float, tuple[np.ndarray, int]] = {}
+    coords = np.empty((times.size, x.size))
+    for i, gap in enumerate(gaps):
         if gap > 0.0:
             key = round(gap, 12)
-            E = propagators.get(key)
-            if E is None:
-                E = sla.expm(gen * gap)
-                propagators[key] = E
-            x = E @ x
-        prev = float(t)
-        try:
-            out.append(DensityMatrix(devectorize(back @ x)))
-        except _NotPositive as exc:
-            raise PositivityLoss(f"{exc} at t = {t} (propagation failure)") from exc
-    return out
+            if key not in steps:
+                steps[key] = _step(gen, norm * gap, gap, uses[key])
+            E, reps = steps[key]
+            for _ in range(reps):
+                x = E @ x
+        coords[i] = x
+    try:
+        return DensityMatrix._stack(_from_coordinates(coords, dim))
+    except _NotPositive as exc:
+        raise PositivityLoss(f"{exc} at t = {times[exc.index]} (propagation failure)") from exc
 
 
 def trace_distance(a, b) -> float:

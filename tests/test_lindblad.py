@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from starkprobe import lindblad
 from starkprobe.lindblad import (
     DensityMatrix,
     _hermitian_basis,
@@ -67,6 +68,12 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.2, -0.2]))
 
+    def test_rejects_nan_entries(self):
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(np.diag([np.nan, np.nan]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(np.array([[1.0, np.nan], [np.nan, 0.0]]))
+
     def test_from_pure(self):
         dm = DensityMatrix.from_pure(np.array([1.0, 1.0j]) / np.sqrt(2))
         assert dm.purity() == pytest.approx(1.0)
@@ -75,7 +82,7 @@ class TestDensityMatrix:
 class TestLiouvillian:
     def test_unitary_spectrum_is_bohr_frequencies(self):
         spec = LatticeSpec(4, 1.0, 0.3, 0.0)
-        gen = build_liouvillian(spec)
+        gen = build_liouvillian(spec).toarray()
         w = np.linalg.eigvalsh(build_stark(spec))
         expected = np.sort_complex((-1j * (np.subtract.outer(w, w))).flatten())
         got = np.sort_complex(sla.eigvals(gen))
@@ -85,13 +92,13 @@ class TestLiouvillian:
     def test_two_site_pure_dephasing_rate(self):
         # J = 0: the coherence obeys d rho_12/dt = -gamma rho_12, so -gamma
         # must appear in the spectrum on the coherence subspace.
-        gen = build_liouvillian(LatticeSpec(2, 1e-12, 0.0, 1.0))
+        gen = build_liouvillian(LatticeSpec(2, 1e-12, 0.0, 1.0)).toarray()
         w = np.sort(sla.eigvals(gen).real)
         assert np.abs(w - np.array([-1.0, -1.0, 0.0, 0.0])).max() < 1e-9
 
     @pytest.mark.parametrize("L", [2, 4, 7, 10])
     def test_cptp_spectrum_nonpositive(self, L):
-        gen = build_liouvillian(LatticeSpec(L, 1.0, 0.2, 0.3))
+        gen = build_liouvillian(LatticeSpec(L, 1.0, 0.2, 0.3)).toarray()
         assert sla.eigvals(gen).real.max() < 1e-10
 
     def test_matches_kronecker_sum_over_jump_operators(self):
@@ -225,11 +232,18 @@ class TestPropagate:
             propagate(DensityMatrix.from_pure(plus), spec, [2.5e-7], generator=bad)
 
     @pytest.mark.parametrize("L", range(2, 9))
-    @pytest.mark.parametrize("times", [np.arange(1.0, 6.0), [0.0, 0.3, 2.0, 2.1, 9.5]])
-    def test_matches_complex_liouvillian_exponential(self, L, times):
-        spec = LatticeSpec(L, 1.0, 0.3, 0.1)
+    # The strong-field lists have gaps that the step rule splits into 2^j
+    # applications of a shorter-step propagator.
+    @pytest.mark.parametrize("times, h", [
+        (np.arange(1.0, 6.0), 0.3),
+        ([0.0, 0.3, 2.0, 2.1, 9.5], 0.3),
+        ([100.0], 2.0),
+        ([1.0, 2.0, 60.0], 2.0),
+    ], ids=["times0", "times1", "times2", "times3"])
+    def test_matches_complex_liouvillian_exponential(self, L, times, h):
+        spec = LatticeSpec(L, 1.0, h, 0.1)
         rho0 = DensityMatrix.from_pure(site_state(L, middle_site(L)))
-        gen = build_liouvillian(spec)
+        gen = build_liouvillian(spec).toarray()
         for t, dm in zip(times, propagate(rho0, spec, times)):
             exact = devectorize(sla.expm(gen * t) @ vectorize(rho0))
             assert np.abs(dm.entries - exact).max() < 1e-12
@@ -239,3 +253,32 @@ class TestPropagate:
         rho0 = DensityMatrix.from_pure(site_state(4, 2))
         with pytest.raises(ValueError, match="Hermiticity"):
             propagate(rho0, spec, [1.0], generator=1j * build_liouvillian(spec))
+
+    def test_step_rule_splits_only_unreused_long_gaps(self, monkeypatch):
+        # ||G||_1 is about 12 here, so expm(G * 1) would square twice: the
+        # 100-point grid keeps the full gap, the single late time splits it.
+        spec = LatticeSpec(6, 1.0, 2.0, 0.05)
+        rho0 = DensityMatrix.from_pure(site_state(6, 3))
+        T = _hermitian_basis(6)
+        G = (T @ (build_liouvillian(spec) @ T.conj().T)).real.toarray()
+        expm, calls = sla.expm, []
+        monkeypatch.setattr(lindblad.sla, "expm", lambda A: calls.append(A) or expm(A))
+
+        propagate(rho0, spec, np.arange(1.0, 101.0))
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], G)
+
+        calls.clear()
+        propagate(rho0, spec, [100.0])
+        assert len(calls) == 1
+        splits = [j for j in range(1, 20) if np.array_equal(calls[0], G * (100.0 / 2 ** j))]
+        assert len(splits) == 1
+
+    def test_trace_loss_raises(self):
+        # an extra decay of rho_11 alone leaks population out of the trace
+        spec = LatticeSpec(3, 1.0, 0.2, 0.1)
+        leaky = build_liouvillian(spec).toarray()
+        leaky[0, 0] -= 1e-3
+        rho0 = DensityMatrix.from_pure(site_state(3, 1))
+        with pytest.raises(ValueError, match="trace deviates from 1"):
+            propagate(rho0, spec, [0.5, 1.0], generator=leaky)
