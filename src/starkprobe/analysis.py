@@ -45,8 +45,8 @@ class TimeSeries:
         v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or t.shape != v.shape:
             raise ValueError("times and values must be 1-D arrays of equal length")
-        if np.any(np.diff(t) <= 0.0):
-            raise ValueError("times must be strictly increasing")
+        if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0.0)):
+            raise ValueError("times must be finite and strictly increasing")
         if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")
         self.times = t

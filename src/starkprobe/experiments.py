@@ -14,10 +14,11 @@ formalism on ``threads`` task threads, in plan order; ``_curve_rows``,
 ``_peak_rows`` and ``_table1_rows`` turn the series into rows, and
 ``_static_tables`` runs and tabulates the static scans.
 
-Field derivatives follow one mechanism everywhere: central differences of
-the full evolution at h +/- delta, delta = default_step(h), with gauge
-alignment for state vectors (see :mod:`starkprobe.metrology`), and each
-formalism has one propagation route.
+Field derivatives follow one mechanism everywhere, ``_field_triple``: the
+full evolution at h and h +/- delta, delta = default_step(h), differenced
+centrally, with gauge alignment for state vectors (see
+:mod:`starkprobe.metrology`).  Each formalism has one propagation route; the
+closed chain is the gamma = 0 Hatano-Nelson route.
 """
 
 from __future__ import annotations
@@ -33,18 +34,16 @@ from .metrology import default_step, qfi_mixed, qfi_pure_batch, snr
 from .model import (
     LatticeSpec,
     build_hatano_nelson,
-    build_stark,
     build_unidirectional,
     gaussian_packet,
     middle_site,
     site_state,
 )
 from .nh import evolve_nh_grid, evolve_nh_series
-from .spectral import eig_biorthogonal, eig_hermitian, unidirectional_eigvec_normalized
+from .spectral import eig_biorthogonal, unidirectional_eigvec_normalized
 from .trajectory import MAX_DP_PER_STEP, TrajectoryConfig, run_ensemble
 
 __all__ = [
-    "unitary_qfi_series",
     "lindblad_qfi_series",
     "nh_qfi_series",
     "static_qfi_scan",
@@ -65,50 +64,37 @@ def _pmap(fn, items, threads):
 # QFI pipelines
 # ---------------------------------------------------------------------------
 
-def unitary_qfi_series(spec: LatticeSpec, times) -> TimeSeries:
-    """QFI(t) of the closed-system evolution from the mid-lattice site.
+def _field_triple(evolve, h: float):
+    """``(evolve(h), evolve(h + delta), evolve(h - delta), delta)``, delta = default_step(h).
 
-    Spectral propagation: one Hermitian eigendecomposition per field value
-    (h and h +/- delta) yields the state at every requested time.
+    The one field derivative of every pipeline: the arguments of
+    ``qfi_pure_batch``, whose central difference the mixed-state series
+    repeats per time.
     """
-    times = np.asarray(times, dtype=float)
-    psi0 = site_state(spec.L, middle_site(spec.L))
-    delta = default_step(spec.h)
-
-    states = {}
-    for hp in (spec.h - delta, spec.h, spec.h + delta):
-        w, V = eig_hermitian(build_stark(spec.with_field(hp)))
-        amps = V.conj().T @ psi0
-        phases = np.exp(-1j * np.outer(w, times))
-        states[hp] = (V @ (phases * amps[:, np.newaxis])).T
-
-    values = qfi_pure_batch(
-        states[spec.h], states[spec.h + delta], states[spec.h - delta], delta
-    )
-    return TimeSeries(times, values)
+    delta = default_step(h)
+    return evolve(h), evolve(h + delta), evolve(h - delta), delta
 
 
 def lindblad_qfi_series(spec: LatticeSpec, times) -> TimeSeries:
     """QFI(t) of the dephasing master equation from the mid-lattice site.
 
-    Three Liouvillian propagations (h and h +/- delta); the mixed-state QFI
-    at each time comes from the symmetric logarithmic derivative.  gamma = 0
-    routes through the closed-system pipeline, which is exact there.
+    One Liouvillian propagation per field of ``_field_triple``; the
+    mixed-state QFI at each time comes from the symmetric logarithmic
+    derivative.  gamma = 0 is the closed chain and routes through the
+    Hatano-Nelson pipeline, which is exact there.
     """
     times = np.asarray(times, dtype=float)
     if spec.gamma == 0.0:
-        return unitary_qfi_series(spec, times)
+        # mu = asinh(0) = 0, so build_hatano_nelson(spec) equals build_stark(spec).
+        return nh_qfi_series("hatano-nelson", spec, times)
 
     rho0 = DensityMatrix.from_pure(site_state(spec.L, middle_site(spec.L)))
-    delta = default_step(spec.h)
-    evolved = {}
-    for hp in (spec.h - delta, spec.h, spec.h + delta):
-        evolved[hp] = propagate(rho0, spec.with_field(hp), times)
-
+    rho, plus, minus, delta = _field_triple(
+        lambda h: propagate(rho0, spec.with_field(h), times), spec.h)
     values = np.empty(times.size)
     for i in range(times.size):
-        drho = (evolved[spec.h + delta][i].entries - evolved[spec.h - delta][i].entries) / (2.0 * delta)
-        result, _ = qfi_mixed(evolved[spec.h][i], drho)
+        drho = (plus[i].entries - minus[i].entries) / (2.0 * delta)
+        result, _ = qfi_mixed(rho[i], drho)
         values[i] = result.value
     return TimeSeries(times, values)
 
@@ -123,11 +109,12 @@ def nh_qfi_series(kind: str, spec: LatticeSpec, times, psi0=None) -> TimeSeries:
     """QFI(t) of normalized non-Hermitian evolution from ``psi0``.
 
     ``psi0`` defaults to the mid-lattice site.  ``kind`` picks the generator
-    and with it the route.  The Hatano-Nelson chain ("hatano-nelson") goes
-    spectral, reusing one biorthogonal decomposition per field value.  The
-    unidirectional chain ("unidirectional") steps a uniform time grid with
-    one short-step exponential, because its eigenbasis is too ill-conditioned
-    at small h.
+    and with it the route, run once per field of ``_field_triple``.  The
+    Hatano-Nelson chain ("hatano-nelson") goes spectral, reusing one
+    biorthogonal decomposition per field value; at gamma = 0 it is the
+    closed Stark chain.  The unidirectional chain ("unidirectional") steps a
+    uniform time grid with one short-step exponential, because its
+    eigenbasis is too ill-conditioned at small h.
     """
     if kind not in _BUILDERS:
         raise ValueError(f"unknown generator kind {kind!r}")
@@ -135,20 +122,14 @@ def nh_qfi_series(kind: str, spec: LatticeSpec, times, psi0=None) -> TimeSeries:
     times = np.asarray(times, dtype=float)
     if psi0 is None:
         psi0 = site_state(spec.L, middle_site(spec.L))
-    delta = default_step(spec.h)
 
-    states = {}
-    for hp in (spec.h - delta, spec.h, spec.h + delta):
-        H = builder(spec.with_field(hp))
+    def evolve(h):
+        H = builder(spec.with_field(h))
         if kind == "hatano-nelson":
-            states[hp] = evolve_nh_series(psi0, eig_biorthogonal(H), times)
-        else:
-            states[hp] = evolve_nh_grid(psi0, H, times)
+            return evolve_nh_series(psi0, eig_biorthogonal(H), times)
+        return evolve_nh_grid(psi0, H, times)
 
-    values = qfi_pure_batch(
-        states[spec.h], states[spec.h + delta], states[spec.h - delta], delta
-    )
-    return TimeSeries(times, values)
+    return TimeSeries(times, qfi_pure_batch(*_field_triple(evolve, spec.h)))
 
 
 def _hn_eigenstate(n: int, spec: LatticeSpec) -> np.ndarray:
@@ -176,43 +157,44 @@ def static_qfi_scan(kind: str, spec: LatticeSpec, h_grid, *, state_index=None,
     defaults to L-1 for both chains: under the ascending 1..L site gauge that
     is the spectral extremum where the gradient field competes with the skin
     effect (the bottom state has both mechanisms pulling to the same edge and
-    shows no interior QFI maximum).
+    shows no interior QFI maximum).  An index outside 0..L-1 raises
+    ValueError.
     """
     if kind not in _EIGENSTATES:
         raise ValueError(f"unknown generator kind {kind!r}")
     eigenstate = _EIGENSTATES[kind]
     h_grid = np.asarray(h_grid, dtype=float)
     idx = spec.L - 1 if state_index is None else int(state_index)
+    if not 0 <= idx < spec.L:
+        raise ValueError(f"state_index {idx} is outside 0..{spec.L - 1} at L = {spec.L}")
 
     def qfi(h):
-        delta = default_step(h)
-        triple = [eigenstate(idx, spec.with_field(hp))[np.newaxis, :]
-                  for hp in (h, h + delta, h - delta)]
-        return float(qfi_pure_batch(*triple, delta)[0])
+        triple = _field_triple(lambda hp: eigenstate(idx, spec.with_field(hp))[np.newaxis, :], h)
+        return float(qfi_pure_batch(*triple)[0])
 
     values = np.array(_pmap(qfi, h_grid, threads))
-    h_max, fq_max, _ = refine_peak(h_grid, values, log_x=True)
+    h_max, fq_max, _ = refine_peak(h_grid, values)
     return values, h_max, fq_max
 
 
-def refine_peak(xs, ys, log_x: bool = False):
-    """Grid argmax with local quadratic refinement.
+def refine_peak(xs, ys):
+    """Grid argmax with local quadratic refinement in log x.
 
-    Returns (x_peak, y_peak, at_boundary).  When the argmax is an endpoint
-    the grid values are returned with the flag set instead of raising, which
-    lets sweep drivers record the condition in their output.
+    ``xs`` must be positive.  Returns (x_peak, y_peak, at_boundary).  When
+    the argmax is an endpoint the grid values are returned with the flag set
+    instead of raising, which lets sweep drivers record the condition in
+    their output.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     i = int(np.argmax(ys))
     if i == 0 or i == xs.size - 1:
         return float(xs[i]), float(ys[i]), True
-    x3 = np.log(xs[i - 1 : i + 2]) if log_x else xs[i - 1 : i + 2]
-    vertex = _parabola_peak(x3, ys[i - 1 : i + 2])
+    vertex = _parabola_peak(np.log(xs[i - 1 : i + 2]), ys[i - 1 : i + 2])
     if vertex is None:
         return float(xs[i]), float(ys[i]), False
     x_pk, y_pk = vertex
-    return (float(np.exp(x_pk)) if log_x else x_pk), y_pk, False
+    return float(np.exp(x_pk)), y_pk, False
 
 
 # ---------------------------------------------------------------------------

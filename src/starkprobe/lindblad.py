@@ -233,7 +233,7 @@ def _step(gen: np.ndarray, norm: float, gap: float, uses: int) -> tuple[np.ndarr
 def propagate(rho0, spec: LatticeSpec, times, *, generator=None) -> list[DensityMatrix]:
     """Evolve rho0 to every requested time under the dephasing master equation.
 
-    ``times`` must be sorted ascending with times[0] >= 0.  ``generator``
+    ``times`` must be finite and sorted ascending with times[0] >= 0.  ``generator``
     overrides the spec-built Liouvillian with a prebuilt or modified
     L^2 x L^2 columnwise generator, dense or sparse.  The generator is taken
     sparse to the real Hermitian basis; a ValueError is raised if it does not
@@ -247,6 +247,8 @@ def propagate(rho0, spec: LatticeSpec, times, *, generator=None) -> list[Density
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     if times[0] < 0.0:
         raise ValueError(f"times must start at >= 0, got {times[0]}")
     if np.any(np.diff(times) < 0.0):

@@ -54,8 +54,9 @@ def evolve_nh_grid(psi0, H_NH, times) -> np.ndarray:
     if times.size == 0:
         return np.empty((0, psi0.size), dtype=complex)
     dt = times[0] if times.size == 1 else float(times[1] - times[0])
-    if dt <= 0.0:
-        raise ValueError("grid times must be strictly increasing from > 0")
+    if not (np.all(np.isfinite(times)) and times[0] >= 0.0 and dt > 0.0
+            and np.all(np.diff(times) > 0.0)):
+        raise ValueError("grid times must be finite, >= 0 and strictly increasing, with dt > 0")
     k = np.rint(times / dt)
     if np.max(np.abs(k * dt - times)) > 1e-9 * max(1.0, float(times[-1])):
         raise ValueError("times do not form a uniform grid")

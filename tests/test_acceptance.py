@@ -3,7 +3,7 @@
 Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them all)
 and asserts the stated tolerance.  Heavy sweeps are shared through
 module-scoped fixtures; everything is deterministic except the seeded
-trajectory ensembles.  The whole module took 167 s on a 2-core machine
+trajectory ensembles.  The whole module took 125 s on a 2-core machine
 (Python 3.11, numpy 2.4, OpenBLAS), dominated by the L = 40 Liouvillian
 sweeps.
 """
@@ -25,7 +25,6 @@ from starkprobe.experiments import (
     nh_qfi_series,
     run_table1,
     static_qfi_scan,
-    unitary_qfi_series,
 )
 from starkprobe.lindblad import DensityMatrix, propagate, trace_distance
 from starkprobe.metrology import cfi, default_step, qfi_mixed, qfi_pure, state_derivative
@@ -65,7 +64,7 @@ def report(number, description, ok, detail=""):
 def test_criterion_1_short_time_alpha():
     spec = LatticeSpec(40, 1.0, 0.05, 0.0)
     times = np.linspace(0.05, 1.2, 47)
-    series = unitary_qfi_series(spec, times)
+    series = lindblad_qfi_series(spec, times)
     fit = short_time_alpha(series)
     ok = abs(fit.exponent - 4.0) <= 0.1
     report(1, "noiseless short-time exponent alpha = 4.0 +/- 0.1", ok,

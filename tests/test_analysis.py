@@ -50,6 +50,12 @@ class TestFitPowerLaw:
             fit_power_law([1.0, 2.0, 3.0, 4.0], [1.0, -4.0, 9.0, 16.0])
 
 
+class TestTimeSeries:
+    def test_rejects_nan_times(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            TimeSeries([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])
+
+
 class TestShortTimeAlpha:
     def test_synthetic_quartic(self):
         t = np.linspace(0.02, 2.0, 100)

@@ -9,12 +9,35 @@ from starkprobe.experiments import (
     refine_peak,
     run_uni_static,
     static_qfi_scan,
-    unitary_qfi_series,
 )
 from starkprobe.metrology import default_step, qfi_pure_batch
-from starkprobe.model import LatticeSpec, build_unidirectional, gaussian_packet
+from starkprobe.model import (
+    LatticeSpec,
+    build_stark,
+    build_unidirectional,
+    gaussian_packet,
+    middle_site,
+    site_state,
+)
 from starkprobe.nh import evolve_nh_series
-from starkprobe.spectral import eig_biorthogonal
+from starkprobe.spectral import eig_biorthogonal, eig_hermitian
+
+
+def closed_system_qfi(spec, times):
+    """QFI(t) of the closed Stark chain from the mid-lattice site.
+
+    An independent Hermitian reference: one ``eig_hermitian`` per field
+    value h, h +/- delta gives the state at every time.
+    """
+    psi0 = site_state(spec.L, middle_site(spec.L))
+    delta = default_step(spec.h)
+
+    def states(h):
+        w, V = eig_hermitian(build_stark(spec.with_field(h)))
+        amps = V.conj().T @ psi0
+        return (V @ (np.exp(-1j * np.outer(w, times)) * amps[:, np.newaxis])).T
+
+    return qfi_pure_batch(states(spec.h), states(spec.h + delta), states(spec.h - delta), delta)
 
 
 class TestSeriesPipelines:
@@ -22,14 +45,14 @@ class TestSeriesPipelines:
         spec = LatticeSpec(8, 1.0, 0.1, 0.0)
         times = np.array([1.0, 3.0, 6.0])
         a = lindblad_qfi_series(spec, times)
-        b = unitary_qfi_series(spec, times)
+        b = nh_qfi_series("hatano-nelson", spec, times)
         assert np.allclose(a.values, b.values, rtol=1e-12)
 
     def test_lindblad_small_gamma_approaches_unitary(self):
         times = np.array([1.0, 2.0])
-        closed = unitary_qfi_series(LatticeSpec(6, 1.0, 0.1, 0.0), times)
+        closed = closed_system_qfi(LatticeSpec(6, 1.0, 0.1, 0.0), times)
         open_ = lindblad_qfi_series(LatticeSpec(6, 1.0, 0.1, 1e-7), times)
-        assert np.allclose(open_.values, closed.values, rtol=1e-3)
+        assert np.allclose(open_.values, closed, rtol=1e-3)
 
     def test_nh_routes_agree_on_wellconditioned_chain(self):
         # the unidirectional pipeline steps a grid; where the eigenbasis is
@@ -49,8 +72,8 @@ class TestSeriesPipelines:
         spec = LatticeSpec(9, 1.0, 0.08, 0.0)
         times = np.array([2.0, 5.0])
         nh = nh_qfi_series("hatano-nelson", spec, times)
-        closed = unitary_qfi_series(spec, times)
-        assert np.allclose(nh.values, closed.values, rtol=1e-8)
+        closed = closed_system_qfi(spec, times)
+        assert np.allclose(nh.values, closed, rtol=1e-8)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -128,16 +151,16 @@ class TestStaticScans:
         values, _, _ = static_qfi_scan("hatano-nelson", spec, [spec.h], state_index=29)
         assert values[0] > 0
 
+    @pytest.mark.parametrize("kind", ["hatano-nelson", "unidirectional"])
+    @pytest.mark.parametrize("index", [-1, 8])
+    def test_out_of_range_state_index_rejected(self, kind, index):
+        # numpy would wrap -1 to column L-1 of the eigenvector matrix
+        with pytest.raises(ValueError, match="state_index"):
+            static_qfi_scan(kind, LatticeSpec(8, 1.0, 0.0, 0.05), [0.01, 0.02, 0.03],
+                            state_index=index)
+
 
 class TestRefinePeak:
-    def test_interior_quadratic(self):
-        xs = np.linspace(1.0, 9.0, 17)
-        ys = -((xs - 4.3) ** 2)
-        x_pk, y_pk, boundary = refine_peak(xs, ys)
-        assert not boundary
-        assert x_pk == pytest.approx(4.3, abs=1e-9)
-        assert y_pk == pytest.approx(0.0, abs=1e-9)
-
     def test_boundary_flagged(self):
         xs = np.linspace(1.0, 9.0, 9)
         x_pk, y_pk, boundary = refine_peak(xs, xs)
@@ -147,9 +170,10 @@ class TestRefinePeak:
     def test_log_axis(self):
         xs = np.geomspace(0.01, 1.0, 21)
         ys = -np.log(xs / 0.1) ** 2
-        x_pk, _, boundary = refine_peak(xs, ys, log_x=True)
+        x_pk, y_pk, boundary = refine_peak(xs, ys)
         assert not boundary
         assert x_pk == pytest.approx(0.1, rel=1e-6)
+        assert y_pk == pytest.approx(0.0, abs=1e-9)
 
 
 class TestDriverValidation:

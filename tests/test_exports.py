@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -13,3 +15,31 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing
+
+
+def _defaulted(fn):
+    return sum(p.default is not inspect.Parameter.empty
+               for p in inspect.signature(fn).parameters.values())
+
+
+def test_settable_option_count():
+    # Every settable option of the public layer API: defaulted parameters of
+    # the functions, methods and classmethods in each module's __all__, plus
+    # defaulted fields of its dataclasses.  A new knob has to raise this
+    # number here.
+    count = 0
+    for name in MODULES[1:]:
+        module = importlib.import_module(name)
+        for obj in (getattr(module, attr) for attr in getattr(module, "__all__", ())):
+            if inspect.isfunction(obj):
+                count += _defaulted(obj)
+            elif inspect.isclass(obj):
+                if dataclasses.is_dataclass(obj):
+                    count += sum(f.default is not dataclasses.MISSING
+                                 or f.default_factory is not dataclasses.MISSING
+                                 for f in dataclasses.fields(obj))
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        count += _defaulted(member)
+    assert count == 14

@@ -207,6 +207,12 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(rho0, spec, [-1.0, 1.0])
 
+    def test_rejects_nan_times(self):
+        spec = LatticeSpec(3, 1.0, 0.1, 0.1)
+        rho0 = DensityMatrix(np.eye(3, dtype=complex) / 3)
+        with pytest.raises(ValueError, match="finite"):
+            propagate(rho0, spec, [np.nan])
+
     def test_positivity_loss_on_anti_dissipative_generator(self):
         # reversing the dissipator sign amplifies coherences until an
         # eigenvalue dives below the hard floor

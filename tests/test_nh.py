@@ -66,6 +66,14 @@ class TestEvolveNH:
         for a, b in zip(grid_states, spectral_states):
             assert 1.0 - abs(np.vdot(a, b)) < 1e-9
 
+    # Each grid passes the uniform-grid check, and a state of another time
+    # would be returned for the NaN, the repeated or the negative time.
+    @pytest.mark.parametrize("times", [[0.5, np.nan], [0.5, 1.0, 0.5], [-2.0, 0.0, 2.0]])
+    def test_grid_rejects_nan_and_unordered_times(self, times):
+        H = build_unidirectional(LatticeSpec(6, 1.0, 0.3))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            evolve_nh_grid(site_state(6, 3), H, times)
+
     def test_spectral_and_expm_routes_agree(self):
         # the spectral route against the normalized dense exponential on
         # the Hatano-Nelson chain
