@@ -80,12 +80,18 @@ def _check(rho: np.ndarray) -> None:
     One pass over the whole stack, with one batched ``eigvalsh``.  The first
     candidate that breaks an invariant raises, for the first of trace,
     Hermiticity and positivity that it breaks.  Each test is written so that
-    a NaN fails it.
+    a NaN fails it.  A NaN or infinite entry makes the Hermiticity residual
+    NaN or infinite (inf - inf is a NaN there, not a warning), so only finite
+    candidates pass the first two tests, and only those reach ``eigvalsh``,
+    which cannot converge on the others.
     """
-    trace_dev = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
-    asym = np.abs(rho - rho.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
-    lo = np.linalg.eigvalsh(rho).min(axis=1, initial=np.inf)
-    good = (trace_dev <= TRACE_ATOL) & (asym <= HERMITICITY_ATOL) & (lo > POSITIVITY_FLOOR)
+    with np.errstate(invalid="ignore"):
+        trace_dev = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
+        asym = np.abs(rho - rho.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    sound = (trace_dev <= TRACE_ATOL) & (asym <= HERMITICITY_ATOL)
+    lo = np.full(len(rho), np.nan)
+    lo[sound] = np.linalg.eigvalsh(rho if sound.all() else rho[sound]).min(axis=1, initial=np.inf)
+    good = sound & (lo > POSITIVITY_FLOOR)
     if good.all():
         return
     i = int(np.argmin(good))

@@ -372,15 +372,8 @@ def test_zero_field_runs(tmp_path, experiment, change):
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
-# Boundary-sweep cases that once ended in a MemoryError traceback (exit 1).
-# Each reaches its large allocation within about a second.
-@pytest.mark.parametrize("experiment, change", [
-    ("lindblad-sweep", {"dt": 1e-12}),  # 4e12 time points
-    ("lindblad-sweep", {"L": [300]}),  # a 121 GiB dense Liouvillian
-    ("hn-static", {"L": [20000]}),
-    ("uni-dynamic", {"dt": 1e-12}),
-])
-def test_out_of_memory_exits_3_without_traceback(tmp_path, experiment, change):
+def run_capped(tmp_path, experiment, change):
+    """Run a tiny config with ``change`` in a child capped at 3 GiB of address space."""
     cfg = write_config(tmp_path, {"experiment": experiment,
                                   "params": {**TINY_CONFIGS[experiment], **change}})
     src = Path(cli.__file__).resolve().parents[1]
@@ -390,12 +383,38 @@ def test_out_of_memory_exits_3_without_traceback(tmp_path, experiment, change):
     limited = ("import resource, sys; "
                "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
                "from starkprobe.cli import main; sys.exit(main(sys.argv[1:]))")
-    done = subprocess.run([sys.executable, "-c", limited, "run", str(cfg),
+    return subprocess.run([sys.executable, "-c", limited, "run", str(cfg),
                            "--out", str(tmp_path / "o")],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+# Boundary-sweep cases that once ended in a MemoryError traceback (exit 1).
+# Each reaches its large allocation within about a second.
+@pytest.mark.parametrize("experiment, change", [
+    ("lindblad-sweep", {"dt": 1e-12}),  # 4e12 time points
+    ("lindblad-sweep", {"L": [300]}),  # a 121 GiB dense Liouvillian
+    ("hn-static", {"L": [20000]}),
+    ("uni-dynamic", {"dt": 1e-12}),
+])
+def test_out_of_memory_exits_3_without_traceback(tmp_path, experiment, change):
+    done = run_capped(tmp_path, experiment, change)
     assert done.returncode == 3, done.stderr
     assert "numerical failure: MemoryError" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+# Boundary-sweep cases of the trajectory keys.  A rate of 1e-300 never jumps;
+# a field of 1e300 makes the one-step exponential NaN, which the no-jump norm
+# check reports before any arithmetic on it can warn.
+@pytest.mark.parametrize("change, code, message", [
+    ({"gamma": 1e-300}, 0, ""),
+    ({"h": 1e300}, 3, "numerical failure: NormCollapse: trajectory no-jump norm^2 = nan "
+                      "at step 1 is below 1e-24\n"),
+])
+def test_trajectory_boundary_exits_cleanly(tmp_path, change, code, message):
+    done = run_capped(tmp_path, "traj-validate", change)
+    assert done.returncode == code, done.stderr
+    assert done.stderr == message
 
 
 # ---------------------------------------------------------------------------

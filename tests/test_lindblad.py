@@ -74,6 +74,22 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(np.array([[1.0, np.nan], [np.nan, 0.0]]))
 
+    def test_non_finite_entries_skip_the_eigensolver(self):
+        # From 4 x 4 on, LAPACK fails to converge on a NaN matrix; the
+        # documented ValueError has to come first.
+        with pytest.raises(ValueError, match="trace deviates"):
+            DensityMatrix(np.full((4, 4), np.nan))
+        rho = np.full((4, 4), 0.25)
+        rho[0, 3] = rho[3, 0] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(rho)
+        good = np.diag([0.25] * 4)
+        with pytest.raises(ValueError, match="trace deviates"):
+            DensityMatrix._stack(np.array([good, np.full((4, 4), np.nan)], dtype=complex))
+        # inf - inf in the Hermiticity test is a NaN, which fails it quietly
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(np.array([[0.5, np.inf], [np.inf, 0.5]]))
+
     def test_from_pure(self):
         dm = DensityMatrix.from_pure(np.array([1.0, 1.0j]) / np.sqrt(2))
         assert dm.purity() == pytest.approx(1.0)

@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from starkprobe.errors import NormCollapse
 from starkprobe.lindblad import DensityMatrix, propagate, trace_distance
 from starkprobe.model import LatticeSpec, build_effective_dephasing, build_stark, site_state
-from starkprobe.trajectory import TrajectoryConfig, _draw, run_ensemble
+from starkprobe.trajectory import TrajectoryConfig, _round_uniforms, run_ensemble
 
 
 class TestConfig:
@@ -76,6 +79,23 @@ class TestStep:
         dp = 1.0 - np.exp(-spec.gamma * dt)
         assert abs(fraction - dp) < 3 * np.sqrt(dp * (1 - dp) / n)
 
+    def test_waiting_steps_are_geometric(self):
+        # Same decay-only chain over several steps: a trajectory that has not
+        # jumped by step n is still uniform, so L * coherence is the no-jump
+        # fraction, which must be exp(-gamma n dt).  An off-by-one in the
+        # waiting steps shifts every checkpoint by a factor exp(gamma dt).
+        spec = LatticeSpec(4, 1e-14, 0.0, 0.3)
+        dt, n = 0.2, 20_000
+        steps = [1, 5, 20]
+        cfg = TrajectoryConfig(dt=dt, t_final=dt * max(steps), n_traj=n, seed=2718)
+        out = run_ensemble(np.full(4, 0.5, dtype=complex), spec, cfg, [dt * m for m in steps])
+        for m, rho in zip(steps, out):
+            off = rho.entries[~np.eye(4, dtype=bool)]
+            assert np.abs(off - off[0]).max() < 1e-12
+            survived = 4.0 * off[0].real
+            p = np.exp(-spec.gamma * m * dt)
+            assert abs(survived - p) < 3 * np.sqrt(p * (1 - p) / n), f"n = {m}"
+
 
 
 class TestEnsemble:
@@ -87,6 +107,28 @@ class TestEnsemble:
         exact = sla.expm(-1j * build_stark(spec) * 5.0) @ psi0
         assert trace_distance(out, np.outer(exact, exact.conj())) < 1e-9
         assert out.purity() == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-300])
+    def test_vanishing_rate_is_no_jump_evolution(self, gamma):
+        spec = LatticeSpec(5, 1.0, 0.2, gamma)
+        psi0 = np.exp(1j * np.arange(5)) / np.sqrt(5)
+        cfg = TrajectoryConfig(dt=0.1, t_final=3.0, n_traj=50, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = run_ensemble(psi0, spec, cfg, [0.0, 1.3, 3.0])
+        for t, rho in zip([0.0, 1.3, 3.0], out):
+            exact = sla.expm(-1j * build_stark(spec) * t) @ psi0
+            assert trace_distance(rho, np.outer(exact, exact.conj())) < 1e-9, f"t = {t}"
+
+    def test_non_finite_step_raises_norm_collapse(self):
+        # A field of 1e300 makes the one-step exponential NaN: the no-jump
+        # norm check names it, before any division can warn.
+        spec = LatticeSpec(4, 1.0, 1e300, 0.02)
+        cfg = TrajectoryConfig(dt=0.1, t_final=1.0, n_traj=5, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NormCollapse, match="no-jump norm"):
+                run_ensemble(site_state(4, 2), spec, cfg, [1.0])
 
     def test_deterministic_given_seed(self):
         spec = LatticeSpec(5, 1.0, 0.1, 0.05)
@@ -154,46 +196,60 @@ def philox_stream(seed, k):
 
 
 class TestStreamPositions:
-    @pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 2501])
+    @pytest.mark.parametrize("r", range(7))
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     @pytest.mark.parametrize("k", [0, 12345])
-    def test_site_uniform_is_second_row_of_stream(self, n_steps, seed, k):
-        # The site uniform of a jump at step s is entry [1, s] of the
-        # (2, n_steps) block of stream (seed, k), on every lane of a Philox
-        # block, whatever draws the generator served before.
-        ref = philox_stream(seed, k).random((2, n_steps))[1]
+    def test_round_r_reads_draws_2r_and_2r_plus_1(self, r, seed, k):
+        # Rounds 0 .. 6 span four Philox blocks and both lanes of each.  The
+        # rounds run in order, and the generator serves a second stream in
+        # between, as it does in a chunk.
         rng = np.random.Generator(np.random.Philox())
-        got = [_draw(rng, seed, k, n_steps + s) for s in range(n_steps)]
-        assert np.array_equal(got, ref)
+        trajs, block = np.array([k, 7]), np.empty((2, 4))
+        for i in range(r + 1):
+            u_wait, u_site = _round_uniforms(rng, seed, trajs, i, block)
+        for row, key in enumerate(trajs):
+            ref = philox_stream(seed, key).random(2 * r + 2)
+            assert (u_wait[row], u_site[row]) == (ref[2 * r], ref[2 * r + 1])
 
 
 def per_step_ensemble(psi0, spec, cfg, times):
     """Reference sampler: every trajectory takes every dt step.
 
-    Same Philox streams and rules as run_ensemble (jump when the uniform is
-    below the step's norm loss, site by cumulative pre-step weight), with no
-    table.  Returns the averaged states and whether any trajectory jumped on
-    two consecutive steps.
+    Trajectory k reads its Philox stream (seed, k) in order, one uniform at
+    a time: a waiting uniform u gives K = floor(-log1p(-u) / (gamma dt))
+    steps without a jump, the step after them jumps, and the next uniform
+    picks the site by cumulative pre-step weight.  Each step is one product
+    with the exponential step and a renormalization, for every trajectory;
+    there is no table and there are no rounds.  Returns the averaged states
+    and whether any trajectory jumped on two consecutive steps.
     """
     n = cfg.n_traj
     steps = [round(t / cfg.dt) for t in times]
+    rate = spec.gamma * cfg.dt
     E = sla.expm(-1j * build_effective_dephasing(spec) * cfg.dt)
-    u = np.array([philox_stream(cfg.seed, k).random((2, max(steps))) for k in range(n)])
+    streams = [philox_stream(cfg.seed, k) for k in range(n)]
+
+    def wait(k):
+        return np.floor(-np.log1p(-streams[k].random()) / rate)
+
+    left = np.array([wait(k) for k in range(n)])  # steps before the next jump
     psi = np.tile(np.asarray(psi0, dtype=complex)[:, np.newaxis], (1, n))
     sums = {0: psi @ psi.conj().T}
     last_jump = np.full(n, -2)
     consecutive = False
     for s in range(max(steps)):
         phi = E @ psi
-        q = np.einsum("ij,ij->j", phi.conj(), phi).real
-        jumpers = np.flatnonzero(u[:, 0, s] < 1.0 - q)
-        post = phi / np.sqrt(q)
+        post = phi / np.sqrt(np.einsum("ij,ij->j", phi.conj(), phi).real)
+        jumpers = np.flatnonzero(left == 0)
+        left -= 1
         if jumpers.size:
+            u_site = np.array([streams[k].random() for k in jumpers])
             cum = np.cumsum(np.abs(psi[:, jumpers]) ** 2, axis=0)
-            sites = (cum > u[jumpers, 1, s] * cum[-1]).argmax(axis=0)
+            sites = (cum > u_site * cum[-1]).argmax(axis=0)
             amps = psi[sites, jumpers]
             post[:, jumpers] = 0.0
             post[sites, jumpers] = amps / np.abs(amps)
+            left[jumpers] = [wait(k) for k in jumpers]
             consecutive |= bool(np.any(last_jump[jumpers] == s - 1))
             last_jump[jumpers] = s
         psi = post
@@ -211,9 +267,11 @@ class TestPerStepOracle:
         (6, 0.05, 0.99, 0.1, 300, [0.0, 2.0, 4.0], "site"),
         (6, 0.3, 0.2, 0.2, 100, [0.0], "uniform"),
         (4, 0.1, 0.5, 0.1, 4500, [0.0, 0.5, 1.0], "uniform"),  # two chunks
-        # odd step counts start the site uniforms on lanes 3 and 1 of a block
+        # 7 and 25 steps: the doubling ends on a full and on a partial block
         (5, 0.1, 0.95, 0.1, 400, [0.7, 0.3], "site"),
         (4, 0.2, 0.92, 0.1, 400, [2.5, 1.0], "uniform"),
+        # about 10 jumps each: reads well past the first Philox block
+        (4, 0.1, 0.95, 0.1, 200, [0.0, 5.0, 10.0], "uniform"),
     ])
     def test_matches_reference(self, L, h, gamma, dt, n_traj, times, state):
         spec = LatticeSpec(L, 1.0, h, gamma)
