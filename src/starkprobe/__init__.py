@@ -20,7 +20,6 @@ from .analysis import (
 from .lindblad import (
     DensityMatrix,
     build_liouvillian,
-    devectorize,
     propagate,
     trace_distance,
     vectorize,
@@ -65,7 +64,6 @@ __all__ = [
     "unidirectional_eigvec_normalized",
     "DensityMatrix",
     "vectorize",
-    "devectorize",
     "build_liouvillian",
     "propagate",
     "trace_distance",

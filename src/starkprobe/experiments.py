@@ -14,11 +14,12 @@ formalism on ``threads`` task threads, in plan order; ``_curve_rows``,
 ``_peak_rows`` and ``_table1_rows`` turn the series into rows, and
 ``_static_tables`` runs and tabulates the static scans.
 
-Field derivatives follow one mechanism everywhere, ``_field_triple``: the
-full evolution at h and h +/- delta, delta = default_step(h), differenced
-centrally, with gauge alignment for state vectors (see
-:mod:`starkprobe.metrology`).  Each formalism has one propagation route; the
-closed chain is the gamma = 0 Hatano-Nelson route.
+Field derivatives follow one mechanism everywhere, ``_tangent``: the full
+evolution at h and h +/- delta, delta = default_step(h), differenced
+centrally, with gauge alignment for state vectors, and returned as
+``(states, dstates)`` for the QFI formulas of :mod:`starkprobe.metrology`.
+Each formalism has one propagation route; the closed chain is the
+gamma = 0 Hatano-Nelson route.
 """
 
 from __future__ import annotations
@@ -64,24 +65,39 @@ def _pmap(fn, items, threads):
 # QFI pipelines
 # ---------------------------------------------------------------------------
 
-def _field_triple(evolve, h: float):
-    """``(evolve(h), evolve(h + delta), evolve(h - delta), delta)``, delta = default_step(h).
+def _tangent(evolve, h: float):
+    """``(states, dstates)``: ``evolve(h)`` and its central difference in h.
 
-    The one field derivative of every pipeline: the arguments of
-    ``qfi_pure_batch``, whose central difference the mixed-state series
-    repeats per time.
+    The one field derivative of every pipeline, with delta = default_step(h).
+    ``evolve`` returns either an (n, dim) stack of state vectors, whose rows
+    at h +/- delta are phase-aligned with the rows at h before differencing,
+    or a list of DensityMatrix.  For matrices ``dstates`` is an iterator
+    that differences entrywise one time at a time, so no stack of
+    derivatives is ever held.
     """
     delta = default_step(h)
-    return evolve(h), evolve(h + delta), evolve(h - delta), delta
+    states, plus, minus = evolve(h), evolve(h + delta), evolve(h - delta)
+    if isinstance(states, list):
+        return states, ((p.entries - m.entries) / (2.0 * delta) for p, m in zip(plus, minus))
+    states = np.asarray(states, dtype=complex)
+
+    def aligned(block):
+        block = np.asarray(block, dtype=complex)
+        z = np.einsum("ij,ij->i", states.conj(), block)
+        mag = np.abs(z)
+        phase = np.where(mag > 0.0, np.conj(z) / np.where(mag > 0, mag, 1.0), 1.0)
+        return block * phase[:, np.newaxis]
+
+    return states, (aligned(plus) - aligned(minus)) / (2.0 * delta)
 
 
 def lindblad_qfi_series(spec: LatticeSpec, times) -> TimeSeries:
     """QFI(t) of the dephasing master equation from the mid-lattice site.
 
-    One Liouvillian propagation per field of ``_field_triple``; the
-    mixed-state QFI at each time comes from the symmetric logarithmic
-    derivative.  gamma = 0 is the closed chain and routes through the
-    Hatano-Nelson pipeline, which is exact there.
+    One Liouvillian propagation per field of ``_tangent``; the mixed-state
+    QFI at each time comes from the symmetric logarithmic derivative.
+    gamma = 0 is the closed chain and routes through the Hatano-Nelson
+    pipeline, which is exact there.
     """
     times = np.asarray(times, dtype=float)
     if spec.gamma == 0.0:
@@ -89,13 +105,8 @@ def lindblad_qfi_series(spec: LatticeSpec, times) -> TimeSeries:
         return nh_qfi_series("hatano-nelson", spec, times)
 
     rho0 = DensityMatrix.from_pure(site_state(spec.L, middle_site(spec.L)))
-    rho, plus, minus, delta = _field_triple(
-        lambda h: propagate(rho0, spec.with_field(h), times), spec.h)
-    values = np.empty(times.size)
-    for i in range(times.size):
-        drho = (plus[i].entries - minus[i].entries) / (2.0 * delta)
-        result, _ = qfi_mixed(rho[i], drho)
-        values[i] = result.value
+    rho, drho = _tangent(lambda h: propagate(rho0, spec.with_field(h), times), spec.h)
+    values = np.array([qfi_mixed(r, d)[0].value for r, d in zip(rho, drho)])
     return TimeSeries(times, values)
 
 
@@ -109,7 +120,7 @@ def nh_qfi_series(kind: str, spec: LatticeSpec, times, psi0=None) -> TimeSeries:
     """QFI(t) of normalized non-Hermitian evolution from ``psi0``.
 
     ``psi0`` defaults to the mid-lattice site.  ``kind`` picks the generator
-    and with it the route, run once per field of ``_field_triple``.  The
+    and with it the route, run once per field of ``_tangent``.  The
     Hatano-Nelson chain ("hatano-nelson") goes spectral, reusing one
     biorthogonal decomposition per field value; at gamma = 0 it is the
     closed Stark chain.  The unidirectional chain ("unidirectional") steps a
@@ -129,7 +140,7 @@ def nh_qfi_series(kind: str, spec: LatticeSpec, times, psi0=None) -> TimeSeries:
             return evolve_nh_series(psi0, eig_biorthogonal(H), times)
         return evolve_nh_grid(psi0, H, times)
 
-    return TimeSeries(times, qfi_pure_batch(*_field_triple(evolve, spec.h)))
+    return TimeSeries(times, qfi_pure_batch(*_tangent(evolve, spec.h)))
 
 
 def _hn_eigenstate(n: int, spec: LatticeSpec) -> np.ndarray:
@@ -169,8 +180,8 @@ def static_qfi_scan(kind: str, spec: LatticeSpec, h_grid, *, state_index=None,
         raise ValueError(f"state_index {idx} is outside 0..{spec.L - 1} at L = {spec.L}")
 
     def qfi(h):
-        triple = _field_triple(lambda hp: eigenstate(idx, spec.with_field(hp))[np.newaxis, :], h)
-        return float(qfi_pure_batch(*triple)[0])
+        tangent = _tangent(lambda hp: eigenstate(idx, spec.with_field(hp))[np.newaxis, :], h)
+        return float(qfi_pure_batch(*tangent)[0])
 
     values = np.array(_pmap(qfi, h_grid, threads))
     h_max, fq_max, _ = refine_peak(h_grid, values)

@@ -3,10 +3,11 @@
 The Liouvillian maps Hermitian matrices to Hermitian matrices, so in the
 orthonormal Hermitian basis (rho_aa, sqrt(2) Re rho_ab, sqrt(2) Im rho_ab for
 a < b) its n x n generator G, n = L^2, is real.  :func:`build_liouvillian`
-assembles the columnwise-vectorized generator sparse; :func:`propagate` takes
-it to that basis sparse, makes one dense real array of G and evolves a real
-coordinate vector with dense real exponentials.  This removes integrator
-tolerances as a confound in the scaling fits downstream.
+assembles the columnwise-vectorized generator sparse from a spec;
+:func:`propagate` builds it from its spec, takes it to that basis sparse,
+makes one dense real array of G and evolves a real coordinate vector with
+dense real exponentials.  This removes integrator tolerances as a confound in
+the scaling fits downstream.
 
 Cost model.  One ``expm`` of size n is computed per distinct gap g between
 consecutive requested times and reused for each of the u uses of that gap.
@@ -41,7 +42,6 @@ from .model import LatticeSpec, build_dephasing_ops, build_stark
 __all__ = [
     "DensityMatrix",
     "vectorize",
-    "devectorize",
     "build_liouvillian",
     "propagate",
     "trace_distance",
@@ -154,17 +154,6 @@ def vectorize(rho) -> np.ndarray:
     return _entries(rho).flatten(order="F")
 
 
-def devectorize(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vectorize`.  Rejects lengths that are not perfect squares."""
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
-    d = math.isqrt(v.size)
-    if d * d != v.size:
-        raise ValueError(f"length {v.size} is not a perfect square")
-    return v.reshape((d, d), order="F")
-
-
 def build_liouvillian(spec: LatticeSpec) -> sp.csr_matrix:
     """Columnwise-vectorized generator of the dephasing master equation.
 
@@ -236,19 +225,17 @@ def _step(gen: np.ndarray, norm: float, gap: float, uses: int) -> tuple[np.ndarr
     return sla.expm(gen * (gap / 2 ** j)), 2 ** j
 
 
-def propagate(rho0, spec: LatticeSpec, times, *, generator=None) -> list[DensityMatrix]:
+def propagate(rho0, spec: LatticeSpec, times) -> list[DensityMatrix]:
     """Evolve rho0 to every requested time under the dephasing master equation.
 
-    ``times`` must be finite and sorted ascending with times[0] >= 0.  ``generator``
-    overrides the spec-built Liouvillian with a prebuilt or modified
-    L^2 x L^2 columnwise generator, dense or sparse.  The generator is taken
-    sparse to the real Hermitian basis; a ValueError is raised if it does not
-    preserve Hermiticity there.  One exponential is computed per distinct gap
-    between consecutive requested times and applied as the step rule of the
-    module docstring says.  The states are mapped back to rho, Hermitian by
-    construction, and validated together against the DensityMatrix
-    invariants; a smallest eigenvalue at or below -1e-8 raises PositivityLoss
-    naming the first time it occurs at.
+    ``times`` must be finite and sorted ascending with times[0] >= 0.  The
+    Liouvillian ``build_liouvillian(spec)`` is taken sparse to the real
+    Hermitian basis, where it is real.  One exponential is computed per
+    distinct gap between consecutive requested times and applied as the step
+    rule of the module docstring says.  The states are mapped back to rho,
+    Hermitian by construction, and validated together against the
+    DensityMatrix invariants; a smallest eigenvalue at or below -1e-8 raises
+    PositivityLoss naming the first time it occurs at.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -260,15 +247,9 @@ def propagate(rho0, spec: LatticeSpec, times, *, generator=None) -> list[Density
     if np.any(np.diff(times) < 0.0):
         raise ValueError("times must be sorted ascending")
 
-    gen = build_liouvillian(spec) if generator is None else sp.csr_matrix(generator, dtype=complex)
     dim = _entries(rho0).shape[0]
     T = _hermitian_basis(dim)
-    gen = T @ (gen @ T.conj().T)  # T G T^dag
-    drift = float(np.abs(gen.data.imag).max(initial=0.0))
-    if drift > 1e-12 * float(np.abs(gen.data.real).max(initial=0.0)):
-        raise ValueError(f"generator does not preserve Hermiticity: imaginary part "
-                         f"{drift:.3e} in the Hermitian basis")
-    gen = gen.real
+    gen = (T @ (build_liouvillian(spec) @ T.conj().T)).real  # T G T^dag
     norm = float(abs(gen).sum(axis=0).max())  # ||G||_1
     gen = gen.toarray()
     # The real part is the Hermitian part of rho0.

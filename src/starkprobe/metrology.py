@@ -1,9 +1,10 @@
 """Fisher-information layer.
 
 Pure-state quantum Fisher information, the mixed-state construction through
-the symmetric logarithmic derivative, classical Fisher information, field
-derivatives of probe states by gauge-aligned central differences, and the
-signal-to-noise ratio h*sqrt(M*F).
+the symmetric logarithmic derivative, classical Fisher information, the
+signal-to-noise ratio h*sqrt(M*F), and ``state_derivative``, a gauge-aligned
+central difference of a single probe state that serves as the reference for
+the pipelines' own field derivative.
 """
 
 from __future__ import annotations
@@ -174,25 +175,16 @@ def state_derivative(evolve, h: float, *, delta: float | None = None):
     return base, (plus - minus) / (2.0 * delta), delta
 
 
-def qfi_pure_batch(states, states_plus, states_minus, delta: float) -> np.ndarray:
-    """Pure-state QFI for a stack of gauge-aligned central differences.
+def qfi_pure_batch(states, dstates) -> np.ndarray:
+    """Pure-state QFI 4(<d|d> - |<d|psi>|^2) of a stack of states and derivatives.
 
-    ``states*`` are arrays of shape (n, dim), rows being normalized states of
-    the same probe family at field h and h +/- delta.  Row i of the result is
-    the QFI at sample i.  This is the vectorized form of
-    ``state_derivative`` + ``qfi_pure`` used by the time-series pipelines.
+    ``states`` holds normalized states as the rows of an (n, dim) array and
+    ``dstates`` their field derivatives; row i of the result is the QFI at
+    sample i.  This is the vectorized form of ``qfi_pure`` used by the
+    pipelines, with the same clamp.
     """
     states = np.asarray(states, dtype=complex)
-    plus = np.asarray(states_plus, dtype=complex)
-    minus = np.asarray(states_minus, dtype=complex)
-
-    def aligned(block):
-        z = np.einsum("ij,ij->i", states.conj(), block)
-        mag = np.abs(z)
-        phase = np.where(mag > 0.0, np.conj(z) / np.where(mag > 0, mag, 1.0), 1.0)
-        return block * phase[:, np.newaxis]
-
-    der = (aligned(plus) - aligned(minus)) / (2.0 * delta)
+    der = np.asarray(dstates, dtype=complex)
     grad = np.einsum("ij,ij->i", der.conj(), der).real
     overlap = np.einsum("ij,ij->i", der.conj(), states)
     values = 4.0 * (grad - np.abs(overlap) ** 2)

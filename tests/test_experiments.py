@@ -4,13 +4,15 @@ import scipy.linalg as sla
 
 from starkprobe.errors import ConfigError
 from starkprobe.experiments import (
+    _tangent,
     lindblad_qfi_series,
     nh_qfi_series,
     refine_peak,
     run_uni_static,
     static_qfi_scan,
 )
-from starkprobe.metrology import default_step, qfi_pure_batch
+from starkprobe.lindblad import DensityMatrix
+from starkprobe.metrology import default_step, qfi_pure, qfi_pure_batch, state_derivative
 from starkprobe.model import (
     LatticeSpec,
     build_stark,
@@ -27,17 +29,58 @@ def closed_system_qfi(spec, times):
     """QFI(t) of the closed Stark chain from the mid-lattice site.
 
     An independent Hermitian reference: one ``eig_hermitian`` per field
-    value h, h +/- delta gives the state at every time.
+    value gives the state at every time, and ``state_derivative`` with
+    ``qfi_pure`` gives the QFI one time at a time.
     """
     psi0 = site_state(spec.L, middle_site(spec.L))
-    delta = default_step(spec.h)
 
-    def states(h):
+    def state(h, t):
         w, V = eig_hermitian(build_stark(spec.with_field(h)))
-        amps = V.conj().T @ psi0
-        return (V @ (np.exp(-1j * np.outer(w, times)) * amps[:, np.newaxis])).T
+        return V @ (np.exp(-1j * w * t) * (V.conj().T @ psi0))
 
-    return qfi_pure_batch(states(spec.h), states(spec.h + delta), states(spec.h - delta), delta)
+    return np.array([qfi_pure(*state_derivative(lambda h: state(h, t), spec.h)[:2]).value
+                     for t in times])
+
+
+class TestTangent:
+    def test_row_phases_do_not_move_the_derivative(self):
+        # the rows at h +/- delta are aligned one by one, so random global
+        # phases on them leave the derivative where phase-free rows put it
+        spec = LatticeSpec(8, 1.0, 0.1, 0.0)
+        times = np.array([1.0, 2.0, 4.0, 8.0])
+        psi0 = site_state(8, middle_site(8))
+        rng = np.random.default_rng(5)
+
+        def clean(h):
+            return evolve_nh_series(psi0, eig_biorthogonal(build_stark(spec.with_field(h))), times)
+
+        def phased(h):
+            rows = clean(h)
+            if h == spec.h:
+                return rows
+            return rows * np.exp(2j * np.pi * rng.uniform(size=(times.size, 1)))
+
+        states, dstates = _tangent(clean, spec.h)
+        phased_states, phased_dstates = _tangent(phased, spec.h)
+        assert np.array_equal(phased_states, states)
+        assert np.abs(phased_dstates - dstates).max() < 1e-9 * np.abs(dstates).max()
+
+    def test_density_matrices_difference_entrywise(self):
+        times = (1.0, 2.0, 3.0)
+
+        def evolve(h):
+            return [DensityMatrix(np.array([[0.5, 0.25 * np.sin(h * t)],
+                                            [0.25 * np.sin(h * t), 0.5]], dtype=complex))
+                    for t in times]
+
+        h, delta = 0.3, default_step(0.3)
+        states, dstates = _tangent(evolve, h)
+        dstates = list(dstates)
+        assert [s.entries.tolist() for s in states] == [s.entries.tolist() for s in evolve(h)]
+        for d, plus, minus, t in zip(dstates, evolve(h + delta), evolve(h - delta), times):
+            assert np.array_equal(d, (plus.entries - minus.entries) / (2.0 * delta))
+            exact = 0.25 * t * np.cos(h * t)
+            assert np.abs(d - np.array([[0.0, exact], [exact, 0.0]])).max() < 1e-8
 
 
 class TestSeriesPipelines:
@@ -61,11 +104,9 @@ class TestSeriesPipelines:
         times = 0.5 * np.arange(1, 11)
         psi0 = gaussian_packet(10, 1.5)
         grid = nh_qfi_series("unidirectional", spec, times, psi0=psi0)
-        delta = default_step(spec.h)
-        states = [evolve_nh_series(psi0, eig_biorthogonal(build_unidirectional(spec.with_field(h))),
-                                   times)
-                  for h in (spec.h, spec.h + delta, spec.h - delta)]
-        spectral = qfi_pure_batch(*states, delta)
+        spectral = qfi_pure_batch(*_tangent(
+            lambda h: evolve_nh_series(psi0, eig_biorthogonal(build_unidirectional(
+                spec.with_field(h))), times), spec.h))
         assert np.allclose(spectral, grid.values, rtol=1e-6, atol=1e-9)
 
     def test_hn_series_gamma_zero_matches_closed_system(self):

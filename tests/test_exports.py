@@ -42,4 +42,4 @@ def test_settable_option_count():
                     member = getattr(member, "__func__", member)
                     if not attr.startswith("_") and inspect.isfunction(member):
                         count += _defaulted(member)
-    assert count == 14
+    assert count == 13

@@ -223,17 +223,11 @@ class TestInvariances:
         assert values[1] == pytest.approx(values[0], rel=1e-6)
 
     def test_batch_matches_scalar_path(self):
-        h = 0.07
-        delta = default_step(h)
-        psi, dpsi, _ = state_derivative(stark_ground_state, h, delta=delta)
-        scalar = qfi_pure(psi, dpsi).value
-        batch = qfi_pure_batch(
-            stark_ground_state(h)[np.newaxis, :],
-            stark_ground_state(h + delta)[np.newaxis, :],
-            stark_ground_state(h - delta)[np.newaxis, :],
-            delta,
-        )
-        assert batch[0] == pytest.approx(scalar, rel=1e-12)
+        # one row per field value, each the state and derivative of the scalar path
+        rows = [state_derivative(stark_ground_state, h)[:2] for h in (0.03, 0.07, 0.2)]
+        scalar = [qfi_pure(psi, dpsi).value for psi, dpsi in rows]
+        batch = qfi_pure_batch(*(np.array(column) for column in zip(*rows)))
+        assert batch == pytest.approx(scalar, rel=1e-12)
 
 
 class TestSnr:
