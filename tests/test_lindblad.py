@@ -26,6 +26,13 @@ class TestVectorization:
         m = np.array([[1.0, 3.0], [2.0, 4.0]])
         assert np.array_equal(vectorize(m), [1.0, 2.0, 3.0, 4.0])
 
+    def test_round_trip(self):
+        # a column-major reshape inverts vectorize, for arrays and DensityMatrix
+        rng = np.random.default_rng(0)
+        rho = random_density(rng, 5)
+        assert np.array_equal(vectorize(rho).reshape((5, 5), order="F"), rho)
+        assert np.array_equal(vectorize(DensityMatrix(rho)), vectorize(rho))
+
     def test_sandwich_identity(self):
         # vec(A rho B) = (B^T kron A) vec(rho), the rule behind Eq.-style
         # vectorized generators; checked on random triples.
