@@ -14,10 +14,11 @@ formalism on ``threads`` task threads, in plan order; ``_curve_rows``,
 ``_peak_rows`` and ``_table1_rows`` turn the series into rows, and
 ``_static_tables`` runs and tabulates the static scans.
 
-Field derivatives follow one mechanism everywhere, ``_tangent``: the full
-evolution at h and h +/- delta, delta = default_step(h), differenced
-centrally, with gauge alignment for state vectors, and returned as
-``(states, dstates)`` for the QFI formulas of :mod:`starkprobe.metrology`.
+Field derivatives follow one mechanism, ``_tangent``: the full evolution at
+h and h +/- delta, delta = default_step(h), differenced centrally, with
+gauge alignment for state vectors, and returned as ``(states, dstates)``
+for the QFI formulas of :mod:`starkprobe.metrology`.  The one exception is
+the unidirectional eigenstate, whose QFI is closed-form and exact.
 Each formalism has one propagation route; the closed chain is the
 gamma = 0 Hatano-Nelson route.
 """
@@ -41,7 +42,7 @@ from .model import (
     site_state,
 )
 from .nh import evolve_nh_grid, evolve_nh_series
-from .spectral import eig_biorthogonal, unidirectional_eigvec_normalized
+from .spectral import _unidirectional_qfi, eig_biorthogonal
 from .trajectory import MAX_DP_PER_STEP, TrajectoryConfig, run_ensemble
 
 __all__ = [
@@ -68,12 +69,12 @@ def _pmap(fn, items, threads):
 def _tangent(evolve, h: float):
     """``(states, dstates)``: ``evolve(h)`` and its central difference in h.
 
-    The one field derivative of every pipeline, with delta = default_step(h).
-    ``evolve`` returns either an (n, dim) stack of state vectors, whose rows
-    at h +/- delta are phase-aligned with the rows at h before differencing,
-    or a list of DensityMatrix.  For matrices ``dstates`` is an iterator
-    that differences entrywise one time at a time, so no stack of
-    derivatives is ever held.
+    The field derivative of every pipeline but the closed-form unidirectional
+    eigenstate scan, with delta = default_step(h).  ``evolve`` returns either
+    an (n, dim) stack of state vectors, whose rows at h +/- delta are
+    phase-aligned with the rows at h before differencing, or a list of
+    DensityMatrix.  For matrices ``dstates`` is an iterator that differences
+    entrywise one time at a time, so no stack of derivatives is ever held.
     """
     delta = default_step(h)
     states, plus, minus = evolve(h), evolve(h + delta), evolve(h - delta)
@@ -143,18 +144,19 @@ def nh_qfi_series(kind: str, spec: LatticeSpec, times, psi0=None) -> TimeSeries:
     return TimeSeries(times, qfi_pure_batch(*_tangent(evolve, spec.h)))
 
 
-def _hn_eigenstate(n: int, spec: LatticeSpec) -> np.ndarray:
-    """Unit-normalized right eigenvector n of the Hatano-Nelson chain."""
-    v = eig_biorthogonal(build_hatano_nelson(spec)).right_vectors[:, n]
-    return v / np.linalg.norm(v)
+def _hn_qfi(n: int, spec: LatticeSpec) -> float:
+    """QFI of Hatano-Nelson eigenstate ``n`` in h, through ``_tangent``."""
+    def eigenstate(h):
+        v = eig_biorthogonal(build_hatano_nelson(spec.with_field(h))).right_vectors[:, n]
+        return (v / np.linalg.norm(v))[np.newaxis, :]
+    return float(qfi_pure_batch(*_tangent(eigenstate, spec.h))[0])
 
 
-# The eigenstate probe of each static scan, as eigenstate(n, spec).  The
-# unidirectional one is the log-space closed form, which stays stable at the
-# large J/h values where the general eigensolver becomes unusable.
-_EIGENSTATES = {
-    "hatano-nelson": _hn_eigenstate,
-    "unidirectional": unidirectional_eigvec_normalized,
+# The eigenstate QFI of each static scan, as qfi(n, spec).  The unidirectional
+# one is closed-form: exact at any h > 0, with no field step and no eigensolve.
+_STATIC_QFI = {
+    "hatano-nelson": _hn_qfi,
+    "unidirectional": _unidirectional_qfi,
 }
 
 
@@ -163,27 +165,23 @@ def static_qfi_scan(kind: str, spec: LatticeSpec, h_grid, *, state_index=None,
     """Eigenstate QFI over a field grid, plus the refined maximum.
 
     Returns (values, h_max, fq_max).  The probe at each field is eigenstate
-    ``state_index`` of the chain ``kind``, and its field derivative is a
-    gauge-aligned central difference across h +/- delta.  ``state_index``
-    defaults to L-1 for both chains: under the ascending 1..L site gauge that
-    is the spectral extremum where the gradient field competes with the skin
-    effect (the bottom state has both mechanisms pulling to the same edge and
-    shows no interior QFI maximum).  An index outside 0..L-1 raises
-    ValueError.
+    ``state_index`` of the chain ``kind``; its QFI is the exact closed form
+    on the unidirectional chain and a gauge-aligned central difference
+    across h +/- delta on the Hatano-Nelson chain.  ``state_index`` defaults
+    to L-1 for both chains: under the ascending 1..L site gauge that is the
+    spectral extremum where the gradient field competes with the skin effect
+    (the bottom state has both mechanisms pulling to the same edge and shows
+    no interior QFI maximum).  An index outside 0..L-1 raises ValueError.
     """
-    if kind not in _EIGENSTATES:
+    if kind not in _STATIC_QFI:
         raise ValueError(f"unknown generator kind {kind!r}")
-    eigenstate = _EIGENSTATES[kind]
+    qfi = _STATIC_QFI[kind]
     h_grid = np.asarray(h_grid, dtype=float)
     idx = spec.L - 1 if state_index is None else int(state_index)
     if not 0 <= idx < spec.L:
         raise ValueError(f"state_index {idx} is outside 0..{spec.L - 1} at L = {spec.L}")
 
-    def qfi(h):
-        tangent = _tangent(lambda hp: eigenstate(idx, spec.with_field(hp))[np.newaxis, :], h)
-        return float(qfi_pure_batch(*tangent)[0])
-
-    values = np.array(_pmap(qfi, h_grid, threads))
+    values = np.array(_pmap(lambda h: qfi(idx, spec.with_field(h)), h_grid, threads))
     h_max, fq_max, _ = refine_peak(h_grid, values)
     return values, h_max, fq_max
 
@@ -218,7 +216,7 @@ def refine_peak(xs, ys):
 _FLOAT_MAX = np.finfo(float).max
 
 
-def _scalar(kind, positive=False):
+def _scalar(kind, positive=False, least=None):
     """Check of a finite number (``kind`` float) or an integer (``kind`` int)."""
     def check(value, key: str):
         # abs(value) <= max also rejects inf, nan and integers too large for a float.
@@ -228,12 +226,15 @@ def _scalar(kind, positive=False):
             raise ConfigError(f"params.{key}: expected {what}, got {value!r}")
         if positive and value <= 0:
             raise ConfigError(f"params.{key}: must be > 0, got {value}")
+        if least is not None and value < least:
+            raise ConfigError(f"params.{key}: must be >= {least}, got {value}")
         return kind(value)
     return check
 
 
 _number, _positive = _scalar(float), _scalar(float, positive=True)
 _integer, _positive_int = _scalar(int), _scalar(int, positive=True)
+_size, _nonnegative = _scalar(int, least=2), _scalar(float, least=0)
 
 
 def _list_of(check):
@@ -279,35 +280,36 @@ def _h_grid(value, key: str):
     return grid
 
 
-_numbers, _sizes = _list_of(_number), _list_of(_positive_int)
+_numbers, _nonnegatives, _sizes = _list_of(_number), _list_of(_nonnegative), _list_of(_size)
 
 # Every params key of each experiment as (default, check); any other key is a
 # config error.  The drivers check what ties keys together (an index and L, a
-# time and dt) and the physics ranges of LatticeSpec.
+# time and dt).
 PARAMS = {
-    "lindblad-sweep": {"L": ([10, 20, 30, 40], _sizes), "gamma": ([0.0, 0.01], _numbers),
-                       "h": ([0.05, 0.1, 0.3], _numbers), "t_max": (100.0, _positive),
+    "lindblad-sweep": {"L": ([10, 20, 30, 40], _sizes), "gamma": ([0.0, 0.01], _nonnegatives),
+                       "h": ([0.05, 0.1, 0.3], _nonnegatives), "t_max": (100.0, _positive),
                        "dt": (1.0, _positive)},
-    "traj-validate": {"L": (10, _positive_int), "gamma": (0.02, _number),
-                      "h": (0.05, _number), "n_traj": (5000, _positive_int),
+    "traj-validate": {"L": (10, _size), "gamma": (0.02, _nonnegative),
+                      "h": (0.05, _nonnegative), "n_traj": (5000, _positive_int),
                       "dt": (0.05, _positive), "times": ([10.0, 25.0, 50.0], _numbers)},
-    "hn-static": {"L": ([100], _sizes), "gamma": ([0.02, 0.05, 0.1], _numbers),
+    "hn-static": {"L": ([100], _sizes), "gamma": ([0.02, 0.05, 0.1], _nonnegatives),
                   "h_grid": ({"lo": 3e-6, "hi": 1e-3, "n": 25, "scale": "log"}, _h_grid),
                   "state_index": (None, _optional_int)},
-    "hn-dynamic": {"L": ([100], _sizes), "gamma": (0.05, _number),
-                   "h": ([0.001, 0.1], _numbers), "t_max": (150.0, _positive),
+    "hn-dynamic": {"L": ([100], _sizes), "gamma": (0.05, _nonnegative),
+                   "h": ([0.001, 0.1], _nonnegatives), "t_max": (150.0, _positive),
                    "dt": (0.5, _positive)},
     "uni-static": {"L": ([400], _sizes), "states": (["ground", "mid"], _list_of(_state_label)),
                    "h_grid": ({"lo": 5e-4, "hi": 0.1, "n": 48, "scale": "log"}, _h_grid)},
-    "uni-dynamic": {"L": ([100], _sizes), "h": ([0.001, 0.1], _numbers),
+    "uni-dynamic": {"L": ([100], _sizes), "h": ([0.001, 0.1], _nonnegatives),
                     "sigma": (2.0, _positive), "t_max": (120.0, _positive),
                     "dt": (0.5, _positive)},
-    "table1": {"M": (1000, _positive_int), "gamma": (0.01, _number),
-               "L_lindblad": (40, _positive_int), "L_nh": (100, _positive_int),
+    "table1": {"M": (1000, _positive_int), "gamma": (0.01, _nonnegative),
+               "L_lindblad": (40, _size), "L_nh": (100, _size),
                "t_fixed": (10.0, _positive), "t_max": (120.0, _positive),
                "dt_lindblad": (1.0, _positive), "dt_nh": (0.5, _positive),
-               "lindblad_h": ([0.01, 0.05, 0.5], _numbers),
-               "hn_h": ([0.001, 0.01, 0.1], _numbers), "uni_h": ([0.001, 0.01, 0.1], _numbers)},
+               "lindblad_h": ([0.01, 0.05, 0.5], _nonnegatives),
+               "hn_h": ([0.001, 0.01, 0.1], _nonnegatives),
+               "uni_h": ([0.001, 0.01, 0.1], _nonnegatives)},
 }
 
 
@@ -355,14 +357,6 @@ def _state_index(state, L: int, key: str) -> int:
     if not 0 <= index < L:
         raise ConfigError(f"params.{key}: index {index} is outside 0..{L - 1} at L = {L}")
     return index
-
-
-def _spec(L, h, gamma) -> LatticeSpec:
-    """Probe lattice from config values; an out-of-range value is a config error."""
-    try:
-        return LatticeSpec(L, 1.0, h, gamma)
-    except ValueError as exc:
-        raise ConfigError(f"params: {exc}") from exc
 
 
 def _steps(t: float, dt: float, key: str) -> int:
@@ -491,7 +485,7 @@ def run_lindblad_sweep(params: dict, seed: int, threads: int):
     """QFI(t) under dephasing over a (L, gamma, h) product grid."""
     p = resolve_params("lindblad-sweep", params)
     times = _time_grid(p["t_max"], p["dt"])
-    plan = [("lindblad", _spec(L, h, g), times, None)
+    plan = [("lindblad", LatticeSpec(L, 1.0, h, g), times, None)
             for L in p["L"] for g in p["gamma"] for h in p["h"]]
     return {"lindblad_sweep": _curve_rows(_run_series(plan, threads), seed)}
 
@@ -502,7 +496,7 @@ def run_traj_validate(params: dict, seed: int, threads: int):
     L, dt, n_traj = p["L"], p["dt"], p["n_traj"]
     times = np.asarray(p["times"])
 
-    spec = _spec(L, p["h"], p["gamma"])
+    spec = LatticeSpec(L, 1.0, p["h"], p["gamma"])
     if spec.gamma * dt >= MAX_DP_PER_STEP:
         raise ConfigError(f"params.dt: gamma*dt = {spec.gamma * dt:.3g} must stay "
                           f"below {MAX_DP_PER_STEP}; reduce dt")
@@ -531,7 +525,7 @@ def run_hn_static(params: dict, seed: int, threads: int):
     """
     p = resolve_params("hn-static", params)
     grid = _grid_points(p["h_grid"])
-    specs = [_spec(L, 0.0, g) for L in p["L"] for g in p["gamma"]]
+    specs = [LatticeSpec(L, 1.0, 0.0, g) for L in p["L"] for g in p["gamma"]]
     plan = [(spec, _state_index(p["state_index"], spec.L, "state_index"), {})
             for spec in specs]
     return _static_tables("hn-static", "hatano-nelson", plan, grid, seed, threads)
@@ -541,7 +535,7 @@ def run_uni_static(params: dict, seed: int, threads: int):
     """Closed-form eigenstate QFI of the unidirectional chain."""
     p = resolve_params("uni-static", params)
     grid = _grid_points(p["h_grid"])
-    specs = [_spec(L, 0.0, 0.0) for L in p["L"]]
+    specs = [LatticeSpec(L, 1.0, 0.0, 0.0) for L in p["L"]]
     plan = [(spec, _state_index(label, spec.L, "states"), {"state": str(label)})
             for spec in specs for label in p["states"]]
     return _static_tables("uni-static", "unidirectional", plan, grid, seed, threads)
@@ -551,7 +545,7 @@ def run_hn_dynamic(params: dict, seed: int, threads: int):
     """F/t^2 evolution of the nonreciprocal chain from a mid-lattice particle."""
     p = resolve_params("hn-dynamic", params)
     times = _peak_times(_time_grid(p["t_max"], p["dt"]))
-    plan = [("hatano-nelson", _spec(L, h, p["gamma"]), times, None)
+    plan = [("hatano-nelson", LatticeSpec(L, 1.0, h, p["gamma"]), times, None)
             for L in p["L"] for h in p["h"]]
     runs = _run_series(plan, threads)
     return {"hn_dynamic": _curve_rows(runs, seed), "hn_dynamic_maxima": _peak_rows(runs, seed)}
@@ -561,7 +555,7 @@ def run_uni_dynamic(params: dict, seed: int, threads: int):
     """F/t^2 evolution of the unidirectional chain from a Gaussian packet."""
     p = resolve_params("uni-dynamic", params)
     times = _peak_times(_time_grid(p["t_max"], p["dt"]))
-    specs = [_spec(L, h, 0.0) for L in p["L"] for h in p["h"]]
+    specs = [LatticeSpec(L, 1.0, h, 0.0) for L in p["L"] for h in p["h"]]
     try:
         packets = {L: gaussian_packet(L, p["sigma"]) for L in p["L"]}
     except ValueError as exc:
@@ -590,11 +584,11 @@ def run_table1(params: dict, seed: int, threads: int):
     """
     p = resolve_params("table1", params)
     t_fixed, t_max = p["t_fixed"], p["t_max"]
-    plan = [("lindblad", _spec(p["L_lindblad"], h, p["gamma"]),
+    plan = [("lindblad", LatticeSpec(p["L_lindblad"], 1.0, h, p["gamma"]),
              _table1_times(p["dt_lindblad"], t_max, t_fixed), None) for h in p["lindblad_h"]]
-    plan += [("hatano-nelson", _spec(p["L_nh"], h, p["gamma"]),
+    plan += [("hatano-nelson", LatticeSpec(p["L_nh"], 1.0, h, p["gamma"]),
               _table1_times(p["dt_nh"], t_max, t_fixed), None) for h in p["hn_h"]]
-    plan += [("unidirectional", _spec(p["L_nh"], h, 0.0),
+    plan += [("unidirectional", LatticeSpec(p["L_nh"], 1.0, h, 0.0),
               _table1_times(p["dt_nh"], min(t_max, 0.95 * np.pi / h) if h > 0 else t_max,
                             t_fixed), None) for h in p["uni_h"]]
     return {"table1": _table1_rows(_run_series(plan, threads), t_fixed, p["M"], seed)}

@@ -14,11 +14,11 @@ methods would pay off.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.special import gammaln
 
 from .errors import ExceptionalPointProximity
 from .model import LatticeSpec
@@ -193,16 +193,14 @@ def _eig_gauge(A: np.ndarray) -> BiorthogonalSystem | None:
     return BiorthogonalSystem(w.astype(complex), right.astype(complex), left.astype(complex), cond)
 
 
-def _unidirectional_log_coeffs(n: int, spec: LatticeSpec) -> np.ndarray:
+def _unidirectional_log_coeffs(n: int, spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     if spec.h <= 0:
         raise ValueError("unidirectional eigenvectors require h > 0 (h = 0 is defective)")
     if not 0 <= n <= spec.L - 1:
         raise ValueError(f"eigenvector index must be in 0..{spec.L - 1}, got {n}")
-    j = np.arange(spec.L)
-    k = n - j  # exponent of (J/h), nonnegative on the support j <= n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_c = np.where(j <= n, k * np.log(spec.J / spec.h) - gammaln(np.maximum(k, 0) + 1.0), -np.inf)
-    return log_c
+    k = np.arange(n, -1, -1)  # exponent of J/h on the support j = 0..n
+    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, n + 1)))))[::-1]
+    return k, k * (math.log(spec.J) - math.log(spec.h)) - log_factorial
 
 
 def unidirectional_eigvec_normalized(n: int, spec: LatticeSpec) -> np.ndarray:
@@ -212,7 +210,24 @@ def unidirectional_eigvec_normalized(n: int, spec: LatticeSpec) -> np.ndarray:
     0 above, eigenvalue h*(n+1) on the 1-based lattice.  Log-space
     evaluation keeps it finite for arbitrarily large J/h.
     """
-    log_c = _unidirectional_log_coeffs(n, spec)
-    c = np.exp(log_c - np.max(log_c))
-    return (c / np.linalg.norm(c)).astype(complex)
+    _, log_c = _unidirectional_log_coeffs(n, spec)
+    c = np.zeros(spec.L, dtype=complex)
+    c[: n + 1] = np.exp(log_c - np.max(log_c))
+    return c / np.linalg.norm(c)
 
+
+def _unidirectional_qfi(n: int, spec: LatticeSpec) -> float:
+    """QFI in h of eigenvector ``n``: exactly 4 Var_p(k) / h^2 with p ~ c^2.
+
+    d/dh log c_k = -k/h.  The moments of k/h are taken about the argmax of p
+    and each term is summed from its log, so 1/h^2 never overflows where h^2
+    underflows; as h -> 0 the QFI tends to 4 n^2 / J^2.
+    """
+    k, log_c = _unidirectional_log_coeffs(n, spec)
+    log_w = 2.0 * (log_c - log_c.max())
+    d = k - k[np.argmax(log_w)]
+    off = d != 0
+    log_dh = np.log(np.abs(d[off])) - math.log(spec.h)
+    z = np.exp(log_w).sum()
+    mean = np.sum(np.sign(d[off]) * np.exp(log_w[off] + log_dh)) / z
+    return 4.0 * float(np.sum(np.exp(log_w[off] + 2.0 * log_dh)) / z - mean**2)

@@ -215,12 +215,15 @@ class TestConfigErrors:
         ("lindblad-sweep", {"L": [1]}, "L must be >= 2"),
         ("lindblad-sweep", {"gamma": [-0.1]}, "gamma must be >= 0"),
         ("traj-validate", {"h": -0.5}, "h must be >= 0"),
+        ("table1", {"L_nh": 1}, "L_nh must be >= 2"),
+        ("table1", {"hn_h": [-0.1]}, "hn_h must be >= 0"),
     ])
     def test_out_of_range_physics(self, tmp_path, capsys, experiment, change, message):
         cfg = write_config(tmp_path, {"experiment": experiment,
                                       "params": {**TINY_CONFIGS[experiment], **change}})
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert message in capsys.readouterr().err
+        key, _, bound = message.partition(" ")
+        assert f"config error: params.{key}: {bound}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("experiment, change, key", [
         ("traj-validate", {"times": [0.35]}, "times"),
@@ -353,6 +356,26 @@ def test_table1_unidirectional_zero_field(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ZeroDivisionError" not in err
     assert "h must be >= 0, got -1e-06" in err
+
+
+def test_uni_static_below_the_finite_difference_step(tmp_path):
+    # The closed form needs no field step, so fields below 1e-6 run.
+    cfg = write_config(tmp_path, {"experiment": "uni-static", "params": {
+        **TINY_CONFIGS["uni-static"], "h_grid": [1e-9, 1e-8, 1e-7]}})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_uni_static_where_h_squared_underflows(tmp_path):
+    # Past h^2 = 0 the QFI of state n keeps its limit 4 n^2 / J^2, with no
+    # overflow, NaN or warning on the way.
+    done = run_capped(tmp_path, "uni-static", {"h_grid": [1e-300, 1e-200, 1e-100]})
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    rows = read_rows(tmp_path / "o" / "uni_static.csv")
+    assert len(rows) == 3
+    for row in rows:
+        n = int(row["state_index"])
+        assert float(row["fq"]) == pytest.approx(4.0 * n**2, rel=1e-10)
 
 
 def _until(item: int):

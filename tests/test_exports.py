@@ -1,7 +1,11 @@
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +47,14 @@ def test_settable_option_count():
                     if not attr.startswith("_") and inspect.isfunction(member):
                         count += _defaulted(member)
     assert count == 13
+
+
+def test_cli_import_leaves_out_scipy_special():
+    # Every CLI run pays for its imports; scipy.special alone loads about 25
+    # modules that no layer needs.
+    src = Path(starkprobe.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, starkprobe.cli; print('scipy.special' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
