@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import csv
 import ctypes
+import functools
 import hashlib
 import json
 import sys
@@ -104,8 +105,12 @@ _blas_lock = threading.Lock()
 _blas = {"entries": 0, "saved": {}}  # saved: {file name: (count before, set)}
 
 
+@functools.cache
 def _openblas_libraries() -> dict:
-    """``{file name: (get, set)}`` of each loaded OpenBLAS with a known symbol pair."""
+    """``{file name: (get, set)}`` of each loaded OpenBLAS with a known symbol pair.
+
+    Cached: the memory map is read on the first call only.
+    """
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()
@@ -131,6 +136,9 @@ def _single_threaded_blas():
 
     Nested and concurrent entries share one cap: the first entry saves the
     counts and caps them, and the last exit restores what the first saw.
+    The libraries are looked up on the first run of the process, not at
+    import, and reused by every later run: numpy and scipy load theirs when
+    this module is imported, so a run does not load a new one.
     """
     with _blas_lock:
         if _blas["entries"] == 0:

@@ -172,6 +172,8 @@ def static_qfi_scan(kind: str, spec: LatticeSpec, h_grid, *, state_index=None,
     spectral extremum where the gradient field competes with the skin effect
     (the bottom state has both mechanisms pulling to the same edge and shows
     no interior QFI maximum).  An index outside 0..L-1 raises ValueError.
+    ``threads`` parallelizes the Hatano-Nelson fields; the closed form is
+    evaluated serially.
     """
     if kind not in _STATIC_QFI:
         raise ValueError(f"unknown generator kind {kind!r}")
@@ -181,6 +183,10 @@ def static_qfi_scan(kind: str, spec: LatticeSpec, h_grid, *, state_index=None,
     if not 0 <= idx < spec.L:
         raise ValueError(f"state_index {idx} is outside 0..{spec.L - 1} at L = {spec.L}")
 
+    # The closed form takes microseconds per field, less than a pool hand-off:
+    # only the Hatano-Nelson eigensolves are worth the threads.
+    if kind == "unidirectional":
+        threads = 1
     values = np.array(_pmap(lambda h: qfi(idx, spec.with_field(h)), h_grid, threads))
     h_max, fq_max, _ = refine_peak(h_grid, values)
     return values, h_max, fq_max

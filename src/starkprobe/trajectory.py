@@ -21,9 +21,10 @@ Reproducibility: trajectory k owns the counter-based Philox stream under the
 two-word key (seed, k) and reads it in order, two uniforms per jump: draw 2r
 is its r-th waiting uniform and draw 2r + 1 its r-th site uniform.  So
 results are independent of execution order and identical between serial and
-parallel drivers.  Philox computes any block of four draws from its counter
-alone (Salmon et al., SC11 (2011)), so a trajectory generates only the
-blocks that hold its jumps.
+parallel drivers.  Philox computes any block of four draws from its key and
+counter alone (Salmon et al., SC11 (2011)), so a trajectory generates only
+the blocks that hold its jumps, and one vectorized pass computes the block
+of every trajectory of a round.
 """
 
 from __future__ import annotations
@@ -71,34 +72,53 @@ class TrajectoryConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
-def _seek(rng: np.random.Generator, seed: int, k: int, block: int) -> None:
-    """Move rng's Philox generator to block ``block`` of stream (seed, k).
+# Philox4x64-10 (Salmon et al., SC11 (2011)) as numpy's Philox computes it:
+# round multipliers, key bumps, and the low-half mask of the 128-bit product.
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LOW = np.uint64(0xFFFFFFFF)
 
-    Each block holds four draws; the generator steps its counter before it
-    fills the buffer, so counter ``block`` with the buffer spent makes draw
-    4 * block the next one read.  Two-word key: XORing the seed with the
-    index would only permute one run's key set into another's, making
-    different seeds share streams.
+
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, high from 32-bit halves."""
+    m_hi, m_lo, x_hi, x_lo = m >> 32, m & _LOW, x >> 32, x & _LOW
+    t = x_hi * m_lo + ((x_lo * m_lo) >> 32)
+    u = x_lo * m_hi + (t & _LOW)
+    return x_hi * m_hi + (t >> 32) + (u >> 32), x * m
+
+
+def _philox_block(seed: int, trajs, block: int) -> np.ndarray:
+    """``(n, 4)`` draws 4 * block .. 4 * block + 3 of the streams (seed, trajs).
+
+    Bit for bit what numpy's Philox with key [seed, k] gives as doubles
+    there: numpy steps the counter before it fills its buffer, so block b is
+    counter b + 1, and a double is the top 53 bits of a word times 2**-53.
+    Two-word key: XORing the seed with the index would only permute one run's
+    key set into another's, making different seeds share streams.  All words
+    stay arrays, whose uint64 arithmetic wraps without a warning.
     """
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [block, 0, 0, 0], "key": [seed, k]},
-        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
+    k1 = np.asarray(trajs, dtype=np.uint64)
+    k0 = np.full(k1.shape, seed, dtype=np.uint64)
+    c0 = np.full(k1.shape, block + 1, dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for i in range(10):
+        if i:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        (hi0, lo0), (hi1, lo1) = _mulhilo(_PHILOX_M[0], c0), _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return (np.stack([c0, c1, c2, c3], axis=1) >> np.uint64(11)) * 2.0**-53
 
 
-def _round_uniforms(rng: np.random.Generator, seed: int, trajs: np.ndarray, r: int,
+def _round_uniforms(seed: int, trajs: np.ndarray, r: int,
                     block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Waiting and site uniforms of round r: draws 2r and 2r + 1 of each stream.
 
     Row i of ``block`` holds the current four-draw Philox block of stream
-    (seed, trajs[i]).  An even round moves every row on to block r / 2, whose
+    (seed, trajs[i]).  An even round fills every row with block r / 2, whose
     last two draws then serve round r + 1.
     """
     if r % 2 == 0:
-        for row, k in zip(block, trajs.tolist()):
-            _seek(rng, seed, k, r // 2)
-            rng.random(out=row)
+        block[:] = _philox_block(seed, trajs, r // 2)
     lane = 2 * (r % 2)
     return block[:, lane], block[:, lane + 1]
 
@@ -154,9 +174,9 @@ def run_ensemble(psi0, spec: LatticeSpec, cfg: TrajectoryConfig, times) -> list[
     (n_steps + 1) * (L + 1) * L complex values.  The trajectories of a chunk
     advance together: round r draws the r-th jump of every trajectory still
     active, with one gather from the table, and each checkpoint inside a
-    segment is one gather and one matrix product.  A reused generator is
-    moved onto each stream by its counter and generates one block of four
-    draws per two rounds.
+    segment is one gather and one matrix product.  Every even round computes
+    the next block of four draws of all its streams in one vectorized
+    Philox pass, so each block serves two rounds.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-8:
@@ -183,7 +203,6 @@ def run_ensemble(psi0, spec: LatticeSpec, cfg: TrajectoryConfig, times) -> list[
     E = sla.expm(-1j * build_effective_dephasing(spec) * cfg.dt)
     table = _no_jump_table(psi0, E, rate, n_steps)
 
-    rng = np.random.Generator(np.random.Philox())
     sums = [np.zeros((L, L), dtype=complex) for _ in steps_of]
     for start in range(0, cfg.n_traj, _CHUNK):
         # From step b[i] on, trajectory trajs[i] is column c[i] of the table,
@@ -197,7 +216,7 @@ def run_ensemble(psi0, spec: LatticeSpec, cfg: TrajectoryConfig, times) -> list[
             # in float: a wait beyond n_steps (or beyond the float range) is
             # compared before any integer cast.
             if rate > 0.0:
-                u_wait, u_site = _round_uniforms(rng, cfg.seed, trajs, r, block)
+                u_wait, u_site = _round_uniforms(cfg.seed, trajs, r, block)
                 with np.errstate(over="ignore"):
                     s = b + np.floor(-np.log1p(-u_wait) / rate)
             else:

@@ -512,6 +512,22 @@ def test_manifest_records_missing_blas(tmp_path, monkeypatch):
         "unchanged: no OpenBLAS with a known thread-count symbol is loaded"
 
 
+def test_blas_libraries_are_found_once(tmp_path, monkeypatch):
+    reads = []
+
+    def counting_open(file, *args, **kwargs):
+        reads.append(file)
+        return open(file, *args, **kwargs)
+
+    cli._openblas_libraries.cache_clear()
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    config = {"experiment": "uni-dynamic", "params": TINY_CONFIGS["uni-dynamic"]}
+    first = run_from_config(dict(config), tmp_path / "1")
+    second = run_from_config(dict(config), tmp_path / "2")
+    assert first["blas_threads"] == second["blas_threads"]
+    assert reads == ["/proc/self/maps"]
+
+
 @needs_openblas
 def test_blas_threads_restored_after_failing_run(tmp_path, monkeypatch, blas_at_two):
     seen = []

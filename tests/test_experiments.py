@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from starkprobe import experiments
 from starkprobe.errors import ConfigError
 from starkprobe.experiments import (
     _tangent,
@@ -191,6 +192,17 @@ class TestStaticScans:
         spec = LatticeSpec(30, 1.0, 0.01, 0.05)
         values, _, _ = static_qfi_scan("hatano-nelson", spec, [spec.h], state_index=29)
         assert values[0] > 0
+
+    def test_unidirectional_scan_skips_the_thread_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the closed form must not start a thread pool")
+
+        spec, grid = LatticeSpec(40, 1.0, 0.0, 0.0), np.geomspace(5e-3, 0.5, 12)
+        serial = static_qfi_scan("unidirectional", spec, grid, threads=1)
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+        threaded = static_qfi_scan("unidirectional", spec, grid, threads=3)
+        assert np.array_equal(threaded[0], serial[0])
+        assert threaded[1:] == serial[1:]
 
     @pytest.mark.parametrize("kind", ["hatano-nelson", "unidirectional"])
     @pytest.mark.parametrize("index", [-1, 8])

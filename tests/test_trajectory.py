@@ -7,7 +7,7 @@ import scipy.linalg as sla
 from starkprobe.errors import NormCollapse
 from starkprobe.lindblad import DensityMatrix, propagate, trace_distance
 from starkprobe.model import LatticeSpec, build_effective_dephasing, build_stark, site_state
-from starkprobe.trajectory import TrajectoryConfig, _round_uniforms, run_ensemble
+from starkprobe.trajectory import TrajectoryConfig, _philox_block, _round_uniforms, run_ensemble
 
 
 class TestConfig:
@@ -201,15 +201,30 @@ class TestStreamPositions:
     @pytest.mark.parametrize("k", [0, 12345])
     def test_round_r_reads_draws_2r_and_2r_plus_1(self, r, seed, k):
         # Rounds 0 .. 6 span four Philox blocks and both lanes of each.  The
-        # rounds run in order, and the generator serves a second stream in
-        # between, as it does in a chunk.
-        rng = np.random.Generator(np.random.Philox())
+        # rounds run in order, and a second stream shares the block array,
+        # as it does in a chunk.
         trajs, block = np.array([k, 7]), np.empty((2, 4))
         for i in range(r + 1):
-            u_wait, u_site = _round_uniforms(rng, seed, trajs, i, block)
+            u_wait, u_site = _round_uniforms(seed, trajs, i, block)
         for row, key in enumerate(trajs):
             ref = philox_stream(seed, key).random(2 * r + 2)
             assert (u_wait[row], u_site[row]) == (ref[2 * r], ref[2 * r + 1])
+
+    @pytest.mark.parametrize("block", [0, 1, 7, 2**40])
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_block_matches_numpy_philox(self, seed, block):
+        keys = np.append(np.arange(4999, dtype=np.uint64), np.uint64(2**64 - 1))
+        got = _philox_block(seed, keys, block)
+        assert got.shape == (keys.size, 4)
+        for k, row in zip(keys.tolist(), got):
+            rng = philox_stream(seed, k)
+            if block < 8:
+                ref = rng.random(4 * block + 4)[-4:]
+            else:
+                # The counter counts blocks of four draws.
+                rng.bit_generator.advance(block)
+                ref = rng.random(4)
+            assert (row == ref).all(), f"key {k}"
 
 
 def per_step_ensemble(psi0, spec, cfg, times):
