@@ -124,12 +124,23 @@ def peak_qfi_over_t2(series: TimeSeries):
     t = series.times[keep]
     if t.size < 3:
         raise InsufficientPoints("need at least 3 positive-time samples")
-    y = series.values[keep] / t**2
-    i = int(np.argmax(y))
-    if i == 0 or i == t.size - 1:
-        raise PeakAtBoundary(f"argmax of F/t^2 at the grid endpoint t = {t[i]}")
-    vertex = _parabola_peak(t[i - 1 : i + 2], y[i - 1 : i + 2])
-    return vertex if vertex is not None else (float(t[i]), float(y[i]))
+    t_opt, peak, at_boundary = _grid_peak(t, series.values[keep] / t**2)
+    if at_boundary:
+        raise PeakAtBoundary(f"argmax of F/t^2 at the grid endpoint t = {t_opt}")
+    return t_opt, peak
+
+
+def _grid_peak(xs, ys, log: bool = False):
+    """Grid argmax (x, y, at_boundary) of ys, refined by ``_parabola_peak`` (in
+    log x when ``log`` is set); the grid point itself at an endpoint or with no vertex."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    i = int(np.argmax(ys))
+    if 0 < i < xs.size - 1:
+        x3 = xs[i - 1 : i + 2]
+        vertex = _parabola_peak(np.log(x3) if log else x3, ys[i - 1 : i + 2])
+        if vertex is not None:
+            return (float(np.exp(vertex[0])) if log else vertex[0]), vertex[1], False
+    return float(xs[i]), float(ys[i]), i in (0, xs.size - 1)
 
 
 def _parabola_peak(x3, y3):
@@ -189,14 +200,22 @@ def localized_collapse_check(h_grid, values_per_L, h_c: float | None = None):
     if not np.any(tail):
         raise ValueError(f"h grid does not cross the transition point {h_c:.3g}")
 
-    pooled_h = np.concatenate([h[tail] for _ in curves])
-    pooled_v = np.concatenate([v[tail] for v in curves.values()])
-    fit = fit_power_law(pooled_h, pooled_v)
+    tails = np.stack([v[tail] for v in curves.values()])
+    fit = fit_power_law(np.tile(h[tail], len(curves)), tails.ravel())
+    return fit.exponent, float(_spread(tails).max())
 
-    stack = np.stack([v[tail] for v in curves.values()])
+
+def _spread(stack: np.ndarray) -> np.ndarray:
+    """Per column, (max - min) / mean over the rows; a mean <= 0 divides by 1."""
     mean = stack.mean(axis=0)
-    spread = float(((stack.max(axis=0) - stack.min(axis=0)) / mean).max())
-    return fit.exponent, spread
+    return (stack.max(axis=0) - stack.min(axis=0)) / np.where(mean > 0, mean, 1.0)
+
+
+def _holds_from(ok) -> int | None:
+    """Smallest index from which every entry of ``ok`` is true; None if the last is not."""
+    fails = np.flatnonzero(~np.asarray(ok, dtype=bool))
+    start = int(fails[-1]) + 1 if fails.size else 0
+    return start if start < len(ok) else None
 
 
 def transition_point(h_grid, values_per_L) -> dict:
@@ -209,36 +228,21 @@ def transition_point(h_grid, values_per_L) -> dict:
     within the same threshold of the reference.  Returns {L: h_c}.
     """
     h, curves = _curves(h_grid, values_per_L)
-    stack = np.stack([curves[L] for L in sorted(curves)])
-    mean = stack.mean(axis=0)
-    spread = (stack.max(axis=0) - stack.min(axis=0)) / np.where(mean > 0, mean, 1.0)
-
-    collapsed = spread < COLLAPSE_SPREAD_THRESHOLD
-    # Smallest h with sustained collapse from there on.
-    start = None
-    for i in range(h.size):
-        if collapsed[i:].all():
-            start = i
-            break
+    spread = _spread(np.stack([curves[L] for L in sorted(curves)]))
+    start = _holds_from(spread < COLLAPSE_SPREAD_THRESHOLD)
     if start is None or h.size - start < 4:
         raise ValueError("no sustained cross-size collapse found; extend the h grid")
 
-    pooled_h = np.tile(h[start:], len(curves))
-    pooled_v = np.concatenate([v[start:] for v in curves.values()])
-    ref = fit_power_law(pooled_h, pooled_v)
+    ref = fit_power_law(np.tile(h[start:], len(curves)),
+                        np.concatenate([v[start:] for v in curves.values()]))
     tail_of = ref.prefactor * h**ref.exponent
 
     out = {}
     for L in sorted(curves):
-        dev = np.abs(curves[L] - tail_of) / tail_of
-        h_c = None
-        for i in range(h.size):
-            if np.all(dev[i:] < COLLAPSE_SPREAD_THRESHOLD):
-                h_c = float(h[i])
-                break
-        if h_c is None:
+        i = _holds_from(np.abs(curves[L] - tail_of) / tail_of < COLLAPSE_SPREAD_THRESHOLD)
+        if i is None:
             raise ValueError(f"curve for L = {L} never joins the common tail")
-        out[L] = h_c
+        out[L] = float(h[i])
     return out
 
 

@@ -2,9 +2,10 @@
 
 ``starkprobe run <config.json> [--out DIR] [--threads N] [--seed S]`` executes
 one named experiment and writes one CSV per output table plus a manifest with
-the fully resolved configuration, defaults included.  Identical config and
-seed reproduce every CSV byte for byte; the manifest, written last, marks
-completion.
+the fully resolved configuration, defaults included.  One resolver checks the
+top-level keys and the params; an error names its key (``params.h_grid.lo``).
+Identical config and seed reproduce every CSV byte for byte; the manifest,
+written last, marks completion.
 
 ``threads`` is the only parallelism: while a run executes, every loaded
 OpenBLAS is held at one thread, so task threads do not compete with BLAS
@@ -32,7 +33,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, NumericalError
-from .experiments import EXPERIMENTS, resolve_params
+from .experiments import EXPERIMENTS, _one_of, _resolve, _scalar, resolve_params
 
 __all__ = ["main", "run_from_config"]
 
@@ -51,31 +52,29 @@ def _load_config(path: Path) -> dict:
     return raw
 
 
+def _instance(kind, what: str):
+    def check(value, key: str):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{key}: expected {what}, got {value!r}")
+        return value
+    return check
+
+
+# Every top-level key as (default, check), resolved like the params.  The
+# experiment is checked first; the params are then resolved against its table.
+_CONFIG = {
+    "experiment": (None, _one_of(*sorted(EXPERIMENTS))),
+    "params": ({}, _instance(dict, "an object")),
+    "seed": (0, _scalar(int, least=0, most=2**64 - 1)),
+    "threads": (1, _scalar(int, least=1)),
+    "out": (None, _instance((str, type(None)), "a string path")),
+}
+
+
 def _validate(config: dict) -> dict:
-    experiment = config.get("experiment")
-    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise ConfigError(
-            f"config.experiment: expected one of {known}, got {experiment!r}")
-    params = config.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("config.params: expected an object")
-    params = resolve_params(experiment, params)
-    seed = config.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ConfigError("config.seed: expected an unsigned 64-bit integer")
-    threads = config.get("threads", 1)
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-        raise ConfigError("config.threads: expected an integer >= 1")
-    out = config.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("config.out: expected a string path")
-    known_keys = {"experiment", "params", "seed", "threads", "out"}
-    unknown = set(config) - known_keys
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return {"experiment": experiment, "params": params, "seed": seed,
-            "threads": threads, "out": out}
+    resolved = _resolve(config, _CONFIG, "config")
+    resolved["params"] = resolve_params(resolved["experiment"], resolved["params"])
+    return resolved
 
 
 def _format_value(value) -> str:

@@ -29,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .analysis import TimeSeries, _parabola_peak, peak_qfi_over_t2
+from .analysis import TimeSeries, _grid_peak, peak_qfi_over_t2
 from .errors import ConfigError, PeakAtBoundary
 from .lindblad import DensityMatrix, propagate, trace_distance
 from .metrology import default_step, qfi_mixed, qfi_pure_batch, snr
@@ -164,14 +164,16 @@ def static_qfi_scan(kind: str, spec: LatticeSpec, h_grid, *, state_index=None,
                     threads: int = 1):
     """Eigenstate QFI over a field grid, plus the refined maximum.
 
-    Returns (values, h_max, fq_max).  The probe at each field is eigenstate
-    ``state_index`` of the chain ``kind``; its QFI is the exact closed form
-    on the unidirectional chain and a gauge-aligned central difference
-    across h +/- delta on the Hatano-Nelson chain.  ``state_index`` defaults
-    to L-1 for both chains: under the ascending 1..L site gauge that is the
-    spectral extremum where the gradient field competes with the skin effect
-    (the bottom state has both mechanisms pulling to the same edge and shows
-    no interior QFI maximum).  An index outside 0..L-1 raises ValueError.
+    Returns (values, h_max, fq_max, at_boundary); at_boundary flags a
+    maximum on a grid end, where h_max is that grid field.  The probe at
+    each field is eigenstate ``state_index`` of the chain ``kind``; its QFI
+    is the exact closed form on the unidirectional chain and a gauge-aligned
+    central difference across h +/- delta on the Hatano-Nelson chain.
+    ``state_index`` defaults to L-1 for both chains: under the ascending
+    1..L site gauge that is the spectral extremum where the gradient field
+    competes with the skin effect (the bottom state has both mechanisms
+    pulling to the same edge and shows no interior QFI maximum).  An index
+    outside 0..L-1 raises ValueError.
     ``threads`` parallelizes the Hatano-Nelson fields; the closed form is
     evaluated serially.
     """
@@ -188,52 +190,42 @@ def static_qfi_scan(kind: str, spec: LatticeSpec, h_grid, *, state_index=None,
     if kind == "unidirectional":
         threads = 1
     values = np.array(_pmap(lambda h: qfi(idx, spec.with_field(h)), h_grid, threads))
-    h_max, fq_max, _ = refine_peak(h_grid, values)
-    return values, h_max, fq_max
+    return values, *refine_peak(h_grid, values)
 
 
 def refine_peak(xs, ys):
-    """Grid argmax with local quadratic refinement in log x.
+    """Grid argmax of ys with local quadratic refinement in log x (``xs`` > 0).
 
-    ``xs`` must be positive.  Returns (x_peak, y_peak, at_boundary).  When
-    the argmax is an endpoint the grid values are returned with the flag set
-    instead of raising, which lets sweep drivers record the condition in
-    their output.
+    Returns (x_peak, y_peak, at_boundary).  At an endpoint the grid values
+    come back with the flag set instead of raising, so a sweep can record it.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    i = int(np.argmax(ys))
-    if i == 0 or i == xs.size - 1:
-        return float(xs[i]), float(ys[i]), True
-    vertex = _parabola_peak(np.log(xs[i - 1 : i + 2]), ys[i - 1 : i + 2])
-    if vertex is None:
-        return float(xs[i]), float(ys[i]), False
-    x_pk, y_pk = vertex
-    return float(np.exp(x_pk)), y_pk, False
+    return _grid_peak(xs, ys, log=True)
 
 
 # ---------------------------------------------------------------------------
 # Config plumbing shared by the experiment drivers
 # ---------------------------------------------------------------------------
 
-# A check takes a params value and its key, raises ConfigError naming
-# params.<key>, and returns the coerced value.
+# A check takes a value and its dotted name (``params.L``), raises ConfigError
+# naming it, and returns the coerced value.  The CLI resolves its keys alike.
 
 _FLOAT_MAX = np.finfo(float).max
 
 
-def _scalar(kind, positive=False, least=None):
+def _scalar(kind, positive=False, least=None, most=None):
     """Check of a finite number (``kind`` float) or an integer (``kind`` int)."""
     def check(value, key: str):
         # abs(value) <= max also rejects inf, nan and integers too large for a float.
         if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int) \
                 or not abs(value) <= _FLOAT_MAX:
             what = "a finite number" if kind is float else "an integer"
-            raise ConfigError(f"params.{key}: expected {what}, got {value!r}")
+            raise ConfigError(f"{key}: expected {what}, got {value!r}")
         if positive and value <= 0:
-            raise ConfigError(f"params.{key}: must be > 0, got {value}")
+            raise ConfigError(f"{key}: must be > 0, got {value}")
         if least is not None and value < least:
-            raise ConfigError(f"params.{key}: must be >= {least}, got {value}")
+            raise ConfigError(f"{key}: must be >= {least}, got {value}")
+        if most is not None and value > most:
+            raise ConfigError(f"{key}: must be <= {most}, got {value}")
         return kind(value)
     return check
 
@@ -246,14 +238,23 @@ _size, _nonnegative = _scalar(int, least=2), _scalar(float, least=0)
 def _list_of(check):
     def checked(value, key: str) -> list:
         if not isinstance(value, (list, tuple)) or not value:
-            raise ConfigError(f"params.{key}: expected a non-empty list, got {value!r}")
+            raise ConfigError(f"{key}: expected a non-empty list, got {value!r}")
         return [check(v, key) for v in value]
     return checked
 
 
+def _one_of(*choices):
+    expected = ", ".join(map(repr, choices[:-1])) + f" or {choices[-1]!r}"
+    def check(value, key: str):
+        if value not in choices:
+            raise ConfigError(f"{key}: expected {expected}, got {value!r}")
+        return value
+    return check
+
+
 def _state_label(value, key: str):
     if value not in ("ground", "mid") and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigError(f"params.{key}: expected 'ground', 'mid' or an index, got {value!r}")
+        raise ConfigError(f"{key}: expected 'ground', 'mid' or an index, got {value!r}")
     return value
 
 
@@ -261,29 +262,26 @@ def _optional_int(value, key: str):
     return None if value is None else _integer(value, key)
 
 
-def _scale(value, key: str) -> str:
-    if value not in ("log", "linear"):
-        raise ConfigError(f"params.{key}: expected 'log' or 'linear', got {value!r}")
-    return value
+def _h_grid(lo: float, hi: float, n: int) -> tuple:
+    """``(default, check)`` of a field grid: an ascending list of fields, or a
+    lo/hi/n/scale object whose left-out fields keep the default's."""
+    table = {"lo": (lo, _positive), "hi": (hi, _positive), "n": (n, _positive_int),
+             "scale": ("log", _one_of("log", "linear"))}
 
-
-_GRID_FIELDS = {"lo": _positive, "hi": _positive, "n": _positive_int, "scale": _scale}
-
-
-def _h_grid(value, key: str):
-    """A field grid: an ascending list of fields, or a lo/hi/n/scale object."""
-    if isinstance(value, (list, tuple)):
-        grid = _list_of(_positive)(value, key)
-        # refine_peak fits a parabola through neighbouring grid points.
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError(f"params.{key}: must be strictly ascending, got {grid}")
+    def check(value, key: str):
+        if isinstance(value, (list, tuple)):
+            grid = _list_of(_positive)(value, key)
+            # refine_peak fits a parabola through neighbouring grid points.
+            if any(b <= a for a, b in zip(grid, grid[1:])):
+                raise ConfigError(f"{key}: must be strictly ascending, got {grid}")
+            return grid
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key}: expected a list or a lo/hi/n object, got {value!r}")
+        grid = _resolve(value, table, key)
+        if grid["hi"] <= grid["lo"]:
+            raise ConfigError(f"{key}: hi must exceed lo")
         return grid
-    if not isinstance(value, dict):
-        raise ConfigError(f"params.{key}: expected a list or a lo/hi/n object, got {value!r}")
-    grid = {f: check(value[f], f"{key}.{f}") for f, check in _GRID_FIELDS.items()}
-    if grid["hi"] <= grid["lo"]:
-        raise ConfigError(f"params.{key}: hi must exceed lo")
-    return grid
+    return {field: default for field, (default, _) in table.items()}, check
 
 
 _numbers, _nonnegatives, _sizes = _list_of(_number), _list_of(_nonnegative), _list_of(_size)
@@ -299,13 +297,12 @@ PARAMS = {
                       "h": (0.05, _nonnegative), "n_traj": (5000, _positive_int),
                       "dt": (0.05, _positive), "times": ([10.0, 25.0, 50.0], _numbers)},
     "hn-static": {"L": ([100], _sizes), "gamma": ([0.02, 0.05, 0.1], _nonnegatives),
-                  "h_grid": ({"lo": 3e-6, "hi": 1e-3, "n": 25, "scale": "log"}, _h_grid),
-                  "state_index": (None, _optional_int)},
+                  "h_grid": _h_grid(3e-6, 1e-3, 25), "state_index": (None, _optional_int)},
     "hn-dynamic": {"L": ([100], _sizes), "gamma": (0.05, _nonnegative),
                    "h": ([0.001, 0.1], _nonnegatives), "t_max": (150.0, _positive),
                    "dt": (0.5, _positive)},
     "uni-static": {"L": ([400], _sizes), "states": (["ground", "mid"], _list_of(_state_label)),
-                   "h_grid": ({"lo": 5e-4, "hi": 0.1, "n": 48, "scale": "log"}, _h_grid)},
+                   "h_grid": _h_grid(5e-4, 0.1, 48)},
     "uni-dynamic": {"L": ([100], _sizes), "h": ([0.001, 0.1], _nonnegatives),
                     "sigma": (2.0, _positive), "t_max": (120.0, _positive),
                     "dt": (0.5, _positive)},
@@ -319,32 +316,26 @@ PARAMS = {
 }
 
 
+def _resolve(given: dict, table: dict, path: str) -> dict:
+    """``given`` over the ``{key: (default, check)}`` of ``table``; the check of
+    key k sees the name ``path.k``.  An unknown key raises ConfigError."""
+    for key in given:
+        if key not in table:
+            raise ConfigError(f"{path}.{key}: unknown key, expected one of "
+                              f"{', '.join(sorted(table))}")
+    return {key: check(given.get(key, default), f"{path}.{key}")
+            for key, (default, check) in table.items()}
+
+
 def resolve_params(experiment: str, params: dict) -> dict:
     """``params`` over the defaults of ``experiment``, each value checked once.
 
     Every value, given or default, passes its check in ``PARAMS``.  The
     result holds plain JSON values, is what a run records in its manifest,
-    and resolves to itself.  An object-valued default (an h grid) is merged
-    one level down, so a partial grid keeps the defaults of the fields it
-    leaves out.  An unknown or malformed key raises ConfigError naming it.
+    and resolves to itself.  An unknown or malformed key raises ConfigError
+    naming it.
     """
-    table = PARAMS[experiment]
-    _reject_unknown(params, table, "params")
-    resolved = {}
-    for key, (default, check) in table.items():
-        value = params.get(key, default)
-        if isinstance(default, dict) and isinstance(value, dict):
-            _reject_unknown(value, default, f"params.{key}")
-            value = {**default, **value}
-        resolved[key] = check(value, key)
-    return resolved
-
-
-def _reject_unknown(given: dict, known: dict, path: str) -> None:
-    for key in given:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}: unknown key, expected one of "
-                              f"{', '.join(sorted(known))}")
+    return _resolve(params, PARAMS[experiment], "params")
 
 
 def _grid_points(grid) -> np.ndarray:
@@ -427,9 +418,7 @@ def _peak(series: TimeSeries):
     try:
         return (*peak_qfi_over_t2(series), False)
     except PeakAtBoundary:
-        ratio = series.values / series.times**2
-        i = int(np.argmax(ratio))
-        return float(series.times[i]), float(ratio[i]), True
+        return _grid_peak(series.times, series.values / series.times**2)
 
 
 def _peak_rows(runs, seed) -> list:
@@ -472,13 +461,14 @@ def _static_tables(experiment: str, kind: str, plan, grid, seed, threads: int) -
     """
     curves, maxima = [], []
     for spec, index, extra in plan:
-        values, h_max, fq_max = static_qfi_scan(kind, spec, grid, state_index=index,
-                                                threads=threads)
+        values, h_max, fq_max, boundary = static_qfi_scan(kind, spec, grid, state_index=index,
+                                                          threads=threads)
         for h, fq in zip(grid, values):
             curves.append(_tuple_row(experiment, spec.with_field(float(h)), 0.0, seed,
                                      **extra, state_index=index, fq=float(fq)))
         maxima.append(_tuple_row(experiment, spec.with_field(h_max), 0.0, seed,
-                                 **extra, state_index=index, fq_max=fq_max, h_max=h_max))
+                                 **extra, state_index=index, fq_max=fq_max, h_max=h_max,
+                                 peak_at_boundary=boundary))
     table = experiment.replace("-", "_")
     return {table: curves, f"{table}_maxima": maxima}
 
@@ -511,7 +501,7 @@ def run_traj_validate(params: dict, seed: int, threads: int):
     if np.any(np.diff(times) < 0):
         raise ConfigError(f"params.times: must be ascending, got {times.tolist()}")
     psi0 = site_state(L, middle_site(L))
-    cfg = TrajectoryConfig(dt=dt, t_final=float(times.max()), n_traj=n_traj, seed=seed)
+    cfg = TrajectoryConfig(dt=dt, n_traj=n_traj, seed=seed)
     ensemble = run_ensemble(psi0, spec, cfg, times)
     exact = propagate(DensityMatrix.from_pure(psi0), spec, times)
 
@@ -572,8 +562,9 @@ def run_uni_dynamic(params: dict, seed: int, threads: int):
 
 
 def _table1_times(dt: float, horizon: float, t_fixed: float) -> np.ndarray:
-    """The dt grid up to the search horizon, and at least up to t_fixed."""
-    n = max(int(np.floor(horizon / dt)), int(round(t_fixed / dt)))
+    """The dt grid to the search horizon, and on or past t_fixed, so that F(t_fixed)
+    is never a last sample read for a later time; a multiple of dt ends on it."""
+    n = max(int(np.floor(horizon / dt)), int(np.ceil(t_fixed / dt - 1e-9)))
     return _peak_times(dt * np.arange(1, n + 1))
 
 

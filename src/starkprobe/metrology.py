@@ -54,32 +54,28 @@ class FisherResult:
     condition_flags: list[str] = field(default_factory=list)
 
 
-def _clamped(value: float, context: str) -> float:
-    if value < 0.0:
-        if value < NEGATIVE_CLAMP:
-            raise NumericalError(
-                f"{context}: value {value:.3e} below the clamp window; broken derivative"
-            )
-        return 0.0
-    if not math.isfinite(value):
-        raise NumericalError(f"{context}: non-finite value")
-    return value
+def _clamped(values, context: str) -> np.ndarray:
+    """``values`` clipped at 0; NumericalError on a value below ``NEGATIVE_CLAMP``
+    (a broken derivative) or a non-finite one (a broken state)."""
+    values = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(values) | (values < NEGATIVE_CLAMP)
+    if np.any(bad):
+        raise NumericalError(f"{context}: {int(bad.sum())} values non-finite or below "
+                             f"the clamp window, first {values[bad].flat[0]:.3e}")
+    return np.clip(values, 0.0, None)
 
 
 def qfi_pure(psi, dpsi) -> FisherResult:
     """Quantum Fisher information 4(<dpsi|dpsi> - |<dpsi|psi>|^2) of a pure probe.
 
     ``dpsi`` must be the parameter derivative of the normalized state; a
-    global-phase component of the derivative drops out of the formula.
+    global-phase component of the derivative drops out of the formula.  The
+    value is ``qfi_pure_batch`` on one row.
     """
     psi = np.asarray(psi, dtype=complex)
-    dpsi = np.asarray(dpsi, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise ValueError("qfi_pure requires a normalized state")
-    grad = float(np.vdot(dpsi, dpsi).real)
-    overlap = complex(np.vdot(dpsi, psi))
-    value = 4.0 * (grad - abs(overlap) ** 2)
-    return FisherResult(_clamped(value, "qfi_pure"), "pure")
+    return FisherResult(float(qfi_pure_batch([psi], [dpsi])[0]), "pure")
 
 
 def qfi_mixed(rho, drho):
@@ -116,7 +112,7 @@ def qfi_mixed(rho, drho):
         flags.append("rank-deficient")
 
     sld = V @ sld_eig @ V.conj().T
-    result = FisherResult(_clamped(value, "qfi_mixed"), "sld", flags)
+    result = FisherResult(float(_clamped(value, "qfi_mixed")), "sld", flags)
     return result, sld
 
 
@@ -180,20 +176,13 @@ def qfi_pure_batch(states, dstates) -> np.ndarray:
 
     ``states`` holds normalized states as the rows of an (n, dim) array and
     ``dstates`` their field derivatives; row i of the result is the QFI at
-    sample i.  This is the vectorized form of ``qfi_pure`` used by the
-    pipelines, with the same clamp.
+    sample i.  The pipelines use this form; ``qfi_pure`` is one row of it.
     """
     states = np.asarray(states, dtype=complex)
     der = np.asarray(dstates, dtype=complex)
     grad = np.einsum("ij,ij->i", der.conj(), der).real
     overlap = np.einsum("ij,ij->i", der.conj(), states)
-    values = 4.0 * (grad - np.abs(overlap) ** 2)
-    bad = values < NEGATIVE_CLAMP
-    if np.any(bad):
-        raise NumericalError(
-            f"qfi_pure_batch: {int(bad.sum())} values below the clamp window"
-        )
-    return np.clip(values, 0.0, None)
+    return _clamped(4.0 * (grad - np.abs(overlap) ** 2), "qfi_pure_batch")
 
 
 def snr(h: float, M: float, fq: float) -> float:

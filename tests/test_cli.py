@@ -6,12 +6,14 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from starkprobe import cli
 from starkprobe.cli import main, run_from_config
 from starkprobe.errors import NumericalError
-from starkprobe.experiments import EXPERIMENTS, PARAMS, resolve_params
+from starkprobe.experiments import EXPERIMENTS, PARAMS, nh_qfi_series, resolve_params
+from starkprobe.model import LatticeSpec
 
 
 def write_config(tmp_path: Path, payload: dict) -> Path:
@@ -183,13 +185,20 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "h_grid" in err
 
-    def test_unknown_top_level_key(self, tmp_path):
-        cfg = write_config(tmp_path, {"experiment": "table1", "extra": 1})
+    @pytest.mark.parametrize("key", ["extra", "param"])
+    def test_unknown_top_level_key(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, {"experiment": "table1", key: 1})
         assert main(["run", str(cfg)]) == 2
+        assert f"config error: config.{key}: unknown key" in capsys.readouterr().err
 
-    def test_bad_seed(self, tmp_path):
-        cfg = write_config(tmp_path, {"experiment": "table1", "seed": -4})
+    @pytest.mark.parametrize("key, value", [
+        ("seed", -4), ("seed", 2**64), ("seed", 1.0), ("threads", 0), ("threads", True),
+        ("out", 5), ("params", [1]),
+    ])
+    def test_bad_top_level_value(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {"experiment": "table1", key: value})
         assert main(["run", str(cfg)]) == 2
+        assert f"config error: config.{key}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid, key", [
         ({"lo": "x"}, "h_grid.lo"),
@@ -356,6 +365,36 @@ def test_table1_unidirectional_zero_field(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ZeroDivisionError" not in err
     assert "h must be >= 0, got -1e-06" in err
+
+
+def test_table1_fixed_time_between_grid_points(tmp_path):
+    # t_fixed = 10.2 lies past the unidirectional horizon 0.95 pi / 0.3 = 9.95
+    # and between two samples, so F(t_fixed) is interpolated between F(10)
+    # and F(10.5), not read off F(10).
+    cfg = write_config(tmp_path, {"experiment": "table1",
+                                  "params": {**TINY_CONFIGS["table1"], "t_fixed": 10.2}})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    row, = [r for r in read_rows(tmp_path / "o" / "table1.csv")
+            if r["formalism"] == "unidirectional"]
+    times = 0.5 * np.arange(1, 22)
+    series = nh_qfi_series("unidirectional", LatticeSpec(10, 1.0, 0.3, 0.0), times)
+    assert float(row["fq_tfixed"]) == pytest.approx(np.interp(10.2, times, series.values),
+                                                    rel=1e-12)
+
+
+@pytest.mark.parametrize("experiment, boundary", [("hn-static", "true"),
+                                                  ("uni-static", "false")])
+def test_static_maxima_flag_a_peak_on_the_grid_end(tmp_path, experiment, boundary):
+    # The tiny hn-static scan peaks at its lower grid end, h = 0.005; the tiny
+    # uni-static scan peaks inside its grid.
+    params = TINY_CONFIGS[experiment]
+    cfg = write_config(tmp_path, {"experiment": experiment, "params": params})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    row, = read_rows(tmp_path / "o" / f"{experiment.replace('-', '_')}_maxima.csv")
+    assert list(row)[-1] == "peak_at_boundary"
+    assert row["peak_at_boundary"] == boundary
+    on_end = float(row["h_max"]) in (params["h_grid"]["lo"], params["h_grid"]["hi"])
+    assert on_end == (boundary == "true")
 
 
 def test_uni_static_below_the_finite_difference_step(tmp_path):

@@ -182,15 +182,15 @@ class TestStaticScans:
 
     def test_scan_finds_interior_peak(self):
         grid = np.geomspace(5e-3, 0.5, 24)
-        values, h_max, fq_max = static_qfi_scan(
+        values, h_max, fq_max, at_boundary = static_qfi_scan(
             "unidirectional", LatticeSpec(60, 1.0, 0.0, 0.0), grid)
         assert values.shape == grid.shape
-        assert grid[0] < h_max < grid[-1]
+        assert grid[0] < h_max < grid[-1] and not at_boundary
         assert fq_max >= values.max() * (1 - 1e-9)
 
     def test_hn_state_qfi_positive(self):
         spec = LatticeSpec(30, 1.0, 0.01, 0.05)
-        values, _, _ = static_qfi_scan("hatano-nelson", spec, [spec.h], state_index=29)
+        values = static_qfi_scan("hatano-nelson", spec, [spec.h], state_index=29)[0]
         assert values[0] > 0
 
     def test_unidirectional_scan_skips_the_thread_pool(self, monkeypatch):
@@ -219,6 +219,13 @@ class TestRefinePeak:
         x_pk, y_pk, boundary = refine_peak(xs, xs)
         assert boundary
         assert x_pk == 9.0
+        # At an endpoint, and at a top so flat that the parabola has no
+        # vertex, the grid field comes back bit for bit, not as exp(log(x)).
+        xs = np.geomspace(0.013, 0.7, 9)
+        assert np.exp(np.log(xs[0])) != xs[0] and np.exp(np.log(xs[2])) != xs[2]
+        assert refine_peak(xs, -xs) == (xs[0], -xs[0], True)
+        flat = np.array([0.5, 1.0 - 2**-53, 1.0, 1.0, 0.5, 0.4, 0.3, 0.2, 0.1])
+        assert refine_peak(xs, flat) == (xs[2], 1.0, False)
 
     def test_log_axis(self):
         xs = np.geomspace(0.01, 1.0, 21)

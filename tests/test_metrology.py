@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from starkprobe.errors import NumericalError
 from starkprobe.lindblad import DensityMatrix
 from starkprobe.metrology import (
     cfi,
@@ -42,6 +43,13 @@ class TestQfiPure:
         psi = np.array([1.0, 0.0], dtype=complex)
         dpsi = 1e-9j * psi  # pure gauge, rounds to a tiny negative
         assert qfi_pure(psi, dpsi).value == 0.0
+        # One clamp for every route: a NaN row or a value below the window
+        # fails in the batch instead of reaching a table.
+        states = np.stack([psi, psi])
+        with pytest.raises(NumericalError, match="non-finite or below the clamp window"):
+            qfi_pure_batch(states, np.stack([dpsi, np.full(2, np.nan)]))
+        with pytest.raises(NumericalError, match="first -1.200e"):
+            qfi_pure_batch(2.0 * states, np.stack([dpsi, psi]))
 
     def test_matches_sld_route_on_projector(self):
         h = 0.05

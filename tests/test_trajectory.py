@@ -12,28 +12,27 @@ from starkprobe.trajectory import TrajectoryConfig, _philox_block, _round_unifor
 
 class TestConfig:
     def test_valid(self):
-        cfg = TrajectoryConfig(dt=0.05, t_final=50.0, n_traj=100, seed=7)
-        assert (cfg.dt, cfg.t_final, cfg.n_traj, cfg.seed) == (0.05, 50.0, 100, 7)
+        cfg = TrajectoryConfig(dt=0.05, n_traj=100, seed=7)
+        assert (cfg.dt, cfg.n_traj, cfg.seed) == (0.05, 100, 7)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(dt=0.0, t_final=1.0, n_traj=1),
-        dict(dt=-0.1, t_final=1.0, n_traj=1),
-        dict(dt=0.1, t_final=-1.0, n_traj=1),
-        dict(dt=0.1, t_final=1.0, n_traj=0),
-        dict(dt=0.1, t_final=1.0, n_traj=1, seed=-1),
+        dict(dt=0.0, n_traj=1),
+        dict(dt=-0.1, n_traj=1),
+        dict(dt=0.1, n_traj=0),
+        dict(dt=0.1, n_traj=1, seed=-1),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             TrajectoryConfig(**kwargs)
 
     def test_misaligned_t_final(self):
-        cfg = TrajectoryConfig(dt=0.3, t_final=1.0, n_traj=1)
+        cfg = TrajectoryConfig(dt=0.3, n_traj=1)
         with pytest.raises(ValueError, match="does not lie on the dt = 0.3 grid"):
             run_ensemble(site_state(4, 2), LatticeSpec(4, 1.0, 0.0, 0.1), cfg, [1.0])
 
     def test_dp_per_step_guard(self):
         spec = LatticeSpec(4, 1.0, 0.0, 0.5)
-        cfg = TrajectoryConfig(dt=0.5, t_final=1.0, n_traj=2)
+        cfg = TrajectoryConfig(dt=0.5, n_traj=2)
         with pytest.raises(ValueError):
             run_ensemble(site_state(4, 2), spec, cfg, [1.0])
 
@@ -52,7 +51,7 @@ class TestStep:
         no_jump = np.outer(phi, phi.conj())
         jumps = 0
         for seed in range(500):
-            cfg = TrajectoryConfig(dt=dt, t_final=dt, n_traj=1, seed=seed)
+            cfg = TrajectoryConfig(dt=dt, n_traj=1, seed=seed)
             rho = run_ensemble(psi, spec, cfg, [dt])[0].entries
             occupied = np.flatnonzero(np.abs(np.diag(rho)) > 1e-12)
             if occupied.size == 1:
@@ -71,7 +70,7 @@ class TestStep:
         # fraction is binomial around the exact norm loss 1 - exp(-gamma dt).
         spec = LatticeSpec(4, 1e-14, 0.0, 0.3)
         dt, n = 0.2, 20_000
-        cfg = TrajectoryConfig(dt=dt, t_final=dt, n_traj=n, seed=12345)
+        cfg = TrajectoryConfig(dt=dt, n_traj=n, seed=12345)
         rho = run_ensemble(np.full(4, 0.5, dtype=complex), spec, cfg, [dt])[0].entries
         off = rho[~np.eye(4, dtype=bool)]
         assert np.abs(off - off[0]).max() < 1e-12
@@ -87,7 +86,7 @@ class TestStep:
         spec = LatticeSpec(4, 1e-14, 0.0, 0.3)
         dt, n = 0.2, 20_000
         steps = [1, 5, 20]
-        cfg = TrajectoryConfig(dt=dt, t_final=dt * max(steps), n_traj=n, seed=2718)
+        cfg = TrajectoryConfig(dt=dt, n_traj=n, seed=2718)
         out = run_ensemble(np.full(4, 0.5, dtype=complex), spec, cfg, [dt * m for m in steps])
         for m, rho in zip(steps, out):
             off = rho.entries[~np.eye(4, dtype=bool)]
@@ -102,7 +101,7 @@ class TestEnsemble:
     def test_gamma_zero_average_is_pure_unitary(self):
         spec = LatticeSpec(6, 1.0, 0.3, 0.0)
         psi0 = site_state(6, 3)
-        cfg = TrajectoryConfig(dt=0.1, t_final=5.0, n_traj=10, seed=1)
+        cfg = TrajectoryConfig(dt=0.1, n_traj=10, seed=1)
         out = run_ensemble(psi0, spec, cfg, [5.0])[0]
         exact = sla.expm(-1j * build_stark(spec) * 5.0) @ psi0
         assert trace_distance(out, np.outer(exact, exact.conj())) < 1e-9
@@ -112,7 +111,7 @@ class TestEnsemble:
     def test_vanishing_rate_is_no_jump_evolution(self, gamma):
         spec = LatticeSpec(5, 1.0, 0.2, gamma)
         psi0 = np.exp(1j * np.arange(5)) / np.sqrt(5)
-        cfg = TrajectoryConfig(dt=0.1, t_final=3.0, n_traj=50, seed=5)
+        cfg = TrajectoryConfig(dt=0.1, n_traj=50, seed=5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = run_ensemble(psi0, spec, cfg, [0.0, 1.3, 3.0])
@@ -124,7 +123,7 @@ class TestEnsemble:
         # A field of 1e300 makes the one-step exponential NaN: the no-jump
         # norm check names it, before any division can warn.
         spec = LatticeSpec(4, 1.0, 1e300, 0.02)
-        cfg = TrajectoryConfig(dt=0.1, t_final=1.0, n_traj=5, seed=0)
+        cfg = TrajectoryConfig(dt=0.1, n_traj=5, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NormCollapse, match="no-jump norm"):
@@ -133,13 +132,13 @@ class TestEnsemble:
     def test_deterministic_given_seed(self):
         spec = LatticeSpec(5, 1.0, 0.1, 0.05)
         psi0 = site_state(5, 3)
-        cfg = TrajectoryConfig(dt=0.1, t_final=10.0, n_traj=300, seed=42)
+        cfg = TrajectoryConfig(dt=0.1, n_traj=300, seed=42)
         a = run_ensemble(psi0, spec, cfg, [5.0, 10.0])
         b = run_ensemble(psi0, spec, cfg, [5.0, 10.0])
         for x, y in zip(a, b):
             assert np.array_equal(x.entries, y.entries)
         other = run_ensemble(psi0, spec,
-                             TrajectoryConfig(dt=0.1, t_final=10.0, n_traj=300, seed=43),
+                             TrajectoryConfig(dt=0.1, n_traj=300, seed=43),
                              [5.0, 10.0])
         assert not np.array_equal(a[0].entries, other[0].entries)
 
@@ -147,7 +146,7 @@ class TestEnsemble:
         spec = LatticeSpec(6, 1.0, 0.1, 0.05)
         psi0 = site_state(6, 3)
         n = 2000
-        cfg = TrajectoryConfig(dt=0.05, t_final=10.0, n_traj=n, seed=3)
+        cfg = TrajectoryConfig(dt=0.05, n_traj=n, seed=3)
         times = [5.0, 10.0]
         ens = run_ensemble(psi0, spec, cfg, times)
         exact = propagate(DensityMatrix.from_pure(psi0), spec, times)
@@ -161,7 +160,7 @@ class TestEnsemble:
         psi0 = site_state(5, 3)
 
         def mid_occupation(n_traj, seed):
-            cfg = TrajectoryConfig(dt=0.1, t_final=8.0, n_traj=n_traj, seed=seed)
+            cfg = TrajectoryConfig(dt=0.1, n_traj=n_traj, seed=seed)
             rho = run_ensemble(psi0, spec, cfg, [8.0])[0]
             return rho.entries[2, 2].real
 
@@ -171,20 +170,31 @@ class TestEnsemble:
         # quadrupling the ensemble should roughly halve the standard error
         assert small / large == pytest.approx(2.0, rel=0.5)
 
+    def test_runs_to_the_last_time(self):
+        # The config carries no horizon: the ensemble runs to max(times), and
+        # an earlier checkpoint does not depend on how far it runs.
+        spec, psi0 = LatticeSpec(5, 1.0, 0.1, 0.05), site_state(5, 3)
+        cfg = TrajectoryConfig(dt=0.1, n_traj=400, seed=9)
+        short = run_ensemble(psi0, spec, cfg, [2.0])
+        long = run_ensemble(psi0, spec, cfg, [2.0, 40.0])
+        assert np.array_equal(short[0].entries, long[0].entries)
+        exact = propagate(DensityMatrix.from_pure(psi0), spec, [40.0])[0]
+        assert trace_distance(long[1], exact) < 3.0 / np.sqrt(cfg.n_traj)
+
     def test_times_must_align_to_grid(self):
         spec = LatticeSpec(4, 1.0, 0.1, 0.02)
-        cfg = TrajectoryConfig(dt=0.1, t_final=5.0, n_traj=2, seed=0)
+        cfg = TrajectoryConfig(dt=0.1, n_traj=2, seed=0)
         with pytest.raises(ValueError):
             run_ensemble(site_state(4, 2), spec, cfg, [0.35])
 
     def test_requires_normalized_state(self):
-        cfg = TrajectoryConfig(dt=0.1, t_final=1.0, n_traj=2, seed=0)
+        cfg = TrajectoryConfig(dt=0.1, n_traj=2, seed=0)
         with pytest.raises(ValueError):
             run_ensemble(np.array([1.0, 1.0, 0.0]), LatticeSpec(3, 1.0, 0.0, 0.1), cfg, [1.0])
 
     def test_time_zero_checkpoint(self):
         spec = LatticeSpec(4, 1.0, 0.1, 0.02)
-        cfg = TrajectoryConfig(dt=0.1, t_final=1.0, n_traj=5, seed=0)
+        cfg = TrajectoryConfig(dt=0.1, n_traj=5, seed=0)
         psi0 = site_state(4, 2)
         out = run_ensemble(psi0, spec, cfg, [0.0, 1.0])
         assert trace_distance(out[0], np.outer(psi0, psi0.conj())) < 1e-14
@@ -294,7 +304,7 @@ class TestPerStepOracle:
             psi0 = site_state(L, 2)
         else:
             psi0 = np.exp(1j * np.arange(L)) / np.sqrt(L)
-        cfg = TrajectoryConfig(dt=dt, t_final=max(times), n_traj=n_traj, seed=11)
+        cfg = TrajectoryConfig(dt=dt, n_traj=n_traj, seed=11)
         ref, consecutive = per_step_ensemble(psi0, spec, cfg, times)
         out = run_ensemble(psi0, spec, cfg, times)
         for t, a, b in zip(times, out, ref):
