@@ -581,6 +581,12 @@ def run_table1(params: dict, seed: int, threads: int):
     """
     p = resolve_params("table1", params)
     t_fixed, t_max = p["t_fixed"], p["t_max"]
+    # Each series starts at its dt, and np.interp would read F(dt) for any
+    # earlier t_fixed.
+    for key in ("dt_lindblad", "dt_nh"):
+        if t_fixed < p[key]:
+            raise ConfigError(f"params.t_fixed: {t_fixed} is below params.{key} = {p[key]}, "
+                              "the first sample of its series")
     plan = [("lindblad", LatticeSpec(p["L_lindblad"], 1.0, h, p["gamma"]),
              _table1_times(p["dt_lindblad"], t_max, t_fixed), None) for h in p["lindblad_h"]]
     plan += [("hatano-nelson", LatticeSpec(p["L_nh"], 1.0, h, p["gamma"]),

@@ -7,15 +7,18 @@ also checks Hermiticity numerically.  ``eig_biorthogonal`` diagonalizes a
 real tridiagonal chain whose opposite hoppings share a sign (the Stark and
 Hatano-Nelson chains) through the imaginary gauge, with one real symmetric
 eigensolve; any other input, and a gauge result above its residual bound,
-takes the general complex eigensolver.  Everything here is dense; the
-dimensions in this package stay well below the point where sparse or Krylov
-methods would pay off.
+takes the general complex eigensolver.  The gauge route checks the
+defectiveness limit on a closed-form bound of the eigenvector condition
+number and runs the SVD only when that bound reaches the limit.  Everything
+here is dense; the dimensions in this package stay well below the point
+where sparse or Krylov methods would pay off.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -40,15 +43,19 @@ class BiorthogonalSystem:
     """Eigenvalues with mutually normalized right and left eigenvector sets.
 
     Columns of ``right_vectors`` / ``left_vectors`` are paired so that
-    <L_m|R_n> = delta_mn; ``condition`` is the 2-norm condition number of the
-    right-vector matrix and quantifies how far the completeness relation can
-    be trusted.
+    <L_m|R_n> = delta_mn; ``condition`` is the exact 2-norm condition number
+    of the right-vector matrix and quantifies how far the completeness
+    relation can be trusted.  It costs one SVD, computed on first read unless
+    the eigensolver already ran it and stored the value.
     """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
-    condition: float
+
+    @cached_property
+    def condition(self) -> float:
+        return float(np.linalg.cond(self.right_vectors))
 
     def overlaps(self, psi: np.ndarray) -> np.ndarray:
         """Expansion coefficients <L_n|psi> of a state in the right basis."""
@@ -90,7 +97,10 @@ def eig_biorthogonal(H) -> BiorthogonalSystem:
     positive axis, which makes the output deterministic.  Raises
     ExceptionalPointProximity when the right-vector matrix condition number
     exceeds ``EIGENVECTOR_CONDITION_LIMIT`` (defective or nearly defective
-    input, e.g. the unidirectional chain at h = 0).
+    input, e.g. the unidirectional chain at h = 0).  The general route checks
+    the exact condition number; the gauge route first bounds it in closed
+    form and runs the SVD only when the bound exceeds the limit, so both
+    routes accept and reject the same inputs.
 
     A real tridiagonal matrix whose off-diagonal pairs have positive products
     (the Stark and Hatano-Nelson chains) is diagonalized through the
@@ -138,7 +148,9 @@ def _eig_general(A: np.ndarray) -> BiorthogonalSystem:
     # <L_m|R_n> = delta_mn.
     vr = vr / _peak_phases(vr)[np.newaxis, :]
     left = np.linalg.inv(vr).conj().T
-    return BiorthogonalSystem(w, vr, left, cond)
+    system = BiorthogonalSystem(w, vr, left)
+    system.condition = cond
+    return system
 
 
 def _eig_gauge(A: np.ndarray) -> BiorthogonalSystem | None:
@@ -150,7 +162,10 @@ def _eig_gauge(A: np.ndarray) -> BiorthogonalSystem | None:
     (Hatano & Nelson, PRL 77, 570 (1996)).  From T = V diag(w) V^T the right
     vectors are D V and the left vectors D^-1 V, normalized in closed form.
     Both are built column by column in log space, so no gauge factor
-    overflows or underflows however far the skin effect reaches.
+    overflows or underflows however far the skin effect reaches.  The right
+    vectors are D V C with C the diagonal of inverse column norms, so
+    cond(D) cond(C) bounds their condition number, up to the O(n eps) loss
+    of orthogonality of V.
 
     Returns None when A is not such a chain, or when an eigenpair residual
     ||A r - w r|| exceeds 100 n eps max|A_ij|: there the gauge amplifies the
@@ -183,14 +198,24 @@ def _eig_gauge(A: np.ndarray) -> BiorthogonalSystem | None:
     if residual > 100 * n * np.finfo(float).eps * np.abs(A).max():
         return None
 
+    # log ||D v_n|| per column; the factor 2 in the bound covers the loss of
+    # orthogonality of V and the rounding of the exponential.  Below the limit
+    # the exact condition number is below it too, and the SVD is skipped.
+    log_norms = np.log(norms)
+    log_bound = math.log(2.0) + np.ptp(log_d) + np.ptp(log_norms + log_peak)
+    cond = None
+    if log_bound > math.log(EIGENVECTOR_CONDITION_LIMIT):
+        cond = _checked_condition(right)
     # Past this check every left-vector entry is bounded by the condition
     # number, so the exponential below cannot overflow.
-    cond = _checked_condition(right)
     phases = _peak_phases(right)
     right = right * phases
     # <L_n|R_n> = sum_j v_jn^2 = 1 with the per-column factors cancelling.
-    left = sign * phases * np.exp(log_v - log_d[:, np.newaxis] + log_peak + np.log(norms))
-    return BiorthogonalSystem(w.astype(complex), right.astype(complex), left.astype(complex), cond)
+    left = sign * phases * np.exp(log_v - log_d[:, np.newaxis] + log_peak + log_norms)
+    system = BiorthogonalSystem(w.astype(complex), right.astype(complex), left.astype(complex))
+    if cond is not None:
+        system.condition = cond
+    return system
 
 
 def _unidirectional_log_coeffs(n: int, spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -382,6 +382,22 @@ def test_table1_fixed_time_between_grid_points(tmp_path):
                                                     rel=1e-12)
 
 
+@pytest.mark.parametrize("change, dt_key", [
+    ({"t_fixed": 0.3}, "dt_lindblad"),
+    ({"t_fixed": 0.8}, "dt_lindblad"),
+    ({"t_fixed": 0.8, "dt_lindblad": 0.5, "dt_nh": 1.0}, "dt_nh"),
+])
+def test_table1_fixed_time_below_first_sample_names_key(tmp_path, capsys, change, dt_key):
+    # Every series starts at its dt; an earlier t_fixed would read F(dt).
+    cfg = write_config(tmp_path, {"experiment": "table1",
+                                  "params": {**TINY_CONFIGS["table1"], **change}})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: params.t_fixed:" in err
+    assert f"params.{dt_key}" in err
+    assert not (tmp_path / "o" / "table1.csv").exists()
+
+
 @pytest.mark.parametrize("experiment, boundary", [("hn-static", "true"),
                                                   ("uni-static", "false")])
 def test_static_maxima_flag_a_peak_on_the_grid_end(tmp_path, experiment, boundary):

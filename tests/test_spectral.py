@@ -20,6 +20,7 @@ from starkprobe.spectral import (
 BAD_INPUTS = [np.zeros((2, 3)), np.array([[np.inf, 0.0], [0.0, 0.0]])]
 
 SCIPY_EIG = sla.eig
+NP_COND = np.linalg.cond
 
 
 def general_reference(H):
@@ -202,20 +203,42 @@ class TestEigBiorthogonal:
         assert np.abs(system.eigenvalues - w_ref).max() < 1e-12 * np.abs(w_ref).max()
         assert np.abs(system.right_vectors - right_ref).max() < 1e-10
 
-    @pytest.mark.parametrize("h", [0.0, 1.0])
+    @pytest.mark.parametrize("h", [0.0, 1e-4, 1.0])
     def test_acceptance_matches_general_solver(self, h):
         # The gauge and general routes accept and reject the same chains; the
-        # gamma values straddle the condition limit at L = 100.
-        for L in (10, 50, 100, 200):
+        # gamma values straddle the condition limit at L = 100.  The reference
+        # is the SVD of the general solver's right vectors alone: at L = 400
+        # they are too close to singular to invert.
+        for L in (10, 50, 100, 200, 400):
             for gamma in (0.05, 0.1, 0.2, 0.23, 0.25, 0.3, 1.0, 50.0):
                 H = build_hatano_nelson(LatticeSpec(L, 1.0, h, gamma))
-                accepted = general_reference(H)[3] <= EIGENVECTOR_CONDITION_LIMIT
+                cond = NP_COND(SCIPY_EIG(H.astype(complex))[1])
+                accepted = cond <= EIGENVECTOR_CONDITION_LIMIT
                 try:
                     eig_biorthogonal(H)
                 except ExceptionalPointProximity:
                     assert not accepted, (L, gamma)
                 else:
                     assert accepted, (L, gamma)
+
+    def test_well_conditioned_gauge_result_skips_the_svd(self, monkeypatch):
+        # The closed-form bound stays below the limit here, so no SVD runs
+        # until the condition number is read, and then exactly one.
+        H = build_hatano_nelson(LatticeSpec(100, 1.0, 1e-4, 0.05))
+        calls = []
+
+        def counting_cond(*args, **kwargs):
+            calls.append(1)
+            return NP_COND(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counting_cond)
+        system = eig_biorthogonal(H)
+        assert not calls
+        first = system.condition
+        assert len(calls) == 1
+        assert system.condition == first
+        assert len(calls) == 1
+        assert first == pytest.approx(NP_COND(system.right_vectors), rel=1e-12)
 
     def test_far_skin_effect_rejected_cleanly(self):
         # The gauge spans e^-176 here; the input must come back as
