@@ -6,8 +6,9 @@ a < b) its n x n generator G, n = L^2, is real.  :func:`build_liouvillian`
 assembles the columnwise-vectorized generator sparse from a spec;
 :func:`propagate` builds it from its spec, takes it to that basis sparse,
 makes one dense real array of G and evolves a real coordinate vector with
-dense real exponentials.  This removes integrator tolerances as a confound in
-the scaling fits downstream.
+dense real exponentials; T^dag maps the coordinates back to rho, so the basis
+is laid out in :func:`_hermitian_basis` alone.  This removes integrator
+tolerances as a confound in the scaling fits downstream.
 
 Cost model.  One ``expm`` of size n is computed per distinct gap g between
 consecutive requested times and reused for each of the u uses of that gap.
@@ -180,7 +181,9 @@ def _hermitian_basis(dim: int) -> sp.csr_matrix:
 
     Rows: rho_aa for each a, then sqrt(2) Re rho_ab, then sqrt(2) Im rho_ab
     for the pairs a < b in ``np.triu_indices`` order.  Two nonzeros per
-    off-diagonal row; a generator G becomes T G T^dag.
+    off-diagonal row; a generator G becomes T G T^dag, and T^dag maps real
+    coordinates back to vec(rho), a Hermitian rho.  This is the one place
+    the layout of the coordinates is decided.
     """
     a, b = np.triu_indices(dim, 1)
     m = a.size
@@ -192,25 +195,6 @@ def _hermitian_basis(dim: int) -> sp.csr_matrix:
     vals = np.concatenate([np.ones(dim), np.full(2 * m, s),
                            np.full(m, -1j * s), np.full(m, 1j * s)])
     return sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
-
-
-def _from_coordinates(x: np.ndarray, dim: int) -> np.ndarray:
-    """The (k, dim, dim) Hermitian matrices whose real coordinates are the rows of x.
-
-    The inverse of :func:`_hermitian_basis`, applied by index scatter.
-    """
-    a, b = np.triu_indices(dim, 1)
-    m = a.size
-    s = 1.0 / math.sqrt(2.0)
-    re, im = s * x[:, dim:dim + m], s * x[:, dim + m:]
-    rho = np.zeros((x.shape[0], dim, dim), dtype=complex)
-    diag = np.arange(dim)
-    rho.real[:, diag, diag] = x[:, :dim]
-    rho.real[:, a, b] = re
-    rho.real[:, b, a] = re
-    rho.imag[:, a, b] = im
-    rho.imag[:, b, a] = -im
-    return rho
 
 
 def _step(gen: np.ndarray, norm: float, gap: float, uses: int) -> tuple[np.ndarray, int]:
@@ -232,8 +216,9 @@ def propagate(rho0, spec: LatticeSpec, times) -> list[DensityMatrix]:
     Liouvillian ``build_liouvillian(spec)`` is taken sparse to the real
     Hermitian basis, where it is real.  One exponential is computed per
     distinct gap between consecutive requested times and applied as the step
-    rule of the module docstring says.  The states are mapped back to rho,
-    Hermitian by construction, and validated together against the
+    rule of the module docstring says.  The states are mapped back to rho
+    by T^dag, the adjoint of the basis map, which makes them Hermitian
+    entry for entry.  They are validated together against the
     DensityMatrix invariants; a smallest eigenvalue at or below -1e-8 raises
     PositivityLoss naming the first time it occurs at.
     """
@@ -268,8 +253,10 @@ def propagate(rho0, spec: LatticeSpec, times) -> list[DensityMatrix]:
             for _ in range(reps):
                 x = E @ x
         coords[i] = x
+    # Row i of coords @ conj(T) is T^dag x_i = vec(rho_i), columnwise.
+    rho = (coords @ T.conj()).reshape((times.size, dim, dim), order="F")
     try:
-        return DensityMatrix._stack(_from_coordinates(coords, dim))
+        return DensityMatrix._stack(rho)
     except _NotPositive as exc:
         raise PositivityLoss(f"{exc} at t = {times[exc.index]} (propagation failure)") from exc
 

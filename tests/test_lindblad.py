@@ -267,6 +267,17 @@ class TestPropagate:
             exact = (sla.expm(gen * t) @ vectorize(rho0)).reshape((L, L), order="F")
             assert np.abs(dm.entries - exact).max() < 1e-12
 
+    @pytest.mark.parametrize("L", range(2, 9))
+    def test_states_are_exactly_hermitian(self, L):
+        # T^dag maps the real coordinates back: rho_ba is the conjugate of
+        # rho_ab bit for bit, and the diagonal is real.
+        spec = LatticeSpec(L, 1.0, 2.0, 0.1)
+        rho0 = DensityMatrix(random_density(np.random.default_rng(L), L))
+        for dm in propagate(rho0, spec, [0.0, 0.3, 2.0, 2.1, 9.5, 60.0]):
+            rho = dm.entries
+            assert np.array_equal(rho, rho.conj().T)
+            assert not np.diagonal(rho).imag.any()
+
     def test_step_rule_splits_only_unreused_long_gaps(self, monkeypatch):
         # ||G||_1 is about 12 here, so expm(G * 1) would square twice: the
         # 100-point grid keeps the full gap, the single late time splits it.
