@@ -470,7 +470,7 @@ def run_capped(tmp_path, experiment, change):
 # Each reaches its large allocation within about a second.
 @pytest.mark.parametrize("experiment, change", [
     ("lindblad-sweep", {"dt": 1e-12}),  # 4e12 time points
-    ("lindblad-sweep", {"L": [300]}),  # a 121 GiB dense Liouvillian
+    ("lindblad-sweep", {"L": [20000], "gamma": [0.05]}),  # a 5.96 GiB dense initial state
     ("hn-static", {"L": [20000]}),
     ("uni-dynamic", {"dt": 1e-12}),
 ])
@@ -505,6 +505,8 @@ needs_openblas = pytest.mark.skipif(
 # One dense expm of a 144 x 144 Liouvillian: large enough that its bytes
 # depend on the OpenBLAS thread count when nothing holds it fixed.
 BLAS_SENSITIVE = {"L": [12], "gamma": [0.05], "h": [0.1], "t_max": 100.0, "dt": 100.0}
+# A 784 x 784 Liouvillian, which propagates by the sparse Taylor action.
+SPARSE_ACTION = {**BLAS_SENSITIVE, "L": [28]}
 
 
 def blas_counts() -> dict:
@@ -527,8 +529,8 @@ def blas_at_two():
 
 
 @needs_openblas
-@pytest.mark.parametrize("params", [TINY_CONFIGS["lindblad-sweep"], BLAS_SENSITIVE],
-                         ids=["tiny", "dense-expm"])
+@pytest.mark.parametrize("params", [TINY_CONFIGS["lindblad-sweep"], BLAS_SENSITIVE,
+                                    SPARSE_ACTION], ids=["tiny", "dense-expm", "sparse-action"])
 def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, monkeypatch, blas_at_two, params):
     seen, sweep = [], EXPERIMENTS["lindblad-sweep"]
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -19,6 +21,10 @@ def random_density(rng, dim):
     A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = A @ A.conj().T
     return rho / np.trace(rho).real
+
+
+# L of the smallest generator, n = L^2, that propagates by the Taylor action.
+L_TAYLOR = math.isqrt(lindblad.TAYLOR_MIN_DIM)
 
 
 class TestVectorization:
@@ -250,9 +256,10 @@ class TestPropagate:
         with pytest.raises(PositivityLoss):
             propagate(DensityMatrix.from_pure(plus), spec, [2.5e-7])
 
-    @pytest.mark.parametrize("L", range(2, 9))
+    @pytest.mark.parametrize("L", [*range(2, 9), L_TAYLOR])
     # The strong-field lists have gaps that the step rule splits into 2^j
-    # applications of a shorter-step propagator.
+    # applications of a shorter-step propagator; at L_TAYLOR every list runs
+    # the Taylor action, t = 0 and a repeated gap included.
     @pytest.mark.parametrize("times, h", [
         (np.arange(1.0, 6.0), 0.3),
         ([0.0, 0.3, 2.0, 2.1, 9.5], 0.3),
@@ -307,3 +314,50 @@ class TestPropagate:
         monkeypatch.setattr(lindblad, "build_liouvillian", lambda _: sp.csr_matrix(leaky))
         with pytest.raises(ValueError, match="trace deviates from 1"):
             propagate(rho0, spec, [0.5, 1.0])
+
+
+class TestTaylorRoute:
+    def test_route_switches_at_the_threshold(self, monkeypatch):
+        # one size below the threshold, one dense expm per distinct gap; at
+        # the threshold none
+        assert L_TAYLOR ** 2 == lindblad.TAYLOR_MIN_DIM
+        expm, shapes = sla.expm, []
+        monkeypatch.setattr(lindblad.sla, "expm", lambda A: shapes.append(A.shape) or expm(A))
+        for L, expected in [(L_TAYLOR - 1, [((L_TAYLOR - 1) ** 2,) * 2] * 2), (L_TAYLOR, [])]:
+            shapes.clear()
+            rho0 = DensityMatrix.from_pure(site_state(L, middle_site(L)))
+            propagate(rho0, LatticeSpec(L, 1.0, 0.3, 0.1), [1.0, 2.0, 60.0])
+            assert shapes == expected
+
+    @pytest.mark.parametrize("n, scale, rate, t", [
+        (1, 1.0, 0.5, 3.0),
+        (2, 1.0, 0.0, 0.0),
+        (9, 0.1, 0.0, 1e-3),
+        (9, 2.0, 1.0, 7.0),
+        (30, 1.0, 0.1, 40.0),
+        (30, 0.0, 0.0, 5.0),
+    ])
+    def test_action_matches_dense_exponential(self, n, scale, rate, t):
+        # generators shaped like the real Liouvillian: a sparse antisymmetric
+        # part plus a decaying diagonal that does not commute with it, for
+        # ||A t||_1 from 0 to about 860, and the zero generator
+        rng = np.random.default_rng(n)
+        R = sp.random(n, n, density=0.3, rng=rng, data_rvs=rng.standard_normal)
+        A = (scale * (R - R.T) - sp.diags(rate * rng.random(n))).tocsr()
+        x = rng.standard_normal(n)
+        before = x.copy()
+        exact = sla.expm(A.toarray() * t) @ x
+        got = lindblad._taylor_route(A)(x, t)
+        assert np.abs(got - exact).max() < 1e-13 * np.abs(x).max()
+        assert np.array_equal(x, before)
+
+    def test_is_deterministic_and_leaves_the_global_rng_alone(self):
+        L = L_TAYLOR
+        spec = LatticeSpec(L, 1.0, 0.3, 0.02)
+        rho0 = DensityMatrix.from_pure(site_state(L, middle_site(L)))
+        state = np.random.get_state()
+        first, second = (propagate(rho0, spec, [100.0])[0].entries for _ in range(2))
+        assert np.array_equal(first, second)
+        after = np.random.get_state()
+        assert state[0] == after[0] and np.array_equal(state[1], after[1])
+        assert state[2:] == after[2:]
