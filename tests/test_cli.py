@@ -502,9 +502,10 @@ def test_trajectory_boundary_exits_cleanly(tmp_path, change, code, message):
 BLAS = cli._openblas_libraries()
 needs_openblas = pytest.mark.skipif(
     not BLAS, reason="no loaded OpenBLAS exposes a known thread-count symbol")
-# One dense expm of a 144 x 144 Liouvillian: large enough that its bytes
-# depend on the OpenBLAS thread count when nothing holds it fixed.
-BLAS_SENSITIVE = {"L": [12], "gamma": [0.05], "h": [0.1], "t_max": 100.0, "dt": 100.0}
+# Dense expm of the two mirror sectors (120 and 136) of a 256 x 256
+# Liouvillian: large enough that its bytes depend on the OpenBLAS thread count
+# when nothing holds it fixed (at L = 12 the sectors of 66 and 78 are not).
+BLAS_SENSITIVE = {"L": [16], "gamma": [0.05], "h": [0.1], "t_max": 100.0, "dt": 100.0}
 # A 784 x 784 Liouvillian, which propagates by the sparse Taylor action.
 SPARSE_ACTION = {**BLAS_SENSITIVE, "L": [28]}
 

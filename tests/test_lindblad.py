@@ -141,22 +141,62 @@ class TestLiouvillian:
             assert abs(np.vdot(vec_id, gen @ v)) < 1e-10
 
 
+def mirror_superoperator(L):
+    """R: vec(rho) -> vec(V rho^T V^T), V = P U, P reversing the sites, U = diag((-1)^j)."""
+    V = np.diag((-1.0) ** np.arange(1, L + 1))[::-1]
+    swap = np.zeros((L * L, L * L))  # vec(rho) -> vec(rho^T)
+    a, b = np.divmod(np.arange(L * L), L)
+    swap[a + b * L, b + a * L] = 1.0
+    return np.kron(V, V) @ swap
+
+
 class TestHermitianBasis:
-    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize("dim", range(1, 10))
     def test_map_is_unitary(self, dim):
-        T = _hermitian_basis(dim).toarray()
+        T, k = _hermitian_basis(dim)
+        T = T.toarray()
         assert np.abs(T @ T.conj().T - np.eye(dim * dim)).max() < 1e-15
-        assert (np.count_nonzero(T, axis=1) <= 2).all()
+        assert (np.count_nonzero(T, axis=1) <= 4).all()
+        # the mirror sectors, (L^2 - L)/2 and (L^2 + L)/2 coordinates
+        assert sorted([k, dim * dim - k]) == [(dim * dim - dim) // 2, (dim * dim + dim) // 2]
+
+    @pytest.mark.parametrize("L", range(2, 10))
+    def test_mirror_is_the_sign_of_the_sectors(self, L):
+        # R is +1 on the first k coordinates and -1 on the rest, so the
+        # coordinates are ordered by mirror sector, even sector first.
+        T, k = _hermitian_basis(L)
+        T = T.toarray()
+        R = T @ mirror_superoperator(L) @ T.conj().T
+        sign = np.concatenate([np.ones(k), -np.ones(L * L - k)])
+        assert np.abs(R - np.diag(sign)).max() < 1e-15
+
+    @pytest.mark.parametrize("L", range(2, 10))
+    @pytest.mark.parametrize("h", [0.0, 0.3, 2.0])
+    def test_mirror_commutes_with_the_liouvillian(self, L, h):
+        # for every J, h >= 0 and gamma, so the cross-sector blocks of
+        # T G T^dag, which propagate never forms, vanish up to rounding
+        G = build_liouvillian(LatticeSpec(L, 0.7, h, 0.2)).toarray()
+        norm = np.abs(G).sum(axis=0).max()
+        R = mirror_superoperator(L)
+        assert np.abs(R @ G - G @ R).max() < 1e-15 * norm
+        T, k = _hermitian_basis(L)
+        T = T.toarray()
+        G = T @ G @ T.conj().T
+        assert max(np.abs(G[:k, k:]).sum(axis=0).max(initial=0.0),
+                   np.abs(G[k:, :k]).sum(axis=0).max(initial=0.0)) <= 1e-13 * norm
 
     def test_hermitian_input_has_real_coordinates(self):
         rng = np.random.default_rng(3)
         rho = random_density(rng, 6)
-        x = _hermitian_basis(6) @ vectorize(rho)
+        T, k = _hermitian_basis(6)
+        x = T @ vectorize(rho)
         assert np.abs(x.imag).max() < 1e-15
-        assert np.allclose(x[:6], np.diag(rho).real)
-        a, b = np.triu_indices(6, 1)
-        assert np.allclose(x[6:6 + a.size], np.sqrt(2) * rho[a, b].real)
-        assert np.allclose(x[6 + a.size:], np.sqrt(2) * rho[a, b].imag)
+        assert np.allclose(T.conj().T @ x.real, vectorize(rho))
+        # a mirror-even state has no odd coordinates, a mirror-odd one no even
+        R = mirror_superoperator(6)
+        even, odd = T @ (R + np.eye(36)) @ vectorize(rho), T @ (R - np.eye(36)) @ vectorize(rho)
+        assert np.abs(even[k:]).max() < 1e-15 and np.abs(odd[:k]).max() < 1e-15
+        assert np.abs(even[:k]).max() > 0.1 and np.abs(odd[k:]).max() > 0.1
 
 
 class TestPropagate:
@@ -257,9 +297,11 @@ class TestPropagate:
             propagate(DensityMatrix.from_pure(plus), spec, [2.5e-7])
 
     @pytest.mark.parametrize("L", [*range(2, 9), L_TAYLOR])
-    # The strong-field lists have gaps that the step rule splits into 2^j
-    # applications of a shorter-step propagator; at L_TAYLOR every list runs
-    # the Taylor action, t = 0 and a repeated gap included.
+    # L = 2-5 exponentiate the block-diagonal generator whole, L = 6-8 each
+    # mirror sector apart.  The strong-field lists have gaps that the step
+    # rule splits into 2^j applications of a shorter-step propagator; at
+    # L_TAYLOR every list runs the Taylor action, t = 0 and a repeated gap
+    # included.
     @pytest.mark.parametrize("times, h", [
         (np.arange(1.0, 6.0), 0.3),
         ([0.0, 0.3, 2.0, 2.1, 9.5], 0.3),
@@ -286,24 +328,39 @@ class TestPropagate:
             assert not np.diagonal(rho).imag.any()
 
     def test_step_rule_splits_only_unreused_long_gaps(self, monkeypatch):
-        # ||G||_1 is about 12 here, so expm(G * 1) would square twice: the
-        # 100-point grid keeps the full gap, the single late time splits it.
+        # ||G_k||_1 is about 9 and 12 in the two mirror sectors here, so
+        # expm(G_k * 1) would square once or twice: the 100-point grid keeps
+        # the full gap, the single late time splits it, in each sector.
         spec = LatticeSpec(6, 1.0, 2.0, 0.05)
         rho0 = DensityMatrix.from_pure(site_state(6, 3))
-        T = _hermitian_basis(6)
+        T, k = _hermitian_basis(6)
         G = (T @ (build_liouvillian(spec) @ T.conj().T)).real.toarray()
+        blocks = [G[:k, :k], G[k:, k:]]
         expm, calls = sla.expm, []
         monkeypatch.setattr(lindblad.sla, "expm", lambda A: calls.append(A) or expm(A))
 
         propagate(rho0, spec, np.arange(1.0, 101.0))
-        assert len(calls) == 1
-        assert np.array_equal(calls[0], G)
+        assert [A.shape for A in calls] == [(15, 15), (21, 21)]
+        assert all(np.array_equal(A, block) for A, block in zip(calls, blocks))
 
         calls.clear()
         propagate(rho0, spec, [100.0])
-        assert len(calls) == 1
-        splits = [j for j in range(1, 20) if np.array_equal(calls[0], G * (100.0 / 2 ** j))]
-        assert len(splits) == 1
+        assert [A.shape for A in calls] == [(15, 15), (21, 21)]
+        for A, block in zip(calls, blocks):
+            splits = [j for j in range(1, 20) if np.array_equal(A, block * (100.0 / 2 ** j))]
+            assert len(splits) == 1
+
+    def test_sectors_split_from_mirror_min_dim(self, monkeypatch):
+        # one size below the threshold, one expm of the whole block-diagonal
+        # generator per distinct gap; at the threshold one per sector
+        assert lindblad.MIRROR_MIN_DIM == 6 * 6
+        expm, shapes = sla.expm, []
+        monkeypatch.setattr(lindblad.sla, "expm", lambda A: shapes.append(A.shape) or expm(A))
+        for L, expected in [(5, [(25, 25)] * 2), (6, [(15, 15), (21, 21)] * 2)]:
+            shapes.clear()
+            rho0 = DensityMatrix.from_pure(site_state(L, middle_site(L)))
+            propagate(rho0, LatticeSpec(L, 1.0, 0.3, 0.1), [1.0, 2.0, 60.0])
+            assert shapes == expected
 
     def test_trace_loss_raises(self, monkeypatch):
         # an extra decay of rho_11 alone leaks population out of the trace
@@ -318,12 +375,13 @@ class TestPropagate:
 
 class TestTaylorRoute:
     def test_route_switches_at_the_threshold(self, monkeypatch):
-        # one size below the threshold, one dense expm per distinct gap; at
-        # the threshold none
-        assert L_TAYLOR ** 2 == lindblad.TAYLOR_MIN_DIM
+        # one size below the threshold, one dense expm per mirror sector and
+        # distinct gap; at the threshold none
+        # at L = 27 the even sector has (27^2 + 27)/2 = 378 coordinates
+        assert lindblad.TAYLOR_MIN_DIM == 28 * 28
         expm, shapes = sla.expm, []
         monkeypatch.setattr(lindblad.sla, "expm", lambda A: shapes.append(A.shape) or expm(A))
-        for L, expected in [(L_TAYLOR - 1, [((L_TAYLOR - 1) ** 2,) * 2] * 2), (L_TAYLOR, [])]:
+        for L, expected in [(27, [(378, 378), (351, 351)] * 2), (28, [])]:
             shapes.clear()
             rho0 = DensityMatrix.from_pure(site_state(L, middle_site(L)))
             propagate(rho0, LatticeSpec(L, 1.0, 0.3, 0.1), [1.0, 2.0, 60.0])
