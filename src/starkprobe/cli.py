@@ -4,6 +4,8 @@
 one named experiment and writes one CSV per output table plus a manifest with
 the fully resolved configuration, defaults included.  One resolver checks the
 top-level keys and the params; an error names its key (``params.h_grid.lo``).
+The config is resolved once and the experiment planned before the output
+directory is touched, so a config error writes nothing.
 Identical config and seed reproduce every CSV byte for byte; the manifest,
 written last, marks completion.
 
@@ -157,25 +159,34 @@ def _single_threaded_blas():
                     set_(count)
 
 
-def run_from_config(config: dict, out_dir: Path) -> dict:
-    """Execute a validated config, write CSVs + manifest, return the manifest."""
+def run_from_config(config: dict, out_dir: Path | None) -> dict:
+    """Resolve and plan ``config``, run it, write CSVs + manifest, return the manifest.
+
+    The one place a config is resolved.  ``out_dir`` of None means the
+    config's ``out``, or else ``runs/<experiment>``.  Every ConfigError, of
+    one key or across keys, is raised while the experiment plans, before
+    ``out_dir`` is created or its old manifest deleted.
+    """
     resolved = _validate(config)
-    runner = EXPERIMENTS[resolved["experiment"]]
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot use {out_dir} as output directory: {exc.strerror}") from exc
+    out_dir = Path(out_dir or resolved["out"] or f"runs/{resolved['experiment']}")
     # Checked before the run, so a taken output name fails fast instead of
     # after the whole experiment.
     for path in [out_dir / "manifest.json", *sorted(out_dir.glob("*.csv"))]:
         if path.is_dir():
             raise ConfigError(f"cannot write output {path}: it is a directory")
-    # A stale marker would make a rerun that fails midway look complete.
-    (out_dir / "manifest.json").unlink(missing_ok=True)
 
     started = time.time()
     with _single_threaded_blas() as blas_before:
-        tables = runner(resolved["params"], resolved["seed"], resolved["threads"])
+        work = EXPERIMENTS[resolved["experiment"]](resolved["params"], resolved["seed"],
+                                                   resolved["threads"])
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use {out_dir} as output directory: "
+                              f"{exc.strerror}") from exc
+        # A stale marker would make a rerun that fails midway look complete.
+        (out_dir / "manifest.json").unlink(missing_ok=True)
+        tables = work()
     runtime = time.time() - started
 
     outputs = {}
@@ -186,6 +197,7 @@ def run_from_config(config: dict, out_dir: Path) -> dict:
 
     manifest = {
         "experiment": resolved["experiment"],
+        "out": str(out_dir),
         "params": resolved["params"],
         "seed": resolved["seed"],
         "threads": resolved["threads"],
@@ -222,9 +234,7 @@ def main(argv=None) -> int:
             config["threads"] = args.threads
         if args.seed is not None:
             config["seed"] = args.seed
-        resolved = _validate(config)
-        out_dir = args.out or Path(resolved["out"] or f"runs/{resolved['experiment']}")
-        manifest = run_from_config(config, Path(out_dir))
+        manifest = run_from_config(config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -232,6 +242,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
+    out_dir = manifest["out"]
     for filename, info in manifest["outputs"].items():
         print(f"wrote {out_dir}/{filename} ({info['rows']} rows)")
     print(f"wrote {out_dir}/manifest.json")

@@ -3,16 +3,19 @@
 The pipelines produce quantum-Fisher-information series and static scans for
 each dynamical formalism (exact Liouvillian propagation, trace-preserving
 non-Hermitian evolution, closed-form eigenstate probes).  The drivers wrap
-them into the named experiments the CLI exposes and return plain row dicts
-ready for CSV serialization.
+them into the named experiments the CLI exposes, whose work returns plain
+row dicts ready for CSV serialization.
 
-Each driver resolves its params and builds a plan, a list of cases, before
-any work runs: ``(formalism, spec, times, psi0)`` per QFI series, or
+A driver ``run_*(params, seed, threads)`` takes params that
+``resolve_params`` already checked, raises every ConfigError that ties keys
+together (a time and dt, an index and L, a packet width), and builds a plan,
+a list of cases: ``(formalism, spec, times, psi0)`` per QFI series, or
 ``(spec, state_index, extra columns)`` per static scan over a shared field
-grid.  ``_run_series`` maps series cases through one dispatch on the
-formalism on ``threads`` task threads, in plan order; ``_curve_rows``,
-``_peak_rows`` and ``_table1_rows`` turn the series into rows, and
-``_static_tables`` runs and tabulates the static scans.
+grid.  It runs nothing: it returns the work, a function of no arguments that
+returns ``{table name: rows}``.  ``_run_series`` maps series cases through
+one dispatch on the formalism on ``threads`` task threads, in plan order;
+``_curve_rows``, ``_peak_rows`` and ``_table1_rows`` turn the series into
+rows, and ``_static_tables`` runs and tabulates the static scans.
 
 Field derivatives follow one mechanism, ``_tangent``: the full evolution at
 h and h +/- delta, delta = default_step(h), differenced centrally, with
@@ -474,21 +477,25 @@ def _static_tables(experiment: str, kind: str, plan, grid, seed, threads: int) -
 
 
 # ---------------------------------------------------------------------------
-# Experiment drivers: resolved params to a plan
+# Experiment drivers: resolved params to a plan, and the plan to its work
 # ---------------------------------------------------------------------------
 
-def run_lindblad_sweep(params: dict, seed: int, threads: int):
+def _dynamic_tables(table: str, plan, seed, threads: int) -> dict:
+    """Curve and peak tables of a dynamic series plan."""
+    runs = _run_series(plan, threads)
+    return {table: _curve_rows(runs, seed), f"{table}_maxima": _peak_rows(runs, seed)}
+
+
+def run_lindblad_sweep(p: dict, seed: int, threads: int):
     """QFI(t) under dephasing over a (L, gamma, h) product grid."""
-    p = resolve_params("lindblad-sweep", params)
     times = _time_grid(p["t_max"], p["dt"])
     plan = [("lindblad", LatticeSpec(L, 1.0, h, g), times, None)
             for L in p["L"] for g in p["gamma"] for h in p["h"]]
-    return {"lindblad_sweep": _curve_rows(_run_series(plan, threads), seed)}
+    return lambda: {"lindblad_sweep": _curve_rows(_run_series(plan, threads), seed)}
 
 
-def run_traj_validate(params: dict, seed: int, threads: int):
+def run_traj_validate(p: dict, seed: int, threads: int):
     """Trace distance between the trajectory ensemble and the exact propagation."""
-    p = resolve_params("traj-validate", params)
     L, dt, n_traj = p["L"], p["dt"], p["n_traj"]
     times = np.asarray(p["times"])
 
@@ -502,54 +509,49 @@ def run_traj_validate(params: dict, seed: int, threads: int):
         raise ConfigError(f"params.times: must be ascending, got {times.tolist()}")
     psi0 = site_state(L, middle_site(L))
     cfg = TrajectoryConfig(dt=dt, n_traj=n_traj, seed=seed)
-    ensemble = run_ensemble(psi0, spec, cfg, times)
-    exact = propagate(DensityMatrix.from_pure(psi0), spec, times)
 
-    rows = []
-    for t, est, ref in zip(times, ensemble, exact):
-        rows.append(_tuple_row("trajectory", spec, float(t), seed,
-                               n_traj=n_traj, dt=dt,
-                               trace_distance=trace_distance(est, ref)))
-    return {"traj_validate": rows}
+    def work():
+        ensemble = run_ensemble(psi0, spec, cfg, times)
+        exact = propagate(DensityMatrix.from_pure(psi0), spec, times)
+        return {"traj_validate": [_tuple_row("trajectory", spec, float(t), seed,
+                                             n_traj=n_traj, dt=dt,
+                                             trace_distance=trace_distance(est, ref))
+                                  for t, est, ref in zip(times, ensemble, exact)]}
+    return work
 
 
-def run_hn_static(params: dict, seed: int, threads: int):
+def run_hn_static(p: dict, seed: int, threads: int):
     """Eigenstate QFI of the nonreciprocal chain over a field grid.
 
     ``state_index`` defaults to the competition state L-1 (see
     :func:`static_qfi_scan`).
     """
-    p = resolve_params("hn-static", params)
     grid = _grid_points(p["h_grid"])
     specs = [LatticeSpec(L, 1.0, 0.0, g) for L in p["L"] for g in p["gamma"]]
     plan = [(spec, _state_index(p["state_index"], spec.L, "state_index"), {})
             for spec in specs]
-    return _static_tables("hn-static", "hatano-nelson", plan, grid, seed, threads)
+    return lambda: _static_tables("hn-static", "hatano-nelson", plan, grid, seed, threads)
 
 
-def run_uni_static(params: dict, seed: int, threads: int):
+def run_uni_static(p: dict, seed: int, threads: int):
     """Closed-form eigenstate QFI of the unidirectional chain."""
-    p = resolve_params("uni-static", params)
     grid = _grid_points(p["h_grid"])
     specs = [LatticeSpec(L, 1.0, 0.0, 0.0) for L in p["L"]]
     plan = [(spec, _state_index(label, spec.L, "states"), {"state": str(label)})
             for spec in specs for label in p["states"]]
-    return _static_tables("uni-static", "unidirectional", plan, grid, seed, threads)
+    return lambda: _static_tables("uni-static", "unidirectional", plan, grid, seed, threads)
 
 
-def run_hn_dynamic(params: dict, seed: int, threads: int):
+def run_hn_dynamic(p: dict, seed: int, threads: int):
     """F/t^2 evolution of the nonreciprocal chain from a mid-lattice particle."""
-    p = resolve_params("hn-dynamic", params)
     times = _peak_times(_time_grid(p["t_max"], p["dt"]))
     plan = [("hatano-nelson", LatticeSpec(L, 1.0, h, p["gamma"]), times, None)
             for L in p["L"] for h in p["h"]]
-    runs = _run_series(plan, threads)
-    return {"hn_dynamic": _curve_rows(runs, seed), "hn_dynamic_maxima": _peak_rows(runs, seed)}
+    return lambda: _dynamic_tables("hn_dynamic", plan, seed, threads)
 
 
-def run_uni_dynamic(params: dict, seed: int, threads: int):
+def run_uni_dynamic(p: dict, seed: int, threads: int):
     """F/t^2 evolution of the unidirectional chain from a Gaussian packet."""
-    p = resolve_params("uni-dynamic", params)
     times = _peak_times(_time_grid(p["t_max"], p["dt"]))
     specs = [LatticeSpec(L, 1.0, h, 0.0) for L in p["L"] for h in p["h"]]
     try:
@@ -557,8 +559,7 @@ def run_uni_dynamic(params: dict, seed: int, threads: int):
     except ValueError as exc:
         raise ConfigError(f"params.sigma: {exc}; raise sigma") from exc
     plan = [("unidirectional", spec, times, packets[spec.L]) for spec in specs]
-    runs = _run_series(plan, threads)
-    return {"uni_dynamic": _curve_rows(runs, seed), "uni_dynamic_maxima": _peak_rows(runs, seed)}
+    return lambda: _dynamic_tables("uni_dynamic", plan, seed, threads)
 
 
 def _table1_times(dt: float, horizon: float, t_fixed: float) -> np.ndarray:
@@ -568,7 +569,7 @@ def _table1_times(dt: float, horizon: float, t_fixed: float) -> np.ndarray:
     return _peak_times(dt * np.arange(1, n + 1))
 
 
-def run_table1(params: dict, seed: int, threads: int):
+def run_table1(p: dict, seed: int, threads: int):
     """Signal-to-noise table: three probes, three fields each, two report times.
 
     All rows start from a single particle at the mid-lattice site (the
@@ -579,7 +580,6 @@ def run_table1(params: dict, seed: int, threads: int):
     singularities (h = 0 has no revival).  When no interior peak exists the
     fixed reporting time is used and the row is flagged.
     """
-    p = resolve_params("table1", params)
     t_fixed, t_max = p["t_fixed"], p["t_max"]
     # Each series starts at its dt, and np.interp would read F(dt) for any
     # earlier t_fixed.
@@ -594,7 +594,7 @@ def run_table1(params: dict, seed: int, threads: int):
     plan += [("unidirectional", LatticeSpec(p["L_nh"], 1.0, h, 0.0),
               _table1_times(p["dt_nh"], min(t_max, 0.95 * np.pi / h) if h > 0 else t_max,
                             t_fixed), None) for h in p["uni_h"]]
-    return {"table1": _table1_rows(_run_series(plan, threads), t_fixed, p["M"], seed)}
+    return lambda: {"table1": _table1_rows(_run_series(plan, threads), t_fixed, p["M"], seed)}
 
 
 EXPERIMENTS = {

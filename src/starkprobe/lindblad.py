@@ -310,8 +310,8 @@ def _dense_route(blocks: list[sp.csr_matrix], uses: Counter):
 def _taylor_route(gen: sp.csr_matrix):
     """x, gap -> exp(G gap) x by the sparse truncated Taylor action.
 
-    G is shifted by mu = tr(G)/n once; one (m, s) plan is kept per distinct
-    gap, the pair minimizing m * s with ||(G - mu I) gap||_1 / s <= theta_m.
+    G is shifted by mu = tr(G)/n once; each call picks the (m, s) pair
+    minimizing m * s with ||(G - mu I) gap||_1 / s <= theta_m.
     Each substep sums at most m terms and stops once two successive terms
     are below 2^-53 of the partial sum (Al-Mohy & Higham 2011, Alg. 3.2).
     """
@@ -319,15 +319,10 @@ def _taylor_route(gen: sp.csr_matrix):
     mu = float(gen.diagonal().sum()) / n
     A = gen - mu * sp.identity(n, format="csr")
     norm = float(abs(A).sum(axis=0).max())  # ||G - mu I||_1
-    plans: dict[float, tuple[int, int]] = {}
 
     def advance(x: np.ndarray, gap: float) -> np.ndarray:
-        key = round(gap, 12)
-        if key not in plans:
-            plans[key] = min(((m, max(math.ceil(norm * gap / theta), 1))
-                              for m, theta in THETA_TAYLOR.items()),
-                             key=lambda plan: plan[0] * plan[1])
-        m, s = plans[key]
+        m, s = min(((m, max(math.ceil(norm * gap / theta), 1))
+                    for m, theta in THETA_TAYLOR.items()), key=lambda plan: plan[0] * plan[1])
         eta = math.exp(mu * gap / s)
         x = x.copy()
         for _ in range(s):

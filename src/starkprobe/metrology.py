@@ -42,15 +42,10 @@ CFI_PROBABILITY_FLOOR = 1e-12
 
 @dataclass
 class FisherResult:
-    """Fisher-information value with provenance.
-
-    ``method`` is "pure" (state-overlap formula) or "sld" (symmetric
-    logarithmic derivative); ``condition_flags`` collects soft diagnostics
-    such as "rank-deficient".
-    """
+    """Fisher-information value; ``condition_flags`` collects soft diagnostics
+    such as "rank-deficient"."""
 
     value: float
-    method: str
     condition_flags: list[str] = field(default_factory=list)
 
 
@@ -75,7 +70,7 @@ def qfi_pure(psi, dpsi) -> FisherResult:
     psi = np.asarray(psi, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise ValueError("qfi_pure requires a normalized state")
-    return FisherResult(float(qfi_pure_batch([psi], [dpsi])[0]), "pure")
+    return FisherResult(float(qfi_pure_batch([psi], [dpsi])[0]))
 
 
 def qfi_mixed(rho, drho):
@@ -112,7 +107,7 @@ def qfi_mixed(rho, drho):
         flags.append("rank-deficient")
 
     sld = V @ sld_eig @ V.conj().T
-    result = FisherResult(float(_clamped(value, "qfi_mixed")), "sld", flags)
+    result = FisherResult(float(_clamped(value, "qfi_mixed")), flags)
     return result, sld
 
 

@@ -45,8 +45,7 @@ class BiorthogonalSystem:
     Columns of ``right_vectors`` / ``left_vectors`` are paired so that
     <L_m|R_n> = delta_mn; ``condition`` is the exact 2-norm condition number
     of the right-vector matrix and quantifies how far the completeness
-    relation can be trusted.  It costs one SVD, computed on first read unless
-    the eigensolver already ran it and stored the value.
+    relation can be trusted.  It costs one SVD, computed on first read.
     """
 
     eigenvalues: np.ndarray
@@ -114,15 +113,14 @@ def eig_biorthogonal(H) -> BiorthogonalSystem:
     return _eig_general(A) if system is None else system
 
 
-def _checked_condition(vr: np.ndarray) -> float:
-    """2-norm condition number of ``vr``; raises past the defectiveness limit."""
+def _checked_condition(vr: np.ndarray) -> None:
+    """Raise when the 2-norm condition number of ``vr`` passes the defectiveness limit."""
     cond = float(np.linalg.cond(vr))
     if not np.isfinite(cond) or cond > EIGENVECTOR_CONDITION_LIMIT:
         raise ExceptionalPointProximity(
             f"eigenvector condition number {cond:.3e} exceeds "
             f"{EIGENVECTOR_CONDITION_LIMIT:.0e}; matrix is defective or nearly so"
         )
-    return cond
 
 
 def _peak_phases(vr: np.ndarray) -> np.ndarray:
@@ -143,14 +141,12 @@ def _eig_general(A: np.ndarray) -> BiorthogonalSystem:
     order = np.lexsort((w.imag, w.real))
     w = w[order]
     vr = vr[:, order]
-    cond = _checked_condition(vr)
+    _checked_condition(vr)
     # The left vectors inherit the phase fix through the inverse, which keeps
     # <L_m|R_n> = delta_mn.
     vr = vr / _peak_phases(vr)[np.newaxis, :]
     left = np.linalg.inv(vr).conj().T
-    system = BiorthogonalSystem(w, vr, left)
-    system.condition = cond
-    return system
+    return BiorthogonalSystem(w, vr, left)
 
 
 def _eig_gauge(A: np.ndarray) -> BiorthogonalSystem | None:
@@ -203,19 +199,15 @@ def _eig_gauge(A: np.ndarray) -> BiorthogonalSystem | None:
     # the exact condition number is below it too, and the SVD is skipped.
     log_norms = np.log(norms)
     log_bound = math.log(2.0) + np.ptp(log_d) + np.ptp(log_norms + log_peak)
-    cond = None
     if log_bound > math.log(EIGENVECTOR_CONDITION_LIMIT):
-        cond = _checked_condition(right)
+        _checked_condition(right)
     # Past this check every left-vector entry is bounded by the condition
     # number, so the exponential below cannot overflow.
     phases = _peak_phases(right)
     right = right * phases
     # <L_n|R_n> = sum_j v_jn^2 = 1 with the per-column factors cancelling.
     left = sign * phases * np.exp(log_v - log_d[:, np.newaxis] + log_peak + log_norms)
-    system = BiorthogonalSystem(w.astype(complex), right.astype(complex), left.astype(complex))
-    if cond is not None:
-        system.condition = cond
-    return system
+    return BiorthogonalSystem(w.astype(complex), right.astype(complex), left.astype(complex))
 
 
 def _unidirectional_log_coeffs(n: int, spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:

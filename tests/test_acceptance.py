@@ -23,6 +23,7 @@ from starkprobe.analysis import (
 from starkprobe.experiments import (
     lindblad_qfi_series,
     nh_qfi_series,
+    resolve_params,
     run_table1,
     static_qfi_scan,
 )
@@ -350,7 +351,7 @@ def test_criterion_10_dynamic_scaling():
 # --------------------------------------------------------------------------
 
 def test_criterion_11_snr_table():
-    tables = run_table1({}, seed=0, threads=2)
+    tables = run_table1(resolve_params("table1", {}), seed=0, threads=2)()
     rows = {(r["formalism"], r["h"]): r for r in tables["table1"]}
 
     lind = rows[("lindblad", 0.5)]

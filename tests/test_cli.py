@@ -338,6 +338,37 @@ def test_failing_rerun_leaves_no_manifest(tmp_path):
     assert not (out / "manifest.json").exists()
 
 
+# One config per cross-key check of a driver, each breaking only that check.
+CROSS_KEY_FAULTS = {
+    "table1": {"t_fixed": 0.3},  # below dt_lindblad
+    "lindblad-sweep": {"t_max": 4.5},  # not a multiple of dt
+    "traj-validate": {"gamma": 1.0},  # gamma*dt reaches MAX_DP_PER_STEP
+    "hn-static": {"state_index": 12},  # outside 0..L-1
+    "uni-dynamic": {"L": [9], "sigma": 0.01},  # the packet underflows
+    "hn-dynamic": {"t_max": 1.0},  # two time points
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(CROSS_KEY_FAULTS))
+def test_cross_key_fault_touches_no_output(tmp_path, capsys, experiment):
+    out = tmp_path / "o"
+    good = write_config(tmp_path, {"experiment": experiment, "seed": 0,
+                                   "params": TINY_CONFIGS[experiment]})
+    assert main(["run", str(good), "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert json.loads(before["manifest.json"])["out"] == str(out)
+    bad = write_config(tmp_path, {"experiment": experiment, "seed": 0,
+                                  "params": {**TINY_CONFIGS[experiment],
+                                             **CROSS_KEY_FAULTS[experiment]}})
+    capsys.readouterr()
+    assert main(["run", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: params.")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    fresh = tmp_path / "fresh" / "o"
+    assert main(["run", str(bad), "--out", str(fresh)]) == 2
+    assert not (tmp_path / "fresh").exists()
+
+
 def test_memory_error_exits_3_without_manifest(tmp_path, capsys, monkeypatch):
     out = tmp_path / "o"
     cfg = write_config(tmp_path, {"experiment": "uni-dynamic", "seed": 0,
@@ -346,7 +377,9 @@ def test_memory_error_exits_3_without_manifest(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
     def out_of_memory(*args):
-        raise MemoryError("Unable to allocate 121. GiB for an array")
+        def work():
+            raise MemoryError("Unable to allocate 121. GiB for an array")
+        return work
 
     monkeypatch.setitem(EXPERIMENTS, "uni-dynamic", out_of_memory)
     assert main(["run", str(cfg), "--out", str(out)]) == 3
@@ -609,7 +642,7 @@ def test_nested_run_keeps_the_cap(tmp_path, monkeypatch, blas_at_two):
         run_from_config({"experiment": "uni-dynamic", "params": TINY_CONFIGS["uni-dynamic"]},
                         tmp_path / "inner")
         seen.append(blas_counts())
-        return {"rows": [{"seed": seed}]}
+        return lambda: {"rows": [{"seed": seed}]}
 
     monkeypatch.setitem(EXPERIMENTS, "lindblad-sweep", outer)
     manifest = run_from_config({"experiment": "lindblad-sweep"}, tmp_path / "outer")
@@ -634,7 +667,7 @@ def test_concurrent_runs_share_one_cap(tmp_path, monkeypatch, blas_at_two):
         if seed == 2:
             assert first_left.wait(timeout=30)
         seen[seed] = blas_counts()
-        return {"rows": [{"seed": seed}]}
+        return lambda: {"rows": [{"seed": seed}]}
 
     def run(seed):
         run_from_config({"experiment": "lindblad-sweep", "seed": seed}, tmp_path / str(seed))
@@ -659,7 +692,7 @@ def test_many_concurrent_runs_restore_once(tmp_path, monkeypatch, blas_at_two):
 
     def runner(params, seed, threads):
         seen.append(blas_counts())
-        return {"rows": [{"seed": seed}]}
+        return lambda: {"rows": [{"seed": seed}]}
 
     def runs(worker):
         for i in range(25):

@@ -9,6 +9,7 @@ from starkprobe.experiments import (
     lindblad_qfi_series,
     nh_qfi_series,
     refine_peak,
+    resolve_params,
     run_uni_static,
     static_qfi_scan,
 )
@@ -239,14 +240,14 @@ class TestRefinePeak:
 class TestDriverValidation:
     def test_uni_static_state_label(self):
         with pytest.raises(ConfigError):
-            run_uni_static({"L": [16], "states": ["highest"],
-                            "h_grid": {"lo": 0.05, "hi": 0.5, "n": 6}},
-                           seed=0, threads=1)
+            run_uni_static(resolve_params("uni-static", {
+                "L": [16], "states": ["highest"], "h_grid": {"lo": 0.05, "hi": 0.5, "n": 6}}),
+                seed=0, threads=1)
 
     def test_uni_static_ground_maps_to_top_index(self):
-        tables = run_uni_static({"L": [16], "states": ["ground", "mid"],
-                                 "h_grid": {"lo": 0.05, "hi": 0.5, "n": 6}},
-                                seed=0, threads=1)
+        params = resolve_params("uni-static", {"L": [16], "states": ["ground", "mid"],
+                                               "h_grid": {"lo": 0.05, "hi": 0.5, "n": 6}})
+        tables = run_uni_static(params, seed=0, threads=1)()
         by_state = {row["state"]: row for row in tables["uni_static_maxima"]}
         assert by_state["ground"]["state_index"] == 15
         assert by_state["mid"]["state_index"] == 8
