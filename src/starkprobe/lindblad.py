@@ -6,8 +6,8 @@ sqrt(2) Im rho_ab for a < b) its n x n generator G, n = L^2, is real.
 :func:`build_liouvillian` assembles the columnwise-vectorized generator
 sparse from a spec; :func:`propagate` builds it from its spec, takes it to
 that basis sparse and evolves a real coordinate vector by one of two exact
-routes; T^dag maps the coordinates back to rho, so the basis is laid out in
-:func:`_hermitian_basis` alone.  This removes integrator tolerances as a
+routes, chosen per gap; T^dag maps the coordinates back to rho, so the
+basis is laid out in :func:`_hermitian_basis` alone.  This removes integrator tolerances as a
 confound in the scaling fits downstream.
 
 Mirror sectors.  Reversing the sites with alternating signs, rho -> V rho^T
@@ -17,12 +17,12 @@ The basis orders the coordinates by its sign, so G is block diagonal with
 two sector blocks of (L^2 - L)/2 and (L^2 + L)/2 coordinates; the
 cross-sector blocks vanish and are never formed.
 
-Cost model.  Below n = TAYLOR_MIN_DIM the dense route makes one dense real
-array of each sector block and computes one ``expm`` per sector per
-distinct gap g between consecutive requested times, reused for each of the
-u uses of that gap: two exponentials of about n/2, a quarter of the flops of
-one of size n each.  Below n = MIRROR_MIN_DIM, where the second call's
-overhead outweighs that, the block-diagonal G is exponentiated whole.
+Dense route.  It makes one dense real array of each sector block and
+computes one ``expm`` per sector per distinct gap g between consecutive
+requested times, reused for each of the u uses of that gap: two
+exponentials of about n/2, a quarter of the flops of one of size n each.
+Below n = MIRROR_MIN_DIM, where the second call's overhead outweighs that,
+the block-diagonal G is exponentiated whole, and always by this route.
 ``scipy.linalg.expm`` (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
 (2009)) scales G g down by 2^s, s = ceil(log2(||G g||_1 / THETA_13)), and
 squares the result back s times, each squaring an O(n^3) product.  A
@@ -38,15 +38,47 @@ A 100-point grid (u = 100) keeps j = 0, one full exponential and one product
 with a vector per point.  A single late time (u = 1) trades most of the
 squarings for 2^j products with a vector.
 
-From n = TAYLOR_MIN_DIM on, the sparse route never forms a dense array: it
-shifts the block-diagonal G by mu = tr(G)/n and advances the whole vector
-across each use of a gap with the truncated Taylor action of Al-Mohy &
-Higham (SIAM J. Sci. Comput. 33, 488 (2011), Alg. 3.2): s substeps of
-degree at most m, each substep stopping early once two successive terms
-fall below 2^-53 of the partial sum.  (m, s) minimizes m * s subject to
-||(G - mu I) g||_1 / s <= theta_m (THETA_TAYLOR), so one use costs at most
-m * s sparse products with a vector, O(nnz ||G g||_1), against the
-O(n^3 log ||G g||_1) of the dense exponentials.
+Chebyshev route.  It never forms a dense array.  In the real basis G = K +
+D: K, the -i[H, .] part, is real antisymmetric with ||K||_2 = E_max - E_min
+of the Stark H, and D = diag(G) is 0 on populations and -gamma on
+coherences.  With c the midpoint of diag(G), rho >= ||K||_2 and B = (G -
+cI)/rho, the numerical range W(B) lies in [-eps, eps] x i[-1, 1], eps the
+half-width of diag(G) over rho.  The real recurrence w_0 = x, w_1 = B x,
+w_(k+1) = 2B w_k + w_(k-1) gives w_k = i^k T_k(-iB) x, and with z = rho g
+
+    exp(G g) x = e^(c g) [J_0(z) x + 2 sum_k J_k(z) w_k]
+
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  The rectangle lies
+in the Bernstein ellipse of parameter e^eta, cosh eta = (eps + sqrt(eps^2 +
+4))/2 (eta ~ sqrt(eps)), where |T_k| <= e^(k eta); by Crouzeix & Palencia
+(SIAM J. Matrix Anal. Appl. 38, 649 (2017)), ||p(B)||_2 <= (1 + sqrt 2) max
+over W(B) of |p|, so the series is cut after the first K with
+
+    (1 + sqrt 2) sum_(k > K) 2 |J_k(z)| e^(k eta) <= 2^-53.
+
+The same factor e^(k eta) bounds how much the recurrence can amplify its
+own rounding, so a gap is split into s = ceil(z eta / THETA_CHEBYSHEV)
+substeps of equal length.  That is required, not tuning: at L = 16, h =
+1.1, t = 100, a single substep was off from a dense ``expm`` by 1.6e-9 at
+gamma = 0.02 and by 2e12 at gamma = 0.1, against 2e-14 and 8e-15 split.
+THETA_CHEBYSHEV = 8 bounds the amplification by e^8 ~ 3e3.  On seven shapes
+at L = 8-24, t = 30-1000, theta = 1, 2, 4, 8 and 16 all matched a dense
+``expm`` to 2e-16-3e-14 (2.7e-13 on one shape at 16) and theta = 32 lost up
+to 1.7e-12; the total number of terms fell by 36-52 % from theta = 1 to 8
+and by 3-9 % more to 16.  The coefficients J_k(z) come from Miller's
+backward recurrence once per distinct gap.
+
+Route choice.  From MIRROR_MIN_DIM on, each distinct gap takes the route
+with the smaller predicted cost, and only the routes some gap takes are
+built.  Both costs are known before any work: u s K (TERM_S + NNZ_S nnz) for
+the Chebyshev route, with K from Kapteyn's bound on J_k (:func:`_term_count`),
+and, per sector of size n, (PADE_PRODUCTS + s - j) N3_S n^3 + u 2^j N2_S n^2
+for the dense route, s and j being the step rule's own.  So a grid of short
+gaps and a single moderate time from L = 20-24 on go by the Chebyshev
+route, O(nnz rho g), and a very long single gap, whose dense cost grows only
+with log ||G g||_1, goes dense.  A sector whose coordinates start at exactly
+zero stays zero, since G is block diagonal, and is not propagated: for odd L
+the middle-site start has no mirror-odd part.
 """
 
 from __future__ import annotations
@@ -84,26 +116,34 @@ THETA_13 = 5.37
 # L = 24) and 99-119 at n = 378-528.  It must stay below 100 for a 100-point
 # grid to keep j = 0.
 C_SQUARE = 64
-# Smallest n = L^2 that propagates by the sparse Taylor action.  Timed per
-# propagation against the dense route with its two mirror sectors
-# (100-point grid at h = 0.05 and 0.5, single t = 100 at h = 0.1, 0.5, 1.1
-# and 2.0, gamma = 0.02, OpenBLAS at one thread on a 2-core Xeon), the
-# Taylor route took 1.8-7.3 times the dense time at L = 20, 0.96-3.3 at
-# L = 24, 0.50-1.93 at L = 28 and 0.34-1.26 at L = 32; it wins on the grid
-# and on the weaker fields from L = 28, and loses on single times at
-# h >= 1.1 up to L = 32.
-TAYLOR_MIN_DIM = 28 * 28
 # Smallest n = L^2 whose dense route exponentiates the two mirror sectors
 # apart.  Two expm of the sector blocks took 1.36-2.48 times one expm of the
 # whole block-diagonal generator at L = 3-4, 1.03-1.12 at L = 5, 0.74-0.77
 # at L = 6, 0.49-0.58 at L = 7-8 and 0.25-0.37 at L = 11-24 (OpenBLAS at
 # one thread on a 2-core Xeon).
 MIRROR_MIN_DIM = 6 * 6
-# theta_m for the tolerance 2^-53: the degree-m truncated Taylor series of
-# exp(B) has a relative backward error of at most 2^-53 when ||B||_1 <=
-# theta_m (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1).
-THETA_TAYLOR = {5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5,
-                35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
+# Bound on z * eta per Chebyshev substep (module docstring).
+THETA_CHEBYSHEV = 8.0
+# 2^-53 / (1 + sqrt(2)): the truncation bound of a Chebyshev substep, with
+# the Crouzeix-Palencia constant taken out.
+CHEBYSHEV_TOL = 2.0 ** -53 / (1.0 + math.sqrt(2.0))
+# Cost model, in seconds (module docstring, Route choice).  Measured with
+# OpenBLAS at one thread on a 2-core Xeon.  One Chebyshev term (a sparse
+# product, an add and an axpy) took TERM_S + NNZ_S * nnz: 4.7 us at nnz =
+# 282 (L = 8), 7.4 us at 3130 (L = 24), 12.5 us at 9050 (L = 40) and 22.1 us
+# at 20770 (L = 60).  A square real product took 0.046 n^3 ns at n = 136,
+# 0.044 at n = 300 and 0.036 at n = 528 (N3_S); ``expm`` at one squaring cost
+# 16.7, 13.8 and 11.6 such products there, so PADE_PRODUCTS = 16 carries its
+# per-call overhead at the sector sizes where the routes are close.  A dense
+# matrix-vector product took 3.2, 9.2 and 52 us at n = 136, 300 and 528
+# (N2_S n^2).  Against the timed routes at L = 12-40, h = 0.1, 0.6 and 1.1,
+# on a 100-point grid and at t = 10, 100 and 1000 (142 shapes), the model
+# picked the slower route three times, each within 24 % of the faster.
+TERM_S = 4.3e-6
+NNZ_S = 0.9e-9
+N3_S = 0.04e-9
+PADE_PRODUCTS = 16
+N2_S = 0.15e-9
 
 
 class _NotPositive(ValueError):
@@ -270,25 +310,48 @@ def _hermitian_basis(dim: int) -> tuple[sp.csr_matrix, int]:
     return T.tocsr(), sectors[0].shape[0]
 
 
-def _step(gen: np.ndarray, norm: float, gap: float, uses: int) -> tuple[np.ndarray, int]:
-    """Propagator of one gap as (exp(gen gap / 2^j), 2^j), for ``uses`` uses.
+def _sectors(spec: LatticeSpec) -> tuple[sp.csr_matrix, int, list[sp.csr_matrix]]:
+    """T, k and the two real sector blocks of T G T^dag, G = build_liouvillian(spec).
 
-    ``norm`` is ||gen gap||_1.  j follows the step rule of the module
-    docstring: expm would square s times, and each use applies the returned
-    matrix 2^j times.
+    The mirror symmetry makes the cross-sector blocks vanish, so they are
+    never formed.
+    """
+    T, k = _hermitian_basis(spec.L)
+    liouvillian = build_liouvillian(spec)
+    return T, k, [(S @ (liouvillian @ S.conj().T)).real for S in (T[:k], T[k:])]
+
+
+def _width(spec: LatticeSpec) -> float:
+    """E_max - E_min of the Stark Hamiltonian, ||K||_2 of its commutator part.
+
+    From the eigenvalues of the tridiagonal chain (diagonal h*j, hopping J),
+    so that no second Hamiltonian is built.
+    """
+    E = sla.eigvalsh_tridiagonal(spec.h * spec.sites(), np.full(spec.L - 1, float(spec.J)))
+    return float(E[-1] - E[0])
+
+
+def _squarings(norm: float, uses: int) -> tuple[int, int]:
+    """(s, j) of the step rule for a gap of 1-norm ``norm`` used ``uses`` times.
+
+    ``expm`` would square s times; the propagator skips j of the squarings.
     """
     s = math.ceil(math.log2(norm / THETA_13)) if THETA_13 < norm < math.inf else 0
-    j = min(range(s + 1), key=lambda j: (s - j) * C_SQUARE + (2 ** j - 1) * uses)
-    return sla.expm(gen * (gap / 2 ** j)), 2 ** j
+    return s, min(range(s + 1), key=lambda j: (s - j) * C_SQUARE + (2 ** j - 1) * uses)
+
+
+def _norm1(block: sp.csr_matrix) -> float:
+    """||block||_1, the largest column sum of moduli, from the CSR arrays."""
+    return float(np.bincount(block.indices, np.abs(block.data), block.shape[1]).max())
 
 
 def _dense_route(blocks: list[sp.csr_matrix], uses: Counter):
     """x, gap -> exp(G gap) x for G = diag(blocks), by the step rule per block.
 
-    One dense ``expm`` per block and distinct gap; each propagator advances
-    its own slice of the coordinate vector.
+    One dense ``expm`` per block and distinct gap, of exp(G_k gap / 2^j);
+    each use applies it 2^j times to its own slice of the coordinate vector.
     """
-    norms = [float(abs(block).sum(axis=0).max()) for block in blocks]  # ||G_k||_1
+    norms = [_norm1(block) for block in blocks]
     dense = [block.toarray() for block in blocks]
     cuts = np.cumsum([block.shape[0] for block in blocks])[:-1]
     steps: dict[float, list[tuple[np.ndarray, int]]] = {}
@@ -296,7 +359,10 @@ def _dense_route(blocks: list[sp.csr_matrix], uses: Counter):
     def advance(x: np.ndarray, gap: float) -> np.ndarray:
         key = round(gap, 12)
         if key not in steps:
-            steps[key] = [_step(gen, norm * gap, gap, uses[key]) for gen, norm in zip(dense, norms)]
+            steps[key] = []
+            for gen, norm in zip(dense, norms):
+                j = _squarings(norm * gap, uses[key])[1]
+                steps[key].append((sla.expm(gen * (gap / 2 ** j)), 2 ** j))
         parts = []
         for (E, reps), y in zip(steps[key], np.split(x, cuts)):
             for _ in range(reps):
@@ -307,38 +373,140 @@ def _dense_route(blocks: list[sp.csr_matrix], uses: Counter):
     return advance
 
 
-def _taylor_route(gen: sp.csr_matrix):
-    """x, gap -> exp(G gap) x by the sparse truncated Taylor action.
+def _bessel(z: float, count: int) -> np.ndarray:
+    """J_0(z), ..., J_count(z) for z > 0, by Miller's backward recurrence.
 
-    G is shifted by mu = tr(G)/n once; each call picks the (m, s) pair
-    minimizing m * s with ||(G - mu I) gap||_1 / s <= theta_m.
-    Each substep sums at most m terms and stops once two successive terms
-    are below 2^-53 of the partial sum (Al-Mohy & Higham 2011, Alg. 3.2).
+    J_(k-1) = (2k/z) J_k - J_(k+1) is stable downward.  It starts from 1 and 0
+    well above ``count`` (the margin of Numerical Recipes' ``bessj``, Press et
+    al., 2nd ed., Sec. 6.5), rescales before it could overflow, and is
+    normalized by J_0 + 2 sum_k J_2k = 1 (Abramowitz & Stegun 9.1.46).
     """
-    n = gen.shape[0]
-    mu = float(gen.diagonal().sum()) / n
-    A = gen - mu * sp.identity(n, format="csr")
-    norm = float(abs(A).sum(axis=0).max())  # ||G - mu I||_1
+    top = count + 20 + math.isqrt(40 * count)
+    vals = np.zeros(top + 1)
+    nxt, cur = 0.0, 1.0
+    for k in range(top, 0, -1):
+        vals[k] = cur
+        nxt, cur = cur, (2.0 * k / z) * cur - nxt
+        if abs(cur) > 1e200:
+            vals[k:] *= 1e-200
+            nxt, cur = nxt * 1e-200, cur * 1e-200
+    vals[0] = cur
+    return vals[:count + 1] / (vals[0] + 2.0 * vals[2::2].sum())
+
+
+def _term_count(z: float, eta: float) -> int:
+    """Terms of one Chebyshev substep of width z, predicted without the J_k.
+
+    The smallest k >= z at which Kapteyn's bound J_k(z) <= exp(-k (a - tanh a)),
+    cosh a = k/z (Watson, Sec. 8.7), times the growth e^(k eta) of the
+    Chebyshev polynomials of B, falls below CHEBYSHEV_TOL; a bisection over
+    integer k.  It was 0.5-2 terms above the count the J_k give for z from
+    1e-3 to 3000 and eta from 1e-3 to 1.
+    """
+    def short(k: int) -> bool:
+        a = math.acosh(k / z)
+        return k * (a - math.tanh(a) - eta) < -math.log(CHEBYSHEV_TOL)
+
+    lo = hi = math.ceil(z)
+    while short(hi):
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if short(mid) else (lo, mid)
+    return hi
+
+
+def _chebyshev_shape(diag: np.ndarray, width: float) -> tuple[float, float, float]:
+    """(c, rho, eta) of G = K + D with diagonal ``diag`` and ||K||_2 <= width."""
+    lo, hi = float(diag.min()), float(diag.max())
+    c, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    rho = max(width, half)
+    eps = half / rho if rho else 0.0
+    # the smallest Bernstein ellipse around [-1, 1] x i[-eps, eps]
+    return c, rho, math.acosh(0.5 * (eps + math.sqrt(eps * eps + 4.0)))
+
+
+def _chebyshev_plan(rho: float, eta: float, gap: float) -> tuple[int, float]:
+    """(s, z): the substeps of one gap and the width z = rho gap / s of each."""
+    z = rho * gap
+    s = max(1, math.ceil(z * eta / THETA_CHEBYSHEV))
+    return s, z / s
+
+
+def _chebyshev_route(gen: sp.csr_matrix, width: float):
+    """x, gap -> exp(G gap) x by the Chebyshev-Bessel action, for G = K + D.
+
+    K real antisymmetric with ||K||_2 <= ``width``, D diagonal; the module
+    docstring gives the expansion, its bound and the substep rule.  The
+    coefficients are computed once per distinct gap.
+    """
+    c, rho, eta = _chebyshev_shape(gen.diagonal(), width)
+    if rho:
+        B2 = ((gen - c * sp.identity(gen.shape[0], format="csr")) * (2.0 / rho)).tocsr()
+    plans: dict[float, tuple[int, np.ndarray, float]] = {}
 
     def advance(x: np.ndarray, gap: float) -> np.ndarray:
-        m, s = min(((m, max(math.ceil(norm * gap / theta), 1))
-                    for m, theta in THETA_TAYLOR.items()), key=lambda plan: plan[0] * plan[1])
-        eta = math.exp(mu * gap / s)
-        x = x.copy()
+        if rho * gap == 0.0:  # G = cI, or no time
+            return x * math.exp(c * gap)
+        key = round(gap, 12)
+        if key not in plans:
+            s, z = _chebyshev_plan(rho, eta, gap)
+            J = _bessel(z, _term_count(z, eta))
+            # truncate where (1 + sqrt 2) sum_(k > K) 2 |J_k| e^(k eta) <= 2^-53
+            tail = np.cumsum((2.0 * np.abs(J) * np.exp(eta * np.arange(J.size)))[::-1])[::-1]
+            K = max(1, int(np.argmax(np.append(tail[1:], 0.0) <= CHEBYSHEV_TOL)))
+            coef = 2.0 * J[:K + 1]
+            coef[0] = J[0]
+            plans[key] = (s, coef, math.exp(c * gap / s))
+        s, coef, shrink = plans[key]
         for _ in range(s):
-            b, c1 = x, np.abs(x).max()
-            for k in range(1, m + 1):
-                b = A @ b
-                b *= gap / (s * k)
-                c2 = np.abs(b).max()
-                x += b
-                if c1 + c2 <= 2.0 ** -53 * np.abs(x).max():
-                    break
-                c1 = c2
-            x *= eta
+            # w_0 = x, w_1 = B x, w_(k+1) = 2B w_k + w_(k-1)
+            prev, cur = x, 0.5 * (B2 @ x)
+            out = coef[0] * prev
+            out += coef[1] * cur
+            for a in coef[2:]:
+                nxt = B2 @ cur
+                nxt += prev
+                prev, cur = cur, nxt
+                out = sla.blas.daxpy(cur, out, a=a)
+            x = out * shrink
         return x
 
     return advance
+
+
+def _dense_gaps(blocks: list[sp.csr_matrix], width: float, uses: Counter) -> set[float]:
+    """The distinct gaps (keys of ``uses``) the dense route is predicted to advance faster.
+
+    Both costs follow from sizes, norms and plans alone, before any
+    exponential or coefficient is computed (module docstring, Route choice).
+    """
+    norms = [_norm1(block) for block in blocks]
+    c, rho, eta = _chebyshev_shape(np.concatenate([block.diagonal() for block in blocks]), width)
+    term = TERM_S + NNZ_S * sum(block.nnz for block in blocks)
+    picks = set()
+    for key, u in uses.items():
+        dense = 0.0
+        for block, norm in zip(blocks, norms):
+            s, j = _squarings(norm * key, u)
+            n = block.shape[0]
+            dense += (PADE_PRODUCTS + s - j) * N3_S * n ** 3 + u * 2 ** j * N2_S * n * n
+        s, z = _chebyshev_plan(rho, eta, key)
+        if z and dense < u * s * _term_count(z, eta) * term:
+            picks.add(key)
+    return picks
+
+
+def _routes(blocks: list[sp.csr_matrix], width: float, uses: Counter):
+    """x, gap -> exp(G gap) x for G = diag(blocks), each distinct gap by its cheaper route.
+
+    A route is built only if some gap takes it.
+    """
+    dense_gaps = _dense_gaps(blocks, width, uses)
+    dense = _dense_route(blocks, uses) if dense_gaps else None
+    chebyshev = (_chebyshev_route(sp.block_diag(blocks, format="csr"), width)
+                 if len(dense_gaps) < len(uses) else None)
+    return lambda x, gap: (dense if round(gap, 12) in dense_gaps else chebyshev)(x, gap)
 
 
 def propagate(rho0, spec: LatticeSpec, times) -> list[DensityMatrix]:
@@ -346,18 +514,19 @@ def propagate(rho0, spec: LatticeSpec, times) -> list[DensityMatrix]:
 
     ``times`` must be finite and sorted ascending with times[0] >= 0.  The
     Liouvillian ``build_liouvillian(spec)`` is taken sparse to the real
-    Hermitian basis, where it is real, one mirror sector at a time.  Below
-    n = L^2 = TAYLOR_MIN_DIM one dense exponential per sector (one of the
-    whole block-diagonal generator below MIRROR_MIN_DIM) is computed per
-    distinct gap between consecutive requested times, applied to that
-    sector's coordinates as the step rule of the module docstring says;
-    from TAYLOR_MIN_DIM on the block-diagonal sparse generator advances the
-    vector across each gap by the truncated Taylor action, and no dense
-    n x n array is formed.  The states are mapped back to rho by T^dag, the
-    adjoint of the basis map, which makes them Hermitian entry for entry.
-    They are validated together against the DensityMatrix invariants; a
-    smallest eigenvalue at or below -1e-8 raises PositivityLoss naming the
-    first time it occurs at.
+    Hermitian basis, where it is real, G = K + D, one mirror sector at a
+    time.  Below n = L^2 = MIRROR_MIN_DIM one dense exponential of the whole
+    block-diagonal generator is computed per distinct gap between
+    consecutive requested times.  From there on each distinct gap goes by
+    the route of smaller predicted cost (module docstring): one dense
+    exponential per sector, applied as the step rule says, or the
+    Chebyshev-Bessel action of the sparse generator, whose truncation the
+    K + D form bounds, in ceil(rho g eta / THETA_CHEBYSHEV) substeps.  A
+    mirror sector whose coordinates start at zero is skipped.  The states
+    are mapped back to rho by T^dag, the adjoint of the basis map, which
+    makes them Hermitian entry for entry.  They are validated together
+    against the DensityMatrix invariants; a smallest eigenvalue at or below
+    -1e-8 raises PositivityLoss naming the first time it occurs at.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -369,29 +538,30 @@ def propagate(rho0, spec: LatticeSpec, times) -> list[DensityMatrix]:
     if np.any(np.diff(times) < 0.0):
         raise ValueError("times must be sorted ascending")
 
-    dim = _entries(rho0).shape[0]
-    T, k = _hermitian_basis(dim)
-    liouvillian = build_liouvillian(spec)
-    # T G T^dag, sector by sector: the mirror symmetry makes the cross-sector
-    # blocks vanish, so they are never formed.
-    blocks = [(S @ (liouvillian @ S.conj().T)).real for S in (T[:k], T[k:])]
+    T, k, blocks = _sectors(spec)
     # The real part is the Hermitian part of rho0.
     x = (T @ vectorize(rho0)).real
 
     gaps = [float(gap) for gap in np.diff(times, prepend=0.0)]
-    if x.size >= TAYLOR_MIN_DIM:
-        advance = _taylor_route(sp.block_diag(blocks, format="csr"))
+    uses = Counter(round(gap, 12) for gap in gaps if gap > 0.0)
+    live = slice(None)
+    if x.size < MIRROR_MIN_DIM:
+        advance = _dense_route([sp.block_diag(blocks, format="csr")], uses)
     else:
-        if x.size < MIRROR_MIN_DIM:
-            blocks = [sp.block_diag(blocks, format="csr")]
-        advance = _dense_route(blocks, Counter(round(gap, 12) for gap in gaps if gap > 0.0))
-    coords = np.empty((times.size, x.size))
+        # G is block diagonal, so a sector whose coordinates start at zero
+        # stays zero: only the sectors from the first to the last live one move.
+        bounds = [0, k, x.size]
+        moving = [i for i in (0, 1) if x[bounds[i]:bounds[i + 1]].any()] or [0, 1]
+        live = slice(bounds[moving[0]], bounds[moving[-1] + 1])
+        advance = _routes(blocks[moving[0]:moving[-1] + 1], _width(spec), uses)
+    coords = np.zeros((times.size, x.size))
+    y = x[live]
     for i, gap in enumerate(gaps):
         if gap > 0.0:
-            x = advance(x, gap)
-        coords[i] = x
+            y = advance(y, gap)
+        coords[i, live] = y
     # Row i of coords @ conj(T) is T^dag x_i = vec(rho_i), columnwise.
-    rho = (coords @ T.conj()).reshape((times.size, dim, dim), order="F")
+    rho = (coords @ T.conj()).reshape((times.size, spec.L, spec.L), order="F")
     try:
         return DensityMatrix._stack(rho)
     except _NotPositive as exc:

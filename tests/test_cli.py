@@ -3,13 +3,14 @@ import os
 import subprocess
 import sys
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from starkprobe import cli
+from starkprobe import cli, lindblad
 from starkprobe.cli import main, run_from_config
 from starkprobe.errors import NumericalError
 from starkprobe.experiments import EXPERIMENTS, PARAMS, nh_qfi_series, resolve_params
@@ -539,8 +540,20 @@ needs_openblas = pytest.mark.skipif(
 # Liouvillian: large enough that its bytes depend on the OpenBLAS thread count
 # when nothing holds it fixed (at L = 12 the sectors of 66 and 78 are not).
 BLAS_SENSITIVE = {"L": [16], "gamma": [0.05], "h": [0.1], "t_max": 100.0, "dt": 100.0}
-# A 784 x 784 Liouvillian, which propagates by the sparse Taylor action.
+# A 784 x 784 Liouvillian, which propagates by the sparse Chebyshev action.
 SPARSE_ACTION = {**BLAS_SENSITIVE, "L": [28]}
+
+
+@pytest.mark.parametrize("params, dense", [(BLAS_SENSITIVE, True), (SPARSE_ACTION, False)],
+                         ids=["dense-expm", "sparse-action"])
+def test_blas_cases_take_the_route_they_name(params, dense):
+    # the cost model's choice for the single gap of each case, so that a
+    # change of its constants cannot make both cases run the same route
+    spec = LatticeSpec(params["L"][0], 1.0, params["h"][0], params["gamma"][0])
+    _, _, blocks = lindblad._sectors(spec)
+    gap = params["t_max"]
+    assert lindblad._dense_gaps(blocks, lindblad._width(spec), Counter({gap: 1})) == (
+        {gap} if dense else set())
 
 
 def blas_counts() -> dict:

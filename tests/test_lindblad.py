@@ -1,5 +1,6 @@
-import math
+from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -23,8 +24,10 @@ def random_density(rng, dim):
     return rho / np.trace(rho).real
 
 
-# L of the smallest generator, n = L^2, that propagates by the Taylor action.
-L_TAYLOR = math.isqrt(lindblad.TAYLOR_MIN_DIM)
+def forced_route(monkeypatch, route):
+    """Make propagate advance every gap by one route from MIRROR_MIN_DIM on."""
+    monkeypatch.setattr(lindblad, "_dense_gaps",
+                        lambda blocks, width, uses: set(uses) if route == "dense" else set())
 
 
 class TestVectorization:
@@ -296,25 +299,32 @@ class TestPropagate:
         with pytest.raises(PositivityLoss):
             propagate(DensityMatrix.from_pure(plus), spec, [2.5e-7])
 
-    @pytest.mark.parametrize("L", [*range(2, 9), L_TAYLOR])
-    # L = 2-5 exponentiate the block-diagonal generator whole, L = 6-8 each
-    # mirror sector apart.  The strong-field lists have gaps that the step
-    # rule splits into 2^j applications of a shorter-step propagator; at
-    # L_TAYLOR every list runs the Taylor action, t = 0 and a repeated gap
-    # included.
+    @pytest.mark.parametrize("L", range(2, 10))
+    # L = 2-5 exponentiate the block-diagonal generator whole; from L = 6 each
+    # list runs by both routes, dense per mirror sector and Chebyshev, and by
+    # the route the cost model picks per gap.  The strong-field lists have
+    # gaps that the step rule splits into 2^j applications of a shorter-step
+    # propagator and that the Chebyshev route splits into substeps; t = 0 and
+    # a repeated gap are included.
     @pytest.mark.parametrize("times, h", [
         (np.arange(1.0, 6.0), 0.3),
         ([0.0, 0.3, 2.0, 2.1, 9.5], 0.3),
         ([100.0], 2.0),
         ([1.0, 2.0, 60.0], 2.0),
     ], ids=["times0", "times1", "times2", "times3"])
-    def test_matches_complex_liouvillian_exponential(self, L, times, h):
+    def test_matches_complex_liouvillian_exponential(self, monkeypatch, L, times, h):
         spec = LatticeSpec(L, 1.0, h, 0.1)
         rho0 = DensityMatrix.from_pure(site_state(L, middle_site(L)))
         gen = build_liouvillian(spec).toarray()
-        for t, dm in zip(times, propagate(rho0, spec, times)):
-            exact = (sla.expm(gen * t) @ vectorize(rho0)).reshape((L, L), order="F")
-            assert np.abs(dm.entries - exact).max() < 1e-12
+        exact = [(sla.expm(gen * t) @ vectorize(rho0)).reshape((L, L), order="F") for t in times]
+        runs = [propagate(rho0, spec, times)]
+        if L * L >= lindblad.MIRROR_MIN_DIM:
+            for route in ("dense", "chebyshev"):
+                forced_route(monkeypatch, route)
+                runs.append(propagate(rho0, spec, times))
+        for states in runs:
+            for dm, rho in zip(states, exact):
+                assert np.abs(dm.entries - rho).max() < 1e-12
 
     @pytest.mark.parametrize("L", range(2, 9))
     def test_states_are_exactly_hermitian(self, L):
@@ -352,7 +362,8 @@ class TestPropagate:
 
     def test_sectors_split_from_mirror_min_dim(self, monkeypatch):
         # one size below the threshold, one expm of the whole block-diagonal
-        # generator per distinct gap; at the threshold one per sector
+        # generator per distinct gap; at the threshold, where the cost model
+        # picks the dense route for each gap, one per sector
         assert lindblad.MIRROR_MIN_DIM == 6 * 6
         expm, shapes = sla.expm, []
         monkeypatch.setattr(lindblad.sla, "expm", lambda A: shapes.append(A.shape) or expm(A))
@@ -361,6 +372,26 @@ class TestPropagate:
             rho0 = DensityMatrix.from_pure(site_state(L, middle_site(L)))
             propagate(rho0, LatticeSpec(L, 1.0, 0.3, 0.1), [1.0, 2.0, 60.0])
             assert shapes == expected
+
+    @pytest.mark.parametrize("L", [7, 9])
+    @pytest.mark.parametrize("route", ["dense", "chebyshev"])
+    def test_zero_sector_is_skipped(self, monkeypatch, L, route):
+        # the middle site of an odd chain is mirror-even: the odd sector starts
+        # at zero and, G being block diagonal, stays there unpropagated
+        spec = LatticeSpec(L, 1.0, 0.3, 0.1)
+        rho0 = DensityMatrix.from_pure(site_state(L, middle_site(L)))
+        T, k = _hermitian_basis(L)
+        assert not (T @ vectorize(rho0))[k:].any()
+        times = [1.0, 2.0, 60.0]
+        expm, shapes = sla.expm, []
+        monkeypatch.setattr(lindblad.sla, "expm", lambda A: shapes.append(A.shape) or expm(A))
+        forced_route(monkeypatch, route)
+        states = propagate(rho0, spec, times)
+        assert shapes == ([(k, k)] * 2 if route == "dense" else [])
+        gen = build_liouvillian(spec).toarray()
+        for t, dm in zip(times, states):
+            exact = (expm(gen * t) @ vectorize(rho0)).reshape((L, L), order="F")
+            assert np.abs(dm.entries - exact).max() < 1e-12
 
     def test_trace_loss_raises(self, monkeypatch):
         # an extra decay of rho_11 alone leaks population out of the trace
@@ -373,19 +404,25 @@ class TestPropagate:
             propagate(rho0, spec, [0.5, 1.0])
 
 
-class TestTaylorRoute:
-    def test_route_switches_at_the_threshold(self, monkeypatch):
-        # one size below the threshold, one dense expm per mirror sector and
-        # distinct gap; at the threshold none
-        # at L = 27 the even sector has (27^2 + 27)/2 = 378 coordinates
-        assert lindblad.TAYLOR_MIN_DIM == 28 * 28
-        expm, shapes = sla.expm, []
-        monkeypatch.setattr(lindblad.sla, "expm", lambda A: shapes.append(A.shape) or expm(A))
-        for L, expected in [(27, [(378, 378), (351, 351)] * 2), (28, [])]:
-            shapes.clear()
-            rho0 = DensityMatrix.from_pure(site_state(L, middle_site(L)))
-            propagate(rho0, LatticeSpec(L, 1.0, 0.3, 0.1), [1.0, 2.0, 60.0])
-            assert shapes == expected
+class TestChebyshevRoute:
+    @pytest.mark.parametrize("L", range(2, 10))
+    @pytest.mark.parametrize("h", [0.0, 0.3, 2.0])
+    def test_generator_is_antisymmetric_plus_diagonal(self, L, h):
+        # the premise of the truncation bound: T G T^dag = K + D with D =
+        # diag(G) in {0, -gamma} and ||K||_2 = E_max - E_min
+        spec = LatticeSpec(L, 0.7, h, 0.2)
+        T, k = _hermitian_basis(L)
+        T = T.toarray()
+        G = T @ build_liouvillian(spec).toarray() @ T.conj().T
+        assert np.abs(G.imag).max() < 1e-15
+        G = G.real
+        sym, anti = 0.5 * (G + G.T), 0.5 * (G - G.T)
+        assert np.abs(sym - np.diag(np.diag(sym))).max() < 1e-15
+        assert np.all((np.abs(np.diag(sym)) < 1e-15) | (np.abs(np.diag(sym) + 0.2) < 1e-15))
+        E = np.linalg.eigvalsh(build_stark(spec))
+        width = E[-1] - E[0]
+        assert abs(np.linalg.norm(anti, 2) - width) <= 1e-13 * width
+        assert abs(lindblad._width(spec) - width) <= 1e-13 * width
 
     @pytest.mark.parametrize("n, scale, rate, t", [
         (1, 1.0, 0.5, 3.0),
@@ -402,17 +439,44 @@ class TestTaylorRoute:
         rng = np.random.default_rng(n)
         R = sp.random(n, n, density=0.3, rng=rng, data_rvs=rng.standard_normal)
         A = (scale * (R - R.T) - sp.diags(rate * rng.random(n))).tocsr()
+        width = np.linalg.norm(scale * (R - R.T).toarray(), 2)
         x = rng.standard_normal(n)
         before = x.copy()
         exact = sla.expm(A.toarray() * t) @ x
-        got = lindblad._taylor_route(A)(x, t)
+        got = lindblad._chebyshev_route(A, width)(x, t)
         assert np.abs(got - exact).max() < 1e-13 * np.abs(x).max()
         assert np.array_equal(x, before)
 
+    @pytest.mark.parametrize("z", [1e-8, 0.3, 5.0, 137.3, 400.0])
+    def test_bessel_coefficients_match_mpmath(self, z):
+        count = lindblad._term_count(z, 0.0)
+        J = lindblad._bessel(z, count)
+        exact = np.array([float(mpmath.besselj(k, z)) for k in range(count + 1)])
+        assert np.abs(J - exact).max() < 1e-15
+        # Kapteyn's count leaves the tail below the truncation bound
+        assert abs(float(mpmath.besselj(count, z))) < lindblad.CHEBYSHEV_TOL
+
+    @pytest.mark.parametrize("L, h, times, shapes", [
+        # a 100-point grid at L = 16: dense, one expm per sector
+        (16, 0.3, np.arange(1.0, 101.0), [(120, 120), (136, 136)]),
+        # a single moderate time at L = 24: the Chebyshev action, no expm
+        (24, 0.3, [100.0], []),
+        # a single long gap at L = 28, whose dense cost grows as log ||G g||_1
+        (28, 1.1, [1000.0], [(378, 378), (406, 406)]),
+    ], ids=["L16-grid", "L24-t100", "L28-t1000"])
+    def test_cost_model_picks_the_route(self, monkeypatch, L, h, times, shapes):
+        expm, seen = sla.expm, []
+        monkeypatch.setattr(lindblad.sla, "expm", lambda A: seen.append(A.shape) or expm(A))
+        rho0 = DensityMatrix.from_pure(site_state(L, middle_site(L)))
+        propagate(rho0, LatticeSpec(L, 1.0, h, 0.02), times)
+        assert seen == shapes
+
     def test_is_deterministic_and_leaves_the_global_rng_alone(self):
-        L = L_TAYLOR
+        L = 24
         spec = LatticeSpec(L, 1.0, 0.3, 0.02)
         rho0 = DensityMatrix.from_pure(site_state(L, middle_site(L)))
+        T, k, blocks = lindblad._sectors(spec)
+        assert not lindblad._dense_gaps(blocks, lindblad._width(spec), Counter({100.0: 1}))
         state = np.random.get_state()
         first, second = (propagate(rho0, spec, [100.0])[0].entries for _ in range(2))
         assert np.array_equal(first, second)
