@@ -68,21 +68,49 @@ to 1.7e-12; the total number of terms fell by 36-52 % from theta = 1 to 8
 and by 3-9 % more to 16.  The coefficients J_k(z) come from Miller's
 backward recurrence once per distinct gap.
 
+Windows.  A single short gap spends most of its K terms on the truncation
+tail: at L = 32, h = 0.05 a gap of 1 has z = 5 and takes K = 28.  So the
+route splits each run of consecutive gaps it is handed into windows of
+offsets tau_1 < ... < tau_m from the window's start, and advances a window
+with one recurrence from its start state x, all its outputs taken from the
+same w_k:
+
+    x(tau_i) = e^(c tau_i) [J_0(rho tau_i) x + 2 sum_k J_k(rho tau_i) w_k].
+
+The w_k fill a buffer of CHEBYSHEV_CHUNK rows, and each full buffer goes
+into the m states by one matrix product.  The series is cut at the K of the
+largest z = rho tau_m, and K >= z.  J_k rises from 0 to its first maximum,
+which lies above k, so for k > K >= z >= z_i, J_k(z_i) <= J_k(z): that cut
+bounds every output's tail too.  A window grows while rho tau eta <=
+THETA_CHEBYSHEV, so that its recurrence is one substep long and its rounding
+growth e^(K eta) is bounded as before, and while the predicted K stays at
+most CHEBYSHEV_WINDOW_TERMS: the combination costs m (K + 1) n multiply-adds
+per window, which outgrows the tail it saves.  A gap that does not
+fit with its successor is a window of one: it goes by substeps, accumulating
+each term as the recurrence makes it, with no buffer, exactly as without
+windows.  The Bessel coefficients of all m outputs come from one backward
+recurrence over the vector of z, once per distinct window.
+
 Route choice.  From MIRROR_MIN_DIM on, each distinct gap takes the route
 with the smaller predicted cost, and only the routes some gap takes are
 built.  Both costs are known before any work: u s K (TERM_S + NNZ_S nnz) for
 the Chebyshev route, with K from Kapteyn's bound on J_k (:func:`_term_count`),
 and, per sector of size n, (PADE_PRODUCTS + s - j) N3_S n^3 + u 2^j N2_S n^2
-for the dense route, s and j being the step rule's own.  So a grid of short
-gaps and a single moderate time from L = 20-24 on go by the Chebyshev
-route, O(nnz rho g), and a very long single gap, whose dense cost grows only
-with log ||G g||_1, goes dense.  A sector whose coordinates start at exactly
-zero stays zero, since G is block diagonal, and is not propagated: for odd L
-the middle-site start has no mirror-odd part.
+for the dense route, s and j being the step rule's own.  The Chebyshev cost
+prices each gap as its own window, an upper bound on its cost inside a longer
+window.  So a grid of short gaps and a single moderate time from L = 20-24
+on go by the Chebyshev route, O(nnz rho g), and a very long single gap,
+whose dense cost grows only with log ||G g||_1, goes dense.  Each route is
+handed the runs of consecutive positive gaps that take it; a zero gap or a
+gap of the other route ends a run.  A sector whose coordinates start at
+exactly zero stays zero, since G is block diagonal, and is not propagated:
+for odd L the middle-site start has no mirror-odd part.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -124,6 +152,21 @@ C_SQUARE = 64
 MIRROR_MIN_DIM = 6 * 6
 # Bound on z * eta per Chebyshev substep (module docstring).
 THETA_CHEBYSHEV = 8.0
+# Longest predicted recurrence of a window of Chebyshev gaps (module docstring).
+# tools/chebyshev_window.py times ``propagate`` on 100-point grids at L = 24,
+# 32 and 40 and h = 0.05, 0.35 and 0.6 (OpenBLAS at one thread on a 2-core
+# Xeon).  Against the fastest cap of each shape, the geometric mean of the
+# times was 1.39 without windows, 1.19-1.22 at a cap of 64, 1.07 at 96,
+# 1.03-1.04 at 128, 1.02-1.03 at 192 and 1.04 at 256 and 384, at gamma = 0.02
+# and 0.1; no shape was more than 8 % above its fastest at 192.
+CHEBYSHEV_WINDOW_TERMS = 192
+# Rows of the buffer that holds the w_k of a window; each full buffer is
+# combined into the window's states by one matrix product.  Buffers of 16, 32
+# and 64 rows ran the grids at L = 24-40 within the noise of one another;
+# one of a whole window's up to 193 rows (1.5 MB at L = 32) raised the peak
+# resident memory of three passes over the dephasing-grid shape by 1.6 MB,
+# 32 rows by 0.1 MB.
+CHEBYSHEV_CHUNK = 32
 # 2^-53 / (1 + sqrt(2)): the truncation bound of a Chebyshev substep, with
 # the Crouzeix-Palencia constant taken out.
 CHEBYSHEV_TOL = 2.0 ** -53 / (1.0 + math.sqrt(2.0))
@@ -258,6 +301,7 @@ def build_liouvillian(spec: LatticeSpec) -> sp.csr_matrix:
     return gen.tocsr()
 
 
+@functools.lru_cache(maxsize=8)
 def _hermitian_basis(dim: int) -> tuple[sp.csr_matrix, int]:
     """Unitary T taking vec(rho) to real coordinates when rho is Hermitian, and k.
 
@@ -274,7 +318,8 @@ def _hermitian_basis(dim: int) -> tuple[sp.csr_matrix, int]:
     a pair that R swaps gives one even and one odd row, each of two
     (populations) or four nonzeros.  T^dag maps real coordinates back to
     vec(rho), a Hermitian rho.  This is the one place the layout of the
-    coordinates is decided.
+    coordinates is decided.  The result is cached per ``dim`` and shared by
+    every caller, so the arrays of T are read-only.
     """
     n = dim * dim
     a, b = np.triu_indices(dim, 1)
@@ -306,8 +351,10 @@ def _hermitian_basis(dim: int) -> tuple[sp.csr_matrix, int]:
     T = sp.vstack(sectors, format="csr") @ raw
     # The raw rows a sector row combines have disjoint supports, so every
     # entry has modulus one and a row of q entries has norm sqrt(q).
-    T = sp.diags(1.0 / np.sqrt(np.diff(T.indptr))) @ T
-    return T.tocsr(), sectors[0].shape[0]
+    T = (sp.diags(1.0 / np.sqrt(np.diff(T.indptr))) @ T).tocsr()
+    for part in (T.data, T.indices, T.indptr):
+        part.flags.writeable = False
+    return T, sectors[0].shape[0]
 
 
 def _sectors(spec: LatticeSpec) -> tuple[sp.csr_matrix, int, list[sp.csr_matrix]]:
@@ -346,7 +393,7 @@ def _norm1(block: sp.csr_matrix) -> float:
 
 
 def _dense_route(blocks: list[sp.csr_matrix], uses: Counter):
-    """x, gap -> exp(G gap) x for G = diag(blocks), by the step rule per block.
+    """x, gaps, out: out[i] = the state after gap i under G = diag(blocks), by the step rule.
 
     One dense ``expm`` per block and distinct gap, of exp(G_k gap / 2^j);
     each use applies it 2^j times to its own slice of the coordinate vector.
@@ -356,7 +403,7 @@ def _dense_route(blocks: list[sp.csr_matrix], uses: Counter):
     cuts = np.cumsum([block.shape[0] for block in blocks])[:-1]
     steps: dict[float, list[tuple[np.ndarray, int]]] = {}
 
-    def advance(x: np.ndarray, gap: float) -> np.ndarray:
+    def step(x: np.ndarray, gap: float) -> np.ndarray:
         key = round(gap, 12)
         if key not in steps:
             steps[key] = []
@@ -370,28 +417,48 @@ def _dense_route(blocks: list[sp.csr_matrix], uses: Counter):
             parts.append(y)
         return np.concatenate(parts)
 
+    def advance(x: np.ndarray, gaps: list[float], out: np.ndarray) -> None:
+        for i, gap in enumerate(gaps):
+            x = out[i] = step(x, gap)
+
     return advance
 
 
-def _bessel(z: float, count: int) -> np.ndarray:
+def _bessel(z, count: int) -> np.ndarray:
     """J_0(z), ..., J_count(z) for z > 0, by Miller's backward recurrence.
 
     J_(k-1) = (2k/z) J_k - J_(k+1) is stable downward.  It starts from 1 and 0
     well above ``count`` (the margin of Numerical Recipes' ``bessj``, Press et
     al., 2nd ed., Sec. 6.5), rescales before it could overflow, and is
-    normalized by J_0 + 2 sum_k J_2k = 1 (Abramowitz & Stegun 9.1.46).
+    normalized by J_0 + 2 sum_k J_2k = 1 (Abramowitz & Stegun 9.1.46).  For a
+    1-D array ``z`` one recurrence runs over the whole vector, each entry
+    rescaled on its own, and row i of the result holds the J_k(z[i]).
     """
     top = count + 20 + math.isqrt(40 * count)
-    vals = np.zeros(top + 1)
-    nxt, cur = 0.0, 1.0
+    if np.ndim(z) == 0:
+        vals = np.zeros(top + 1)
+        nxt, cur = 0.0, 1.0
+        for k in range(top, 0, -1):
+            vals[k] = cur
+            nxt, cur = cur, (2.0 * k / z) * cur - nxt
+            if abs(cur) > 1e200:
+                vals[k:] *= 1e-200
+                nxt, cur = nxt * 1e-200, cur * 1e-200
+        vals[0] = cur
+        return vals[:count + 1] / (vals[0] + 2.0 * vals[2::2].sum())
+    ratio = 2.0 * np.arange(top + 1.0)[:, np.newaxis] / z
+    vals = np.zeros((top + 1, len(z)))
+    nxt, cur = np.zeros(len(z)), np.ones(len(z))
     for k in range(top, 0, -1):
         vals[k] = cur
-        nxt, cur = cur, (2.0 * k / z) * cur - nxt
-        if abs(cur) > 1e200:
-            vals[k:] *= 1e-200
-            nxt, cur = nxt * 1e-200, cur * 1e-200
+        nxt, cur = cur, ratio[k] * cur - nxt
+        if np.abs(cur).max() > 1e200:
+            big = np.abs(cur) > 1e200
+            vals[k:, big] *= 1e-200
+            nxt[big] *= 1e-200
+            cur[big] *= 1e-200
     vals[0] = cur
-    return vals[:count + 1] / (vals[0] + 2.0 * vals[2::2].sum())
+    return (vals[:count + 1] / (vals[0] + 2.0 * vals[2::2].sum(axis=0))).T
 
 
 def _term_count(z: float, eta: float) -> int:
@@ -433,29 +500,41 @@ def _chebyshev_plan(rho: float, eta: float, gap: float) -> tuple[int, float]:
     return s, z / s
 
 
-def _chebyshev_route(gen: sp.csr_matrix, width: float):
-    """x, gap -> exp(G gap) x by the Chebyshev-Bessel action, for G = K + D.
+def _truncation(J: np.ndarray, eta: float) -> int:
+    """The K at which (1 + sqrt 2) sum_(k > K) 2 |J_k| e^(k eta) <= 2^-53, at least 1."""
+    tail = np.cumsum((2.0 * np.abs(J) * np.exp(eta * np.arange(J.size)))[::-1])[::-1]
+    return max(1, int(np.argmax(np.append(tail[1:], 0.0) <= CHEBYSHEV_TOL)))
 
-    K real antisymmetric with ||K||_2 <= ``width``, D diagonal; the module
-    docstring gives the expansion, its bound and the substep rule.  The
-    coefficients are computed once per distinct gap.
+
+def _chebyshev_route(gen: sp.csr_matrix, width: float):
+    """x, gaps, out: out[i] = exp(G t_i) x, by the Chebyshev-Bessel action.
+
+    G = K + D, K real antisymmetric with ||K||_2 <= ``width``, D diagonal; the
+    gaps are positive and t_i is the sum of the first i.  The module
+    docstring gives the expansion, its bound, the substep rule and the
+    windows: the gaps are split into windows, each advanced from its start by
+    one recurrence, and a window of one gap goes by substeps.  Coefficients
+    are computed once per distinct gap or window.
     """
     c, rho, eta = _chebyshev_shape(gen.diagonal(), width)
     if rho:
         B2 = ((gen - c * sp.identity(gen.shape[0], format="csr")) * (2.0 / rho)).tocsr()
     plans: dict[float, tuple[int, np.ndarray, float]] = {}
+    windows: dict[tuple, np.ndarray] = {}
+    terms = np.empty((CHEBYSHEV_CHUNK, gen.shape[0]))
 
-    def advance(x: np.ndarray, gap: float) -> np.ndarray:
+    def fits(tau: float) -> bool:
+        z = rho * tau
+        return z * eta <= THETA_CHEBYSHEV and _term_count(z, eta) <= CHEBYSHEV_WINDOW_TERMS
+
+    def single(x: np.ndarray, gap: float) -> np.ndarray:
         if rho * gap == 0.0:  # G = cI, or no time
             return x * math.exp(c * gap)
         key = round(gap, 12)
         if key not in plans:
             s, z = _chebyshev_plan(rho, eta, gap)
             J = _bessel(z, _term_count(z, eta))
-            # truncate where (1 + sqrt 2) sum_(k > K) 2 |J_k| e^(k eta) <= 2^-53
-            tail = np.cumsum((2.0 * np.abs(J) * np.exp(eta * np.arange(J.size)))[::-1])[::-1]
-            K = max(1, int(np.argmax(np.append(tail[1:], 0.0) <= CHEBYSHEV_TOL)))
-            coef = 2.0 * J[:K + 1]
+            coef = 2.0 * J[:_truncation(J, eta) + 1]
             coef[0] = J[0]
             plans[key] = (s, coef, math.exp(c * gap / s))
         s, coef, shrink = plans[key]
@@ -471,6 +550,45 @@ def _chebyshev_route(gen: sp.csr_matrix, width: float):
                 out = sla.blas.daxpy(cur, out, a=a)
             x = out * shrink
         return x
+
+    def window(x: np.ndarray, gaps: list[float]) -> np.ndarray:
+        key = tuple(round(gap, 12) for gap in gaps)
+        if key not in windows:
+            tau = np.cumsum(gaps)
+            z = rho * tau
+            J = _bessel(z, _term_count(z[-1], eta))
+            # the largest z bounds the tail of every output (module docstring)
+            coef = 2.0 * J[:, :_truncation(J[-1], eta) + 1]
+            coef[:, 0] = J[:, 0]
+            windows[key] = coef * np.exp(c * tau)[:, np.newaxis]
+        coef = windows[key]
+        # w_k is row k % CHEBYSHEV_CHUNK of the buffer; each full buffer, and
+        # the rows left at the end, go into the states by one matrix product
+        size, count = len(terms), coef.shape[1]
+        terms[0] = x
+        terms[1] = 0.5 * (B2 @ x)
+        states = np.zeros((len(coef), x.size))
+        for k in range(2, count):
+            np.add(B2 @ terms[(k - 1) % size], terms[(k - 2) % size], out=terms[k % size])
+            if k % size == size - 1:
+                states += coef[:, k + 1 - size:k + 1] @ terms
+        done = count - count % size
+        states += coef[:, done:] @ terms[:count - done]
+        return states
+
+    def advance(x: np.ndarray, gaps: list[float], out: np.ndarray) -> None:
+        i = 0
+        while i < len(gaps):
+            j, tau = i + 1, gaps[i]
+            while rho and j < len(gaps) and fits(tau + gaps[j]):
+                tau += gaps[j]
+                j += 1
+            if j - i == 1:
+                out[i] = single(x, gaps[i])
+            else:
+                out[i:j] = window(x, gaps[i:j])
+            x = out[j - 1]
+            i = j
 
     return advance
 
@@ -498,7 +616,7 @@ def _dense_gaps(blocks: list[sp.csr_matrix], width: float, uses: Counter) -> set
 
 
 def _routes(blocks: list[sp.csr_matrix], width: float, uses: Counter):
-    """x, gap -> exp(G gap) x for G = diag(blocks), each distinct gap by its cheaper route.
+    """gap -> the route (x, gaps, out) the cost model picks for that distinct gap.
 
     A route is built only if some gap takes it.
     """
@@ -506,7 +624,7 @@ def _routes(blocks: list[sp.csr_matrix], width: float, uses: Counter):
     dense = _dense_route(blocks, uses) if dense_gaps else None
     chebyshev = (_chebyshev_route(sp.block_diag(blocks, format="csr"), width)
                  if len(dense_gaps) < len(uses) else None)
-    return lambda x, gap: (dense if round(gap, 12) in dense_gaps else chebyshev)(x, gap)
+    return lambda gap: dense if round(gap, 12) in dense_gaps else chebyshev
 
 
 def propagate(rho0, spec: LatticeSpec, times) -> list[DensityMatrix]:
@@ -521,12 +639,15 @@ def propagate(rho0, spec: LatticeSpec, times) -> list[DensityMatrix]:
     the route of smaller predicted cost (module docstring): one dense
     exponential per sector, applied as the step rule says, or the
     Chebyshev-Bessel action of the sparse generator, whose truncation the
-    K + D form bounds, in ceil(rho g eta / THETA_CHEBYSHEV) substeps.  A
-    mirror sector whose coordinates start at zero is skipped.  The states
-    are mapped back to rho by T^dag, the adjoint of the basis map, which
-    makes them Hermitian entry for entry.  They are validated together
-    against the DensityMatrix invariants; a smallest eigenvalue at or below
-    -1e-8 raises PositivityLoss naming the first time it occurs at.
+    K + D form bounds.  The Chebyshev route splits each run of consecutive
+    positive gaps that take it into windows, and advances each window by one
+    recurrence from its start to all of its times; a gap that is a window of
+    its own goes in ceil(rho g eta / THETA_CHEBYSHEV) substeps.  A mirror sector whose
+    coordinates start at zero is skipped.  The states are mapped back to rho
+    by T^dag, the adjoint of the basis map, which makes them Hermitian entry
+    for entry.  They are validated together against the DensityMatrix
+    invariants; a smallest eigenvalue at or below -1e-8 raises PositivityLoss
+    naming the first time it occurs at.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -546,20 +667,28 @@ def propagate(rho0, spec: LatticeSpec, times) -> list[DensityMatrix]:
     uses = Counter(round(gap, 12) for gap in gaps if gap > 0.0)
     live = slice(None)
     if x.size < MIRROR_MIN_DIM:
-        advance = _dense_route([sp.block_diag(blocks, format="csr")], uses)
+        dense = _dense_route([sp.block_diag(blocks, format="csr")], uses)
+        route = lambda gap: dense
     else:
         # G is block diagonal, so a sector whose coordinates start at zero
         # stays zero: only the sectors from the first to the last live one move.
         bounds = [0, k, x.size]
         moving = [i for i in (0, 1) if x[bounds[i]:bounds[i + 1]].any()] or [0, 1]
         live = slice(bounds[moving[0]], bounds[moving[-1] + 1])
-        advance = _routes(blocks[moving[0]:moving[-1] + 1], _width(spec), uses)
+        route = _routes(blocks[moving[0]:moving[-1] + 1], _width(spec), uses)
     coords = np.zeros((times.size, x.size))
     y = x[live]
-    for i, gap in enumerate(gaps):
-        if gap > 0.0:
-            y = advance(y, gap)
-        coords[i, live] = y
+    # A zero gap repeats the state; each run of positive gaps that take the
+    # same route is handed to it whole.
+    runs = itertools.groupby(range(times.size), lambda i: gaps[i] > 0.0 and route(gaps[i]))
+    for advance, run in runs:
+        rows = list(run)
+        span = slice(rows[0], rows[-1] + 1)
+        if advance:
+            advance(y, gaps[span], coords[span, live])
+            y = coords[rows[-1], live]
+        else:
+            coords[span, live] = y
     # Row i of coords @ conj(T) is T^dag x_i = vec(rho_i), columnwise.
     rho = (coords @ T.conj()).reshape((times.size, spec.L, spec.L), order="F")
     try:

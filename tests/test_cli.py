@@ -542,17 +542,21 @@ needs_openblas = pytest.mark.skipif(
 BLAS_SENSITIVE = {"L": [16], "gamma": [0.05], "h": [0.1], "t_max": 100.0, "dt": 100.0}
 # A 784 x 784 Liouvillian, which propagates by the sparse Chebyshev action.
 SPARSE_ACTION = {**BLAS_SENSITIVE, "L": [28]}
+# The same on a 20-point grid, whose runs of short gaps go by Chebyshev
+# windows: one matrix product combines each window's terms into its states.
+SPARSE_GRID = {**SPARSE_ACTION, "t_max": 20.0, "dt": 1.0}
 
 
-@pytest.mark.parametrize("params, dense", [(BLAS_SENSITIVE, True), (SPARSE_ACTION, False)],
-                         ids=["dense-expm", "sparse-action"])
+@pytest.mark.parametrize("params, dense", [(BLAS_SENSITIVE, True), (SPARSE_ACTION, False),
+                                           (SPARSE_GRID, False)],
+                         ids=["dense-expm", "sparse-action", "sparse-grid"])
 def test_blas_cases_take_the_route_they_name(params, dense):
-    # the cost model's choice for the single gap of each case, so that a
-    # change of its constants cannot make both cases run the same route
+    # the cost model's choice for the one distinct gap of each case, so that
+    # a change of its constants cannot make the cases run the same route
     spec = LatticeSpec(params["L"][0], 1.0, params["h"][0], params["gamma"][0])
     _, _, blocks = lindblad._sectors(spec)
-    gap = params["t_max"]
-    assert lindblad._dense_gaps(blocks, lindblad._width(spec), Counter({gap: 1})) == (
+    gap, uses = params["dt"], round(params["t_max"] / params["dt"])
+    assert lindblad._dense_gaps(blocks, lindblad._width(spec), Counter({gap: uses})) == (
         {gap} if dense else set())
 
 
@@ -577,7 +581,8 @@ def blas_at_two():
 
 @needs_openblas
 @pytest.mark.parametrize("params", [TINY_CONFIGS["lindblad-sweep"], BLAS_SENSITIVE,
-                                    SPARSE_ACTION], ids=["tiny", "dense-expm", "sparse-action"])
+                                    SPARSE_ACTION, SPARSE_GRID],
+                         ids=["tiny", "dense-expm", "sparse-action", "sparse-grid"])
 def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path, monkeypatch, blas_at_two, params):
     seen, sweep = [], EXPERIMENTS["lindblad-sweep"]
 

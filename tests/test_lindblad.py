@@ -30,6 +30,30 @@ def forced_route(monkeypatch, route):
                         lambda blocks, width, uses: set(uses) if route == "dense" else set())
 
 
+def window_lengths(monkeypatch):
+    """The gap count of each Chebyshev window whose coefficients propagate computes.
+
+    Every window's predicted recurrence is checked against the cap.
+    """
+    bessel, seen = lindblad._bessel, []
+
+    def spy(z, count):
+        if np.ndim(z):
+            assert count <= lindblad.CHEBYSHEV_WINDOW_TERMS
+            seen.append(len(z))
+        return bessel(z, count)
+
+    monkeypatch.setattr(lindblad, "_bessel", spy)
+    return seen
+
+
+def chebyshev_shape(spec):
+    """(c, rho, eta) of the Chebyshev route over both mirror sectors of spec."""
+    _, _, blocks = lindblad._sectors(spec)
+    diag = np.concatenate([block.diagonal() for block in blocks])
+    return lindblad._chebyshev_shape(diag, lindblad._width(spec))
+
+
 class TestVectorization:
     def test_columnwise_order(self):
         m = np.array([[1.0, 3.0], [2.0, 4.0]])
@@ -187,6 +211,18 @@ class TestHermitianBasis:
         G = T @ G @ T.conj().T
         assert max(np.abs(G[:k, k:]).sum(axis=0).max(initial=0.0),
                    np.abs(G[k:, :k]).sum(axis=0).max(initial=0.0)) <= 1e-13 * norm
+
+    @pytest.mark.parametrize("L", [5, 8])
+    def test_is_cached_and_left_unchanged(self, monkeypatch, L):
+        T, k = _hermitian_basis(L)
+        assert _hermitian_basis(L)[0] is T
+        before = [a.copy() for a in (T.data, T.indices, T.indptr)]
+        rho0 = DensityMatrix(random_density(np.random.default_rng(L), L))
+        spec = LatticeSpec(L, 1.0, 0.3, 0.1)
+        propagate(rho0, spec, np.arange(0.0, 20.0, 0.5))
+        forced_route(monkeypatch, "chebyshev")
+        propagate(rho0, spec, np.arange(0.0, 20.0, 0.5))
+        assert all(np.array_equal(a, b) for a, b in zip(before, (T.data, T.indices, T.indptr)))
 
     def test_hermitian_input_has_real_coordinates(self):
         rng = np.random.default_rng(3)
@@ -443,18 +479,25 @@ class TestChebyshevRoute:
         x = rng.standard_normal(n)
         before = x.copy()
         exact = sla.expm(A.toarray() * t) @ x
-        got = lindblad._chebyshev_route(A, width)(x, t)
-        assert np.abs(got - exact).max() < 1e-13 * np.abs(x).max()
+        got = np.empty((1, n))
+        lindblad._chebyshev_route(A, width)(x, [t], got)
+        assert np.abs(got[0] - exact).max() < 1e-13 * np.abs(x).max()
         assert np.array_equal(x, before)
 
-    @pytest.mark.parametrize("z", [1e-8, 0.3, 5.0, 137.3, 400.0])
+    @pytest.mark.parametrize("z", [1e-8, 0.3, 5.0, 137.3, 400.0,
+                                   np.array([1e-8, 0.3, 5.0, 137.3, 400.0])],
+                             ids=["1e-08", "0.3", "5.0", "137.3", "400.0", "vector"])
     def test_bessel_coefficients_match_mpmath(self, z):
-        count = lindblad._term_count(z, 0.0)
+        # a vector of z runs one recurrence, each entry rescaled on its own,
+        # to the count of its largest z, as a window of gaps does
+        count = lindblad._term_count(np.max(z), 0.0)
         J = lindblad._bessel(z, count)
-        exact = np.array([float(mpmath.besselj(k, z)) for k in range(count + 1)])
+        exact = np.array([[float(mpmath.besselj(k, zi)) for k in range(count + 1)]
+                          for zi in np.atleast_1d(z)])
+        assert J.shape == np.shape(z) + (count + 1,)
         assert np.abs(J - exact).max() < 1e-15
         # Kapteyn's count leaves the tail below the truncation bound
-        assert abs(float(mpmath.besselj(count, z))) < lindblad.CHEBYSHEV_TOL
+        assert abs(float(mpmath.besselj(count, np.max(z)))) < lindblad.CHEBYSHEV_TOL
 
     @pytest.mark.parametrize("L, h, times, shapes", [
         # a 100-point grid at L = 16: dense, one expm per sector
@@ -483,3 +526,83 @@ class TestChebyshevRoute:
         after = np.random.get_state()
         assert state[0] == after[0] and np.array_equal(state[1], after[1])
         assert state[2:] == after[2:]
+
+
+class TestChebyshevWindows:
+    """A run of short Chebyshev gaps advanced one window per recurrence."""
+
+    def run(self, monkeypatch, L, times):
+        """Window lengths of a Chebyshev propagate, its states checked against the Liouvillian."""
+        spec = LatticeSpec(L, 1.0, 0.3, 0.1)
+        rho0 = DensityMatrix(random_density(np.random.default_rng(L), L))
+        seen = window_lengths(monkeypatch)
+        states = propagate(rho0, spec, times)
+        gen = build_liouvillian(spec).toarray()
+        steps, exact = {}, vectorize(rho0)
+        for gap, dm in zip(np.diff(times, prepend=0.0), states):
+            if gap not in steps:
+                steps[gap] = sla.expm(gen * gap)
+            exact = steps[gap] @ exact
+            assert np.abs(dm.entries - exact.reshape((L, L), order="F")).max() < 1e-12
+        return seen
+
+    @pytest.fixture(autouse=True)
+    def chebyshev(self, monkeypatch):
+        forced_route(monkeypatch, "chebyshev")
+
+    @pytest.mark.parametrize("L", range(6, 10))
+    def test_uniform_grid_longer_than_one_window(self, monkeypatch, L):
+        seen = self.run(monkeypatch, L, np.arange(1.0, 101.0) * 0.5)
+        assert 1 < seen[0] < 100
+
+    @pytest.mark.parametrize("L", range(6, 10))
+    def test_nonuniform_gaps(self, monkeypatch, L):
+        times = np.cumsum(np.random.default_rng(L).uniform(0.05, 1.5, 25))
+        assert max(self.run(monkeypatch, L, times)) > 1
+
+    @pytest.mark.parametrize("L", range(6, 10))
+    def test_zero_gaps_break_the_windows(self, monkeypatch, L):
+        times = [0.0, 0.0, 0.4, 0.9, 0.9, 1.6, 2.0, 2.0, 2.3]
+        assert self.run(monkeypatch, L, times) == [2, 2]
+
+    @pytest.mark.parametrize("L", range(6, 10))
+    def test_window_ends_at_the_rounding_bound(self, monkeypatch, L):
+        # five gaps reach rho tau eta = THETA_CHEBYSHEV, up to the rounding of
+        # the bound itself, which is set to the value the route computes
+        _, rho, eta = chebyshev_shape(LatticeSpec(L, 1.0, 0.3, 0.1))
+        times = np.cumsum(np.full(8, lindblad.THETA_CHEBYSHEV / (rho * eta) / 5))
+        tau = 0.0
+        for gap in np.diff(times, prepend=0.0)[:5]:
+            tau += float(gap)
+        bound = rho * tau * eta
+        assert bound == pytest.approx(lindblad.THETA_CHEBYSHEV, rel=1e-14)
+        monkeypatch.setattr(lindblad, "THETA_CHEBYSHEV", bound)
+        assert self.run(monkeypatch, L, times) == [5, 3]
+
+    @pytest.mark.parametrize("L", range(6, 10))
+    def test_long_gap_between_windows_takes_substeps(self, monkeypatch, L):
+        _, rho, eta = chebyshev_shape(LatticeSpec(L, 1.0, 0.3, 0.1))
+        assert lindblad._chebyshev_plan(rho, eta, 60.0)[0] > 1
+        assert self.run(monkeypatch, L, [0.5, 1.0, 1.5, 61.5, 62.0, 62.5]) == [3, 2]
+
+    @pytest.mark.parametrize("L", range(6, 10))
+    def test_dense_gap_breaks_the_run(self, monkeypatch, L):
+        monkeypatch.setattr(lindblad, "_dense_gaps", lambda blocks, width, uses: {1.0})
+        expm, shapes = sla.expm, []
+        monkeypatch.setattr(lindblad.sla, "expm", lambda A: shapes.append(A.shape) or expm(A))
+        assert self.run(monkeypatch, L, [0.5, 1.0, 1.5, 2.5, 3.0, 3.5]) == [3, 2]
+        # one expm per mirror sector for the dense gap; the oracle's are L^2 x L^2
+        k = (L * L - L) // 2
+        route = sorted(shape for shape in shapes if shape != (L * L, L * L))
+        assert route == [(k, k), (k + L, k + L)]
+
+    def test_single_gap_is_not_a_window(self, monkeypatch):
+        # one gap goes by substeps with streaming accumulation: bit for bit
+        # the route with windows turned off, and no window coefficients
+        spec = LatticeSpec(24, 1.0, 0.3, 0.02)
+        rho0 = DensityMatrix.from_pure(site_state(24, middle_site(24)))
+        seen = window_lengths(monkeypatch)
+        windowed = propagate(rho0, spec, [100.0])[0].entries
+        monkeypatch.setattr(lindblad, "CHEBYSHEV_WINDOW_TERMS", 0)
+        single = propagate(rho0, spec, [100.0])[0].entries
+        assert seen == [] and np.array_equal(windowed, single)
