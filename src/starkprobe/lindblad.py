@@ -66,7 +66,7 @@ at L = 8-24, t = 30-1000, theta = 1, 2, 4, 8 and 16 all matched a dense
 ``expm`` to 2e-16-3e-14 (2.7e-13 on one shape at 16) and theta = 32 lost up
 to 1.7e-12; the total number of terms fell by 36-52 % from theta = 1 to 8
 and by 3-9 % more to 16.  The coefficients J_k(z) come from Miller's
-backward recurrence once per distinct gap.
+backward recurrence.
 
 Windows.  A single short gap spends most of its K terms on the truncation
 tail: at L = 32, h = 0.05 a gap of 1 has z = 5 and takes K = 28.  So the
@@ -85,11 +85,11 @@ bounds every output's tail too.  A window grows while rho tau eta <=
 THETA_CHEBYSHEV, so that its recurrence is one substep long and its rounding
 growth e^(K eta) is bounded as before, and while the predicted K stays at
 most CHEBYSHEV_WINDOW_TERMS: the combination costs m (K + 1) n multiply-adds
-per window, which outgrows the tail it saves.  A gap that does not
-fit with its successor is a window of one: it goes by substeps, accumulating
-each term as the recurrence makes it, with no buffer, exactly as without
-windows.  The Bessel coefficients of all m outputs come from one backward
-recurrence over the vector of z, once per distinct window.
+per window, which outgrows the tail it saves.  A gap that does not fit
+with its successor goes by its s substeps, each a window of one output; its
+K may exceed CHEBYSHEV_WINDOW_TERMS, which caps only windows of two or more
+gaps.  The Bessel coefficients of a window's outputs are computed once per
+distinct window, each to the count of the largest z.
 
 Route choice.  From MIRROR_MIN_DIM on, each distinct gap takes the route
 with the smaller predicted cost, and only the routes some gap takes are
@@ -424,41 +424,29 @@ def _dense_route(blocks: list[sp.csr_matrix], uses: Counter):
     return advance
 
 
-def _bessel(z, count: int) -> np.ndarray:
-    """J_0(z), ..., J_count(z) for z > 0, by Miller's backward recurrence.
+def _bessel(z: np.ndarray, count: int) -> np.ndarray:
+    """Row i holds J_0(z_i), ..., J_count(z_i), for a 1-D array of z_i > 0.
 
-    J_(k-1) = (2k/z) J_k - J_(k+1) is stable downward.  It starts from 1 and 0
-    well above ``count`` (the margin of Numerical Recipes' ``bessj``, Press et
-    al., 2nd ed., Sec. 6.5), rescales before it could overflow, and is
-    normalized by J_0 + 2 sum_k J_2k = 1 (Abramowitz & Stegun 9.1.46).  For a
-    1-D array ``z`` one recurrence runs over the whole vector, each entry
-    rescaled on its own, and row i of the result holds the J_k(z[i]).
+    Miller's backward recurrence, once per entry: J_(k-1) = (2k/z) J_k -
+    J_(k+1) is stable downward.  It starts from 1 and 0 well above ``count``
+    (the margin of Numerical Recipes' ``bessj``, Press et al., 2nd ed., Sec.
+    6.5), rescales before it could overflow, and is normalized by J_0 + 2
+    sum_k J_2k = 1 (Abramowitz & Stegun 9.1.46).
     """
     top = count + 20 + math.isqrt(40 * count)
-    if np.ndim(z) == 0:
+    out = np.empty((len(z), count + 1))
+    for row, x in zip(out, map(float, z)):
         vals = np.zeros(top + 1)
         nxt, cur = 0.0, 1.0
         for k in range(top, 0, -1):
             vals[k] = cur
-            nxt, cur = cur, (2.0 * k / z) * cur - nxt
+            nxt, cur = cur, (2.0 * k / x) * cur - nxt
             if abs(cur) > 1e200:
                 vals[k:] *= 1e-200
                 nxt, cur = nxt * 1e-200, cur * 1e-200
         vals[0] = cur
-        return vals[:count + 1] / (vals[0] + 2.0 * vals[2::2].sum())
-    ratio = 2.0 * np.arange(top + 1.0)[:, np.newaxis] / z
-    vals = np.zeros((top + 1, len(z)))
-    nxt, cur = np.zeros(len(z)), np.ones(len(z))
-    for k in range(top, 0, -1):
-        vals[k] = cur
-        nxt, cur = cur, ratio[k] * cur - nxt
-        if np.abs(cur).max() > 1e200:
-            big = np.abs(cur) > 1e200
-            vals[k:, big] *= 1e-200
-            nxt[big] *= 1e-200
-            cur[big] *= 1e-200
-    vals[0] = cur
-    return (vals[:count + 1] / (vals[0] + 2.0 * vals[2::2].sum(axis=0))).T
+        row[:] = vals[:count + 1] / (vals[0] + 2.0 * vals[2::2].sum())
+    return out
 
 
 def _term_count(z: float, eta: float) -> int:
@@ -513,43 +501,19 @@ def _chebyshev_route(gen: sp.csr_matrix, width: float):
     gaps are positive and t_i is the sum of the first i.  The module
     docstring gives the expansion, its bound, the substep rule and the
     windows: the gaps are split into windows, each advanced from its start by
-    one recurrence, and a window of one gap goes by substeps.  Coefficients
-    are computed once per distinct gap or window.
+    one recurrence, and a gap that is a window of its own goes by s windows
+    of one substep each.  Coefficients are computed once per distinct window.
     """
     c, rho, eta = _chebyshev_shape(gen.diagonal(), width)
     if rho:
         B2 = ((gen - c * sp.identity(gen.shape[0], format="csr")) * (2.0 / rho)).tocsr()
-    plans: dict[float, tuple[int, np.ndarray, float]] = {}
     windows: dict[tuple, np.ndarray] = {}
     terms = np.empty((CHEBYSHEV_CHUNK, gen.shape[0]))
+    rows = list(terms)
 
     def fits(tau: float) -> bool:
         z = rho * tau
         return z * eta <= THETA_CHEBYSHEV and _term_count(z, eta) <= CHEBYSHEV_WINDOW_TERMS
-
-    def single(x: np.ndarray, gap: float) -> np.ndarray:
-        if rho * gap == 0.0:  # G = cI, or no time
-            return x * math.exp(c * gap)
-        key = round(gap, 12)
-        if key not in plans:
-            s, z = _chebyshev_plan(rho, eta, gap)
-            J = _bessel(z, _term_count(z, eta))
-            coef = 2.0 * J[:_truncation(J, eta) + 1]
-            coef[0] = J[0]
-            plans[key] = (s, coef, math.exp(c * gap / s))
-        s, coef, shrink = plans[key]
-        for _ in range(s):
-            # w_0 = x, w_1 = B x, w_(k+1) = 2B w_k + w_(k-1)
-            prev, cur = x, 0.5 * (B2 @ x)
-            out = coef[0] * prev
-            out += coef[1] * cur
-            for a in coef[2:]:
-                nxt = B2 @ cur
-                nxt += prev
-                prev, cur = cur, nxt
-                out = sla.blas.daxpy(cur, out, a=a)
-            x = out * shrink
-        return x
 
     def window(x: np.ndarray, gaps: list[float]) -> np.ndarray:
         key = tuple(round(gap, 12) for gap in gaps)
@@ -562,14 +526,18 @@ def _chebyshev_route(gen: sp.csr_matrix, width: float):
             coef[:, 0] = J[:, 0]
             windows[key] = coef * np.exp(c * tau)[:, np.newaxis]
         coef = windows[key]
-        # w_k is row k % CHEBYSHEV_CHUNK of the buffer; each full buffer, and
-        # the rows left at the end, go into the states by one matrix product
-        size, count = len(terms), coef.shape[1]
-        terms[0] = x
-        terms[1] = 0.5 * (B2 @ x)
+        # w_0 = x, w_1 = B x, w_(k+1) = 2B w_k + w_(k-1); w_k is row k % size
+        # of the buffer, and each full buffer, and the rows left at the end,
+        # go into the states by one matrix product
+        size, count = len(rows), coef.shape[1]
+        prev, cur = rows[0], rows[1]
+        prev[:] = x
+        np.multiply(B2 @ x, 0.5, out=cur)
         states = np.zeros((len(coef), x.size))
         for k in range(2, count):
-            np.add(B2 @ terms[(k - 1) % size], terms[(k - 2) % size], out=terms[k % size])
+            nxt = rows[k % size]
+            np.add(B2 @ cur, prev, out=nxt)
+            prev, cur = cur, nxt
             if k % size == size - 1:
                 states += coef[:, k + 1 - size:k + 1] @ terms
         done = count - count % size
@@ -583,10 +551,15 @@ def _chebyshev_route(gen: sp.csr_matrix, width: float):
             while rho and j < len(gaps) and fits(tau + gaps[j]):
                 tau += gaps[j]
                 j += 1
-            if j - i == 1:
-                out[i] = single(x, gaps[i])
-            else:
+            if j - i > 1:
                 out[i:j] = window(x, gaps[i:j])
+            elif rho * tau == 0.0:  # G = cI, or no time
+                out[i] = x * math.exp(c * tau)
+            else:
+                s = _chebyshev_plan(rho, eta, tau)[0]
+                for _ in range(s):
+                    x = window(x, [tau / s])[0]
+                out[i] = x
             x = out[j - 1]
             i = j
 
@@ -642,12 +615,12 @@ def propagate(rho0, spec: LatticeSpec, times) -> list[DensityMatrix]:
     K + D form bounds.  The Chebyshev route splits each run of consecutive
     positive gaps that take it into windows, and advances each window by one
     recurrence from its start to all of its times; a gap that is a window of
-    its own goes in ceil(rho g eta / THETA_CHEBYSHEV) substeps.  A mirror sector whose
-    coordinates start at zero is skipped.  The states are mapped back to rho
-    by T^dag, the adjoint of the basis map, which makes them Hermitian entry
-    for entry.  They are validated together against the DensityMatrix
-    invariants; a smallest eigenvalue at or below -1e-8 raises PositivityLoss
-    naming the first time it occurs at.
+    its own goes by ceil(rho g eta / THETA_CHEBYSHEV) windows of one substep
+    each.  A mirror sector whose coordinates start at zero is skipped.  The
+    states are mapped back to rho by T^dag, the adjoint of the basis map,
+    which makes them Hermitian entry for entry.  They are validated together
+    against the DensityMatrix invariants; a smallest eigenvalue at or below
+    -1e-8 raises PositivityLoss naming the first time it occurs at.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:

@@ -31,14 +31,15 @@ def forced_route(monkeypatch, route):
 
 
 def window_lengths(monkeypatch):
-    """The gap count of each Chebyshev window whose coefficients propagate computes.
+    """The gap count of each window of two or more gaps whose coefficients propagate computes.
 
-    Every window's predicted recurrence is checked against the cap.
+    Every such window's predicted recurrence is checked against the cap; a
+    lone gap's windows of one substep may go above it.
     """
     bessel, seen = lindblad._bessel, []
 
     def spy(z, count):
-        if np.ndim(z):
+        if len(z) > 1:
             assert count <= lindblad.CHEBYSHEV_WINDOW_TERMS
             seen.append(len(z))
         return bessel(z, count)
@@ -488,13 +489,13 @@ class TestChebyshevRoute:
                                    np.array([1e-8, 0.3, 5.0, 137.3, 400.0])],
                              ids=["1e-08", "0.3", "5.0", "137.3", "400.0", "vector"])
     def test_bessel_coefficients_match_mpmath(self, z):
-        # a vector of z runs one recurrence, each entry rescaled on its own,
-        # to the count of its largest z, as a window of gaps does
+        # every z of a vector runs to the count of the largest, as a window of
+        # gaps does; row i holds the J_k(z_i)
+        z = np.atleast_1d(z)
         count = lindblad._term_count(np.max(z), 0.0)
         J = lindblad._bessel(z, count)
-        exact = np.array([[float(mpmath.besselj(k, zi)) for k in range(count + 1)]
-                          for zi in np.atleast_1d(z)])
-        assert J.shape == np.shape(z) + (count + 1,)
+        exact = np.array([[float(mpmath.besselj(k, zi)) for k in range(count + 1)] for zi in z])
+        assert J.shape == (z.size, count + 1)
         assert np.abs(J - exact).max() < 1e-15
         # Kapteyn's count leaves the tail below the truncation bound
         assert abs(float(mpmath.besselj(count, np.max(z)))) < lindblad.CHEBYSHEV_TOL
@@ -596,13 +597,20 @@ class TestChebyshevWindows:
         route = sorted(shape for shape in shapes if shape != (L * L, L * L))
         assert route == [(k, k), (k + L, k + L)]
 
-    def test_single_gap_is_not_a_window(self, monkeypatch):
-        # one gap goes by substeps with streaming accumulation: bit for bit
-        # the route with windows turned off, and no window coefficients
-        spec = LatticeSpec(24, 1.0, 0.3, 0.02)
-        rho0 = DensityMatrix.from_pure(site_state(24, middle_site(24)))
-        seen = window_lengths(monkeypatch)
-        windowed = propagate(rho0, spec, [100.0])[0].entries
-        monkeypatch.setattr(lindblad, "CHEBYSHEV_WINDOW_TERMS", 0)
-        single = propagate(rho0, spec, [100.0])[0].entries
-        assert seen == [] and np.array_equal(windowed, single)
+    @pytest.mark.parametrize("gamma, substeps, terms", [(0.02, 6, 390), (0.1, 12, 225)])
+    def test_lone_gap_goes_by_windows_of_one_substep(self, monkeypatch, gamma, substeps, terms):
+        # the shapes where one unsplit series was off from a dense expm by
+        # 1.6e-9 and 2e12: s windows of one substep each, whose K is above the
+        # cap of a window of two or more gaps
+        spec = LatticeSpec(16, 1.0, 1.1, gamma)
+        rho0 = DensityMatrix.from_pure(site_state(16, middle_site(16)))
+        _, rho, eta = chebyshev_shape(spec)
+        assert lindblad._chebyshev_plan(rho, eta, 100.0)[0] == substeps
+        bessel, seen = lindblad._bessel, []
+        monkeypatch.setattr(lindblad, "_bessel",
+                            lambda z, count: seen.append((len(z), count)) or bessel(z, count))
+        state = propagate(rho0, spec, [100.0])[0].entries
+        assert seen == [(1, terms)]
+        assert terms > lindblad.CHEBYSHEV_WINDOW_TERMS
+        exact = sla.expm(build_liouvillian(spec).toarray() * 100.0) @ vectorize(rho0)
+        assert np.abs(state - exact.reshape((16, 16), order="F")).max() < 1e-12

@@ -8,10 +8,13 @@ For each shape (L = 24, 32, 40 and h = 0.05, 0.35, 0.6, J = 1) it times
 ``lindblad.propagate`` from the middle site over the 100-point grid t = 1,
 ..., 100, every gap forced onto the Chebyshev route, once per candidate value
 of ``lindblad.CHEBYSHEV_WINDOW_TERMS`` (best of ``--repeat`` runs, OpenBLAS
-held at one thread as in a CLI run).  A cap of 0 makes every window a single
-gap, the route without windows.  It prints one row per shape, the times in ms
-and the ratio of each to the fastest cap of that shape, then the geometric
-mean of those ratios per cap.  It takes about 20 s on a 2-core Xeon.
+held at one thread as in a CLI run).  A cap of 0 makes every gap a window
+of one, the route without windows of two or more gaps.  It prints one row per
+shape, the times in ms and the ratio of each to the fastest cap of that
+shape, then the geometric mean of those ratios per cap.  It takes about 12 s
+on a 2-core Xeon, 4 s with ``--repeat 1``.  It exits with an error if
+``lindblad`` no longer has the two names it sets, ``_dense_gaps`` and
+``CHEBYSHEV_WINDOW_TERMS``, rather than time a route they no longer steer.
 """
 
 from __future__ import annotations
@@ -49,6 +52,11 @@ def main() -> None:
     parser.add_argument("--gamma", type=float, default=0.02)
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
+    missing = [name for name in ("_dense_gaps", "CHEBYSHEV_WINDOW_TERMS")
+               if not hasattr(lindblad, name)]
+    if missing:
+        sys.exit(f"starkprobe.lindblad has no {' or '.join(missing)}: "
+                 "this script cannot force the Chebyshev route or set its window cap")
     lindblad._dense_gaps = lambda blocks, width, uses: set()
     ratios = {cap: [] for cap in CAPS}
     print(f"gamma = {args.gamma}; ms per propagate (ratio to the best cap of the shape)")
