@@ -66,7 +66,10 @@ at L = 8-24, t = 30-1000, theta = 1, 2, 4, 8 and 16 all matched a dense
 ``expm`` to 2e-16-3e-14 (2.7e-13 on one shape at 16) and theta = 32 lost up
 to 1.7e-12; the total number of terms fell by 36-52 % from theta = 1 to 8
 and by 3-9 % more to 16.  The coefficients J_k(z) come from Miller's
-backward recurrence.
+backward recurrence.  Each term w_(k+1) is made by one call of scipy's
+compiled kernel ``csr_matvec``, which adds 2B w_k into the buffer row that
+already holds w_(k-1): no temporary array and no per-term Python dispatch
+of a sparse product, which took most of a term's time up to L ~ 40.
 
 Windows.  A single short gap spends most of its K terms on the truncation
 tail: at L = 32, h = 0.05 a gap of 1 has z = 5 and takes K = 28.  So the
@@ -98,13 +101,20 @@ the Chebyshev route, with K from Kapteyn's bound on J_k (:func:`_term_count`),
 and, per sector of size n, (PADE_PRODUCTS + s - j) N3_S n^3 + u 2^j N2_S n^2
 for the dense route, s and j being the step rule's own.  The Chebyshev cost
 prices each gap as its own window, an upper bound on its cost inside a longer
-window.  So a grid of short gaps and a single moderate time from L = 20-24
-on go by the Chebyshev route, O(nnz rho g), and a very long single gap,
-whose dense cost grows only with log ||G g||_1, goes dense.  Each route is
-handed the runs of consecutive positive gaps that take it; a zero gap or a
-gap of the other route ends a run.  A sector whose coordinates start at
-exactly zero stays zero, since G is block diagonal, and is not propagated:
-for odd L the middle-site start has no mirror-odd part.
+window, and leaves out the route's fixed cost, which it keeps small: it
+makes the CSR arrays of 2B from those of the sector blocks by a few array
+operations (about 80 us at L = 10-16, against 260 us for scipy's
+``block_diag`` and sparse arithmetic), and the coefficients by one scalar
+recurrence per output.  At gamma = 0.02, h = 0.05-1.1, a 100-point grid of
+short gaps goes by the Chebyshev route, O(nnz rho g), from L = 20-22 on, a
+single time t = 10 from L = 10-12 on and t = 100 from L = 14-18 on (L = 16
+while h is below about 0.7), the smaller h the smaller L; a very long single
+gap, whose dense cost grows only with log ||G g||_1, goes dense: t = 1000 up
+to L = 20, and up to L = 24-32 as h grows.  Each route is handed the runs
+of consecutive positive gaps that take it; a zero gap or a gap of the other
+route ends a run.  A sector whose coordinates start at exactly zero stays
+zero, since G is block diagonal, and is not propagated: for odd L the
+middle-site start has no mirror-odd part.
 """
 
 from __future__ import annotations
@@ -118,6 +128,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec, csr_sort_indices
 
 from .errors import PositivityLoss
 from .model import LatticeSpec, build_dephasing_ops, build_stark
@@ -156,9 +167,11 @@ THETA_CHEBYSHEV = 8.0
 # tools/chebyshev_window.py times ``propagate`` on 100-point grids at L = 24,
 # 32 and 40 and h = 0.05, 0.35 and 0.6 (OpenBLAS at one thread on a 2-core
 # Xeon).  Against the fastest cap of each shape, the geometric mean of the
-# times was 1.39 without windows, 1.19-1.22 at a cap of 64, 1.07 at 96,
-# 1.03-1.04 at 128, 1.02-1.03 at 192 and 1.04 at 256 and 384, at gamma = 0.02
-# and 0.1; no shape was more than 8 % above its fastest at 192.
+# times was 1.47-1.63 without windows, 1.26-1.38 at a cap of 64, 1.13-1.19
+# at 96, 1.06-1.15 at 128, 1.04-1.15 at 192, 1.06-1.12 at 256 and 1.02-1.14
+# at 384, over three runs at gamma = 0.02 and two at 0.1, with each term one
+# kernel call: 192 was the best cap at 0.02 and 256-384 at 0.1, and over all
+# five runs 192, 256 and 384 averaged 1.07, 1.08 and 1.09.
 CHEBYSHEV_WINDOW_TERMS = 192
 # Rows of the buffer that holds the w_k of a window; each full buffer is
 # combined into the window's states by one matrix product.  Buffers of 16, 32
@@ -171,19 +184,20 @@ CHEBYSHEV_CHUNK = 32
 # the Crouzeix-Palencia constant taken out.
 CHEBYSHEV_TOL = 2.0 ** -53 / (1.0 + math.sqrt(2.0))
 # Cost model, in seconds (module docstring, Route choice).  Measured with
-# OpenBLAS at one thread on a 2-core Xeon.  One Chebyshev term (a sparse
-# product, an add and an axpy) took TERM_S + NNZ_S * nnz: 4.7 us at nnz =
-# 282 (L = 8), 7.4 us at 3130 (L = 24), 12.5 us at 9050 (L = 40) and 22.1 us
-# at 20770 (L = 60).  A square real product took 0.046 n^3 ns at n = 136,
-# 0.044 at n = 300 and 0.036 at n = 528 (N3_S); ``expm`` at one squaring cost
-# 16.7, 13.8 and 11.6 such products there, so PADE_PRODUCTS = 16 carries its
-# per-call overhead at the sector sizes where the routes are close.  A dense
-# matrix-vector product took 3.2, 9.2 and 52 us at n = 136, 300 and 528
-# (N2_S n^2).  Against the timed routes at L = 12-40, h = 0.1, 0.6 and 1.1,
-# on a 100-point grid and at t = 10, 100 and 1000 (142 shapes), the model
-# picked the slower route three times, each within 24 % of the faster.
-TERM_S = 4.3e-6
-NNZ_S = 0.9e-9
+# OpenBLAS at one thread on a 2-core Xeon.  One Chebyshev term (one kernel
+# call, y += 2B v, with its share of the window's combination) took TERM_S +
+# NNZ_S * nnz: tools/chebyshev_window.py timed 1.4 us at nnz = 282 (L = 8),
+# 2.1-2.2 us at 1322 (L = 16), 3.7-4.1 us at 3130 (L = 24), 5.8-6.1 us at
+# 5706 (L = 32), 8.4-9.7 us at 9050 (L = 40) and 18.2-20.2 us at 20770
+# (L = 60), and its least-squares lines over five runs at gamma = 0.02 and
+# 0.1 gave TERM_S = 1.03-1.2 us and NNZ_S = 0.82-0.92 ns.  A square real
+# product took 0.046 n^3 ns at n = 136, 0.044 at n = 300 and 0.036 at n =
+# 528 (N3_S); ``expm`` at one squaring cost 16.7, 13.8 and 11.6 such products
+# there, so PADE_PRODUCTS = 16 carries its per-call overhead at the sector
+# sizes where the routes are close.  A dense matrix-vector product took 3.2,
+# 9.2 and 52 us at n = 136, 300 and 528 (N2_S n^2).
+TERM_S = 1.05e-6
+NNZ_S = 0.85e-9
 N3_S = 0.04e-9
 PADE_PRODUCTS = 16
 N2_S = 0.15e-9
@@ -494,21 +508,52 @@ def _truncation(J: np.ndarray, eta: float) -> int:
     return max(1, int(np.argmax(np.append(tail[1:], 0.0) <= CHEBYSHEV_TOL)))
 
 
-def _chebyshev_route(gen: sp.csr_matrix, width: float):
+def _chebyshev_route(blocks: list[sp.csr_matrix], width: float):
     """x, gaps, out: out[i] = exp(G t_i) x, by the Chebyshev-Bessel action.
 
-    G = K + D, K real antisymmetric with ||K||_2 <= ``width``, D diagonal; the
-    gaps are positive and t_i is the sum of the first i.  The module
-    docstring gives the expansion, its bound, the substep rule and the
-    windows: the gaps are split into windows, each advanced from its start by
-    one recurrence, and a gap that is a window of its own goes by s windows
-    of one substep each.  Coefficients are computed once per distinct window.
+    G = diag(blocks) = K + D, K real antisymmetric with ||K||_2 <= ``width``,
+    D diagonal; no block holds two entries at one place.  The gaps are
+    positive and t_i is the sum of the first i.  The module docstring gives
+    the expansion, its bound, the substep rule and the windows: the gaps are
+    split into windows, each advanced from its start by one recurrence, and
+    a gap that is a window of its own goes by s windows of one substep each.
+    Coefficients are computed once per distinct window.  Each term is one
+    call of scipy's compiled ``csr_matvec`` on the CSR arrays of 2B, which
+    adds 2B w_k into the ring-buffer row that holds w_(k-1) and so makes
+    w_(k+1) in place; w_1 = B x is made by the same call into a zeroed row,
+    then halved.  The CSR arrays of 2B are made from those of the blocks by
+    a few array operations, each entry (g - c) (2 / rho) as scipy's sparse
+    arithmetic would give it, at a fraction of the fixed cost of scipy's
+    ``block_diag`` and sparse arithmetic.
     """
-    c, rho, eta = _chebyshev_shape(gen.diagonal(), width)
+    # the CSR arrays of G, each row sorted by column, with a zero put in at
+    # its place where a row has no diagonal entry
+    cuts = np.cumsum([0] + [block.shape[0] for block in blocks])
+    ends = np.cumsum([0] + [block.nnz for block in blocks])
+    n = int(cuts[-1])
+    indptr = np.concatenate([[0]] + [block.indptr[1:] + end for block, end in zip(blocks, ends)],
+                            dtype=np.int64)
+    indices = np.concatenate([block.indices + cut for block, cut in zip(blocks, cuts)],
+                             dtype=np.int64)
+    data = np.concatenate([block.data for block in blocks])
+    csr_sort_indices(n, indptr, indices, data)
+    row_ids = np.repeat(np.arange(n), np.diff(indptr))
+    missing = np.ones(n, dtype=bool)
+    missing[row_ids[indices == row_ids]] = False
+    at = (indptr[:-1] + np.bincount(row_ids[indices < row_ids], minlength=n))[missing]
+    added = np.flatnonzero(missing)
+    row_ids = np.insert(row_ids, at, added)
+    indices, data = np.insert(indices, at, added), np.insert(data, at, 0.0)
+    indptr = indptr + np.concatenate([[0], np.cumsum(missing)])
+    diagonal = np.flatnonzero(indices == row_ids)
+    c, rho, eta = _chebyshev_shape(data[diagonal], width)
     if rho:
-        B2 = ((gen - c * sp.identity(gen.shape[0], format="csr")) * (2.0 / rho)).tocsr()
+        data[diagonal] -= c
+        data *= 2.0 / rho
+        # y += 2B v by scipy's compiled CSR kernel, straight into y
+        add_product = functools.partial(csr_matvec, n, n, indptr, indices, data)
     windows: dict[tuple, np.ndarray] = {}
-    terms = np.empty((CHEBYSHEV_CHUNK, gen.shape[0]))
+    terms = np.empty((CHEBYSHEV_CHUNK, n))
     rows = list(terms)
 
     def fits(tau: float) -> bool:
@@ -527,16 +572,20 @@ def _chebyshev_route(gen: sp.csr_matrix, width: float):
             windows[key] = coef * np.exp(c * tau)[:, np.newaxis]
         coef = windows[key]
         # w_0 = x, w_1 = B x, w_(k+1) = 2B w_k + w_(k-1); w_k is row k % size
-        # of the buffer, and each full buffer, and the rows left at the end,
-        # go into the states by one matrix product
+        # of the buffer, each made in place by one kernel call, and each full
+        # buffer, and the rows left at the end, go into the states by one
+        # matrix product
         size, count = len(rows), coef.shape[1]
         prev, cur = rows[0], rows[1]
-        prev[:] = x
-        np.multiply(B2 @ x, 0.5, out=cur)
+        np.copyto(prev, x)
+        cur.fill(0.0)
+        add_product(prev, cur)
+        cur *= 0.5
         states = np.zeros((len(coef), x.size))
         for k in range(2, count):
             nxt = rows[k % size]
-            np.add(B2 @ cur, prev, out=nxt)
+            np.copyto(nxt, prev)
+            add_product(cur, nxt)
             prev, cur = cur, nxt
             if k % size == size - 1:
                 states += coef[:, k + 1 - size:k + 1] @ terms
@@ -595,8 +644,7 @@ def _routes(blocks: list[sp.csr_matrix], width: float, uses: Counter):
     """
     dense_gaps = _dense_gaps(blocks, width, uses)
     dense = _dense_route(blocks, uses) if dense_gaps else None
-    chebyshev = (_chebyshev_route(sp.block_diag(blocks, format="csr"), width)
-                 if len(dense_gaps) < len(uses) else None)
+    chebyshev = _chebyshev_route(blocks, width) if len(dense_gaps) < len(uses) else None
     return lambda gap: dense if round(gap, 12) in dense_gaps else chebyshev
 
 

@@ -539,7 +539,9 @@ needs_openblas = pytest.mark.skipif(
 # Dense expm of the two mirror sectors (120 and 136) of a 256 x 256
 # Liouvillian: large enough that its bytes depend on the OpenBLAS thread count
 # when nothing holds it fixed (at L = 12 the sectors of 66 and 78 are not).
-BLAS_SENSITIVE = {"L": [16], "gamma": [0.05], "h": [0.1], "t_max": 100.0, "dt": 100.0}
+# The single time is t = 1000, a gap long enough that it goes dense: at t =
+# 100 it goes by the Chebyshev action.
+BLAS_SENSITIVE = {"L": [16], "gamma": [0.05], "h": [0.1], "t_max": 1000.0, "dt": 1000.0}
 # A 784 x 784 Liouvillian, which propagates by the sparse Chebyshev action.
 SPARSE_ACTION = {**BLAS_SENSITIVE, "L": [28]}
 # The same on a 20-point grid, whose runs of short gaps go by Chebyshev

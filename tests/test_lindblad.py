@@ -481,7 +481,7 @@ class TestChebyshevRoute:
         before = x.copy()
         exact = sla.expm(A.toarray() * t) @ x
         got = np.empty((1, n))
-        lindblad._chebyshev_route(A, width)(x, [t], got)
+        lindblad._chebyshev_route([A], width)(x, [t], got)
         assert np.abs(got[0] - exact).max() < 1e-13 * np.abs(x).max()
         assert np.array_equal(x, before)
 
@@ -514,6 +514,69 @@ class TestChebyshevRoute:
         rho0 = DensityMatrix.from_pure(site_state(L, middle_site(L)))
         propagate(rho0, LatticeSpec(L, 1.0, h, 0.02), times)
         assert seen == shapes
+
+    @pytest.mark.parametrize("L", range(6, 10))
+    def test_fused_step_matches_the_sparse_product(self, monkeypatch, L):
+        # each term is made in its ring-buffer row by one kernel call, y +=
+        # 2B v on y = w_(k-1) (zero for w_1); it differs from scipy's 2B v +
+        # w_(k-1) only in the order of the sum
+        forced_route(monkeypatch, "chebyshev")
+        kernel, steps = lindblad.csr_matvec, []
+
+        def spy(rows, cols, indptr, indices, data, v, y):
+            B2 = sp.csr_matrix((data, indices, indptr), shape=(rows, cols))
+            before = y.copy()
+            kernel(rows, cols, indptr, indices, data, v, y)
+            bound = abs(B2) @ np.abs(v) + np.abs(before)
+            assert np.all(np.abs(y - (B2 @ v + before)) <= 4 * np.finfo(float).eps * bound)
+            # y is a row of the buffer, written where it lies
+            assert y.base.shape == (lindblad.CHEBYSHEV_CHUNK, rows)
+            row = (y.ctypes.data - y.base.ctypes.data) // y.base.strides[0]
+            assert y.base[row].ctypes.data == y.ctypes.data
+            assert np.array_equal(y.base[row], y) and not np.array_equal(y, before)
+            steps.append(row)
+
+        monkeypatch.setattr(lindblad, "csr_matvec", spy)
+        spec = LatticeSpec(L, 1.0, 0.3, 0.1)
+        rho0 = DensityMatrix(random_density(np.random.default_rng(L), L))
+        state = propagate(rho0, spec, [5.0])[0].entries
+        assert len(set(steps)) == lindblad.CHEBYSHEV_CHUNK
+        exact = sla.expm(build_liouvillian(spec).toarray() * 5.0) @ vectorize(rho0)
+        assert np.abs(state - exact.reshape((L, L), order="F")).max() < 1e-12
+
+    @pytest.mark.parametrize("L, h, gamma", [(6, 0.3, 0.1), (7, 1.1, 0.02), (9, 0.0, 0.0)])
+    def test_kernel_arrays_are_scipys_shifted_generator(self, monkeypatch, L, h, gamma):
+        # the route builds the CSR arrays of 2B = 2 (G - cI) / rho itself;
+        # they hold scipy's sparse arithmetic bit for bit, rows sorted
+        spec = LatticeSpec(L, 1.0, h, gamma)
+        _, _, blocks = lindblad._sectors(spec)
+        width = lindblad._width(spec)
+        G = sp.block_diag(blocks, format="csr")
+        c, rho, _ = lindblad._chebyshev_shape(G.diagonal(), width)
+        B2 = ((G - c * sp.identity(G.shape[0], format="csr")) * (2.0 / rho)).tocsr()
+        calls = []
+        monkeypatch.setattr(lindblad, "csr_matvec", lambda *args: calls.append(args))
+        lindblad._chebyshev_route(blocks, width)(np.ones(G.shape[0]), [1.0], np.empty((1, G.shape[0])))
+        rows, cols, indptr, indices, data = calls[0][:5]
+        assert (rows, cols) == B2.shape
+        got = sp.csr_matrix((data.copy(), indices.copy(), indptr.copy()), shape=B2.shape)
+        assert got.has_sorted_indices
+        assert np.array_equal(got.toarray(), B2.toarray())
+
+    def test_terms_make_no_sparse_matmul(self, monkeypatch):
+        # the terms go straight to the compiled kernel, not through scipy's
+        # Python dispatch: the one product of a sparse matrix with a vector
+        # is T vec(rho0)
+        forced_route(monkeypatch, "chebyshev")
+        matmul, vectors = sp.csr_matrix.__matmul__, []
+        monkeypatch.setattr(sp.csr_matrix, "__matmul__", lambda A, other: vectors.append(
+            isinstance(other, np.ndarray)) or matmul(A, other))
+        kernel, terms = lindblad.csr_matvec, []
+        monkeypatch.setattr(lindblad, "csr_matvec", lambda *args: terms.append(1) or kernel(*args))
+        rho0 = DensityMatrix.from_pure(site_state(8, middle_site(8)))
+        propagate(rho0, LatticeSpec(8, 1.0, 0.3, 0.02), [100.0])
+        assert len(terms) > 100
+        assert sum(vectors) == 1
 
     def test_is_deterministic_and_leaves_the_global_rng_alone(self):
         L = 24

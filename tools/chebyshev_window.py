@@ -1,20 +1,31 @@
-"""Time the windowed Chebyshev route over candidate caps on its window length.
+"""Time the Chebyshev route's terms and its windows over candidate caps.
 
 Run from the root of a starkprobe checkout:
 
     python3 tools/chebyshev_window.py [--gamma 0.02] [--repeat 3]
 
-For each shape (L = 24, 32, 40 and h = 0.05, 0.35, 0.6, J = 1) it times
-``lindblad.propagate`` from the middle site over the 100-point grid t = 1,
-..., 100, every gap forced onto the Chebyshev route, once per candidate value
-of ``lindblad.CHEBYSHEV_WINDOW_TERMS`` (best of ``--repeat`` runs, OpenBLAS
-held at one thread as in a CLI run).  A cap of 0 makes every gap a window
-of one, the route without windows of two or more gaps.  It prints one row per
-shape, the times in ms and the ratio of each to the fastest cap of that
-shape, then the geometric mean of those ratios per cap.  It takes about 12 s
-on a 2-core Xeon, 4 s with ``--repeat 1``.  It exits with an error if
-``lindblad`` no longer has the two names it sets, ``_dense_gaps`` and
-``CHEBYSHEV_WINDOW_TERMS``, rather than time a route they no longer steer.
+First it times one term of the route's recurrence, the cost the route choice
+prices as ``lindblad.TERM_S + lindblad.NNZ_S * nnz``.  At L = 8, 16, 24, 32,
+40 and 60 (h = 0.35, J = 1) it advances a random state by one gap of width
+z = rho g = 2000 through ``lindblad._chebyshev_route``, its coefficients
+computed beforehand, and divides the best of ``--repeat`` runs by the s K
+terms the cost model predicts for that gap.  It prints the time per term
+against nnz, the nonzeros of both mirror sectors, and the least-squares line
+through them, TERM_S and NNZ_S.
+
+Then, for each shape (L = 24, 32, 40 and h = 0.05, 0.35, 0.6, J = 1), it
+times ``lindblad.propagate`` from the middle site over the 100-point grid t =
+1, ..., 100, every gap forced onto the Chebyshev route, once per candidate
+value of ``lindblad.CHEBYSHEV_WINDOW_TERMS`` (best of ``--repeat`` runs).  A
+cap of 0 makes every gap a window of one, the route without windows of two
+or more gaps.  It prints one row per shape, the times in ms and the ratio of
+each to the fastest cap of that shape, then the geometric mean of those
+ratios per cap.
+
+OpenBLAS is held at one thread throughout, as in a CLI run.  The script
+takes about 15 s on a 2-core Xeon, 5 s with ``--repeat 1``.  It exits with an
+error if ``lindblad`` no longer has the two names it sets, ``_dense_gaps``
+and ``CHEBYSHEV_WINDOW_TERMS``, rather than time a route they no longer steer.
 """
 
 from __future__ import annotations
@@ -36,15 +47,48 @@ from starkprobe.model import LatticeSpec, middle_site, site_state  # noqa: E402
 CAPS = [0, 32, 64, 96, 128, 192, 256, 384]
 SHAPES = [(L, h) for L in (24, 32, 40) for h in (0.05, 0.35, 0.6)]
 TIMES = np.arange(1.0, 101.0)
+TERM_SIZES = (8, 16, 24, 32, 40, 60)
+TERM_WIDTH = 2000.0
 
 
-def best_time(rho0, spec, repeat: int) -> float:
+def best_time(run, repeat: int) -> float:
     best = math.inf
     for _ in range(repeat):
         start = time.perf_counter()
-        propagate(rho0, spec, TIMES)
+        run()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def term_loop(L: int, gamma: float):
+    """(nnz, predicted terms, one run) of the route at L over one lone gap."""
+    spec = LatticeSpec(L, 1.0, 0.35, gamma)
+    _, _, blocks = lindblad._sectors(spec)
+    width = lindblad._width(spec)
+    diagonal = np.concatenate([block.diagonal() for block in blocks])
+    _, rho, eta = lindblad._chebyshev_shape(diagonal, width)
+    gap = TERM_WIDTH / rho
+    s, z = lindblad._chebyshev_plan(rho, eta, gap)
+    advance = lindblad._chebyshev_route(blocks, width)
+    x = np.random.default_rng(L).standard_normal(diagonal.size)
+    out = np.empty((1, x.size))
+    advance(x, [gap], out)  # computes the coefficients once
+    return (sum(block.nnz for block in blocks), s * lindblad._term_count(z, eta),
+            lambda: advance(x, [gap], out))
+
+
+def term_times(gamma: float, repeat: int) -> list[tuple[int, float]]:
+    """(nnz, seconds per predicted term) at each of TERM_SIZES.
+
+    The sizes take turns within each of the ``repeat`` rounds, so that a
+    slow spell of the machine does not fall on one size alone.
+    """
+    loops = [term_loop(L, gamma) for L in TERM_SIZES]
+    best = [math.inf] * len(loops)
+    for _ in range(repeat):
+        for i, (_, terms, run) in enumerate(loops):
+            best[i] = min(best[i], best_time(run, 1) / terms)
+    return [(nnz, seconds) for (nnz, _, _), seconds in zip(loops, best)]
 
 
 def main() -> None:
@@ -57,18 +101,28 @@ def main() -> None:
     if missing:
         sys.exit(f"starkprobe.lindblad has no {' or '.join(missing)}: "
                  "this script cannot force the Chebyshev route or set its window cap")
-    lindblad._dense_gaps = lambda blocks, width, uses: set()
-    ratios = {cap: [] for cap in CAPS}
-    print(f"gamma = {args.gamma}; ms per propagate (ratio to the best cap of the shape)")
-    print("L   h     " + "".join(f"{cap:>15}" for cap in CAPS))
     with cli._single_threaded_blas():
+        print(f"gamma = {args.gamma}; one term of the recurrence, z = {TERM_WIDTH:g} per gap")
+        print("L    nnz     us per term")
+        fit = term_times(args.gamma, args.repeat)
+        for L, (nnz, seconds) in zip(TERM_SIZES, fit):
+            print(f"{L:<4} {nnz:<7} {1e6 * seconds:.2f}")
+        slope, intercept = np.polyfit(*np.array(fit).T, 1)
+        print(f"least squares: TERM_S = {intercept:.3g}, NNZ_S = {slope:.3g} "
+              f"(now {lindblad.TERM_S:.3g} and {lindblad.NNZ_S:.3g})")
+        print()
+
+        lindblad._dense_gaps = lambda blocks, width, uses: set()
+        ratios = {cap: [] for cap in CAPS}
+        print(f"gamma = {args.gamma}; ms per propagate (ratio to the best cap of the shape)")
+        print("L   h     " + "".join(f"{cap:>15}" for cap in CAPS))
         for L, h in SHAPES:
             spec = LatticeSpec(L, 1.0, h, args.gamma)
             rho0 = DensityMatrix.from_pure(site_state(L, middle_site(L)))
             times = {}
             for cap in CAPS:
                 lindblad.CHEBYSHEV_WINDOW_TERMS = cap
-                times[cap] = best_time(rho0, spec, args.repeat)
+                times[cap] = best_time(lambda: propagate(rho0, spec, TIMES), args.repeat)
             fastest = min(times.values())
             for cap in CAPS:
                 ratios[cap].append(times[cap] / fastest)
