@@ -6,9 +6,9 @@ sqrt(2) Im rho_ab for a < b) its n x n generator G, n = L^2, is real.
 :func:`build_liouvillian` assembles the columnwise-vectorized generator
 sparse from a spec; :func:`propagate` builds it from its spec, takes it to
 that basis sparse and evolves a real coordinate vector by one of two exact
-routes, chosen per gap; T^dag maps the coordinates back to rho, so the
-basis is laid out in :func:`_hermitian_basis` alone.  This removes integrator tolerances as a
-confound in the scaling fits downstream.
+routes, one per call; T^dag maps the coordinates back to rho, so the basis
+is laid out in :func:`_hermitian_basis` alone.  This removes integrator
+tolerances as a confound in the scaling fits downstream.
 
 Mirror sectors.  Reversing the sites with alternating signs, rho -> V rho^T
 V^T, commutes with the generator of every LatticeSpec (Buca & Prosen, New J.
@@ -73,10 +73,9 @@ of a sparse product, which took most of a term's time up to L ~ 40.
 
 Windows.  A single short gap spends most of its K terms on the truncation
 tail: at L = 32, h = 0.05 a gap of 1 has z = 5 and takes K = 28.  So the
-route splits each run of consecutive gaps it is handed into windows of
-offsets tau_1 < ... < tau_m from the window's start, and advances a window
-with one recurrence from its start state x, all its outputs taken from the
-same w_k:
+route splits the gaps into windows of offsets tau_1 < ... < tau_m from the
+window's start, and advances a window with one recurrence from its start
+state x, all its outputs taken from the same w_k:
 
     x(tau_i) = e^(c tau_i) [J_0(rho tau_i) x + 2 sum_k J_k(rho tau_i) w_k].
 
@@ -91,36 +90,36 @@ most CHEBYSHEV_WINDOW_TERMS: the combination costs m (K + 1) n multiply-adds
 per window, which outgrows the tail it saves.  A gap that does not fit
 with its successor goes by its s substeps, each a window of one output; its
 K may exceed CHEBYSHEV_WINDOW_TERMS, which caps only windows of two or more
-gaps.  The Bessel coefficients of a window's outputs are computed once per
+gaps.  A zero gap neither starts nor joins a window: it repeats the state.
+The Bessel coefficients of a window's outputs are computed once per
 distinct window, each to the count of the largest z.
 
-Route choice.  From MIRROR_MIN_DIM on, each distinct gap takes the route
-with the smaller predicted cost, and only the routes some gap takes are
-built.  Both costs are known before any work: u s K (TERM_S + NNZ_S nnz) for
-the Chebyshev route, with K from Kapteyn's bound on J_k (:func:`_term_count`),
-and, per sector of size n, (PADE_PRODUCTS + s - j) N3_S n^3 + u 2^j N2_S n^2
-for the dense route, s and j being the step rule's own.  The Chebyshev cost
-prices each gap as its own window, an upper bound on its cost inside a longer
-window, and leaves out the route's fixed cost, which it keeps small: it
-makes the CSR arrays of 2B from those of the sector blocks by a few array
-operations (about 80 us at L = 10-16, against 260 us for scipy's
-``block_diag`` and sparse arithmetic), and the coefficients by one scalar
-recurrence per output.  At gamma = 0.02, h = 0.05-1.1, a 100-point grid of
-short gaps goes by the Chebyshev route, O(nnz rho g), from L = 20-22 on, a
-single time t = 10 from L = 10-12 on and t = 100 from L = 14-18 on (L = 16
-while h is below about 0.7), the smaller h the smaller L; a very long single
-gap, whose dense cost grows only with log ||G g||_1, goes dense: t = 1000 up
-to L = 20, and up to L = 24-32 as h grows.  Each route is handed the runs
-of consecutive positive gaps that take it; a zero gap or a gap of the other
-route ends a run.  A sector whose coordinates start at exactly zero stays
-zero, since G is block diagonal, and is not propagated: for odd L the
-middle-site start has no mirror-odd part.
+Route choice.  From MIRROR_MIN_DIM on, each call of :func:`propagate`
+builds the one route with the smaller predicted cost over all its distinct
+gaps, and advances every gap by it.  Both costs are known before any work
+and are sums over the distinct gaps g, each used u times: u s K (TERM_S +
+NNZ_S nnz) for the Chebyshev route, with K from Kapteyn's bound on J_k
+(:func:`_term_count`), and, per sector of size n, (PADE_PRODUCTS + s - j)
+N3_S n^3 + u 2^j N2_S n^2 for the dense route, s and j being the step
+rule's own.  The Chebyshev cost prices each gap as its own window, an upper
+bound on its cost inside a longer window, and leaves out the route's fixed
+cost, which it keeps small: it makes the CSR arrays of 2B from those of the
+sector blocks by a few array operations (about 80 us at L = 10-16, against
+260 us for scipy's ``block_diag`` and sparse arithmetic), and the
+coefficients by one scalar recurrence per output.  At gamma = 0.02, h =
+0.05-1.1, a 100-point grid of short gaps goes by the Chebyshev route,
+O(nnz rho g), from L = 20-22 on, a single time t = 10 from L = 10-12 on and
+t = 100 from L = 14-18 on (L = 16 while h is below about 0.7), the smaller
+h the smaller L; a very long single gap, whose dense cost grows only with
+log ||G g||_1, goes dense: t = 1000 up to L = 20, and up to L = 24-32 as h
+grows.  A sector whose coordinates start at exactly zero stays zero, since
+G is block diagonal, and is not propagated: for odd L the middle-site start
+has no mirror-odd part.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -409,8 +408,9 @@ def _norm1(block: sp.csr_matrix) -> float:
 def _dense_route(blocks: list[sp.csr_matrix], uses: Counter):
     """x, gaps, out: out[i] = the state after gap i under G = diag(blocks), by the step rule.
 
-    One dense ``expm`` per block and distinct gap, of exp(G_k gap / 2^j);
-    each use applies it 2^j times to its own slice of the coordinate vector.
+    One dense ``expm`` per block and distinct positive gap, of exp(G_k gap /
+    2^j); each use applies it 2^j times to its own slice of the coordinate
+    vector.  A zero gap repeats the state.
     """
     norms = [_norm1(block) for block in blocks]
     dense = [block.toarray() for block in blocks]
@@ -433,7 +433,7 @@ def _dense_route(blocks: list[sp.csr_matrix], uses: Counter):
 
     def advance(x: np.ndarray, gaps: list[float], out: np.ndarray) -> None:
         for i, gap in enumerate(gaps):
-            x = out[i] = step(x, gap)
+            x = out[i] = x if not gap else step(x, gap)
 
     return advance
 
@@ -512,11 +512,12 @@ def _chebyshev_route(blocks: list[sp.csr_matrix], width: float):
     """x, gaps, out: out[i] = exp(G t_i) x, by the Chebyshev-Bessel action.
 
     G = diag(blocks) = K + D, K real antisymmetric with ||K||_2 <= ``width``,
-    D diagonal; no block holds two entries at one place.  The gaps are
-    positive and t_i is the sum of the first i.  The module docstring gives
+    D diagonal; no block holds two entries at one place.  The gaps are at
+    least 0 and t_i is the sum of the first i.  The module docstring gives
     the expansion, its bound, the substep rule and the windows: the gaps are
-    split into windows, each advanced from its start by one recurrence, and
-    a gap that is a window of its own goes by s windows of one substep each.
+    split into windows, each advanced from its start by one recurrence, a
+    gap that is a window of its own goes by s windows of one substep each,
+    and a zero gap repeats the state.
     Coefficients are computed once per distinct window.  Each term is one
     call of scipy's compiled ``csr_matvec`` on the CSR arrays of 2B, which
     adds 2B w_k into the ring-buffer row that holds w_(k-1) and so makes
@@ -597,12 +598,12 @@ def _chebyshev_route(blocks: list[sp.csr_matrix], width: float):
         i = 0
         while i < len(gaps):
             j, tau = i + 1, gaps[i]
-            while rho and j < len(gaps) and fits(tau + gaps[j]):
+            while rho * tau and j < len(gaps) and gaps[j] and fits(tau + gaps[j]):
                 tau += gaps[j]
                 j += 1
             if j - i > 1:
                 out[i:j] = window(x, gaps[i:j])
-            elif rho * tau == 0.0:  # G = cI, or no time
+            elif rho * tau == 0.0:  # G = cI, or a zero gap: x e^0 is x
                 out[i] = x * math.exp(c * tau)
             else:
                 s = _chebyshev_plan(rho, eta, tau)[0]
@@ -615,37 +616,27 @@ def _chebyshev_route(blocks: list[sp.csr_matrix], width: float):
     return advance
 
 
-def _dense_gaps(blocks: list[sp.csr_matrix], width: float, uses: Counter) -> set[float]:
-    """The distinct gaps (keys of ``uses``) the dense route is predicted to advance faster.
+def _dense_wins(blocks: list[sp.csr_matrix], width: float, uses: Counter) -> bool:
+    """Whether the dense route is predicted to advance all the distinct gaps faster.
 
-    Both costs follow from sizes, norms and plans alone, before any
-    exponential or coefficient is computed (module docstring, Route choice).
+    The distinct gaps are the keys of ``uses``, each used as often as it
+    counts.  Each route's cost is the sum of its prices of those gaps; both
+    follow from sizes, norms and plans alone, before any exponential or
+    coefficient is computed (module docstring, Route choice).
     """
     norms = [_norm1(block) for block in blocks]
     c, rho, eta = _chebyshev_shape(np.concatenate([block.diagonal() for block in blocks]), width)
     term = TERM_S + NNZ_S * sum(block.nnz for block in blocks)
-    picks = set()
+    dense = chebyshev = 0.0
     for key, u in uses.items():
-        dense = 0.0
         for block, norm in zip(blocks, norms):
             s, j = _squarings(norm * key, u)
             n = block.shape[0]
             dense += (PADE_PRODUCTS + s - j) * N3_S * n ** 3 + u * 2 ** j * N2_S * n * n
         s, z = _chebyshev_plan(rho, eta, key)
-        if z and dense < u * s * _term_count(z, eta) * term:
-            picks.add(key)
-    return picks
-
-
-def _routes(blocks: list[sp.csr_matrix], width: float, uses: Counter):
-    """gap -> the route (x, gaps, out) the cost model picks for that distinct gap.
-
-    A route is built only if some gap takes it.
-    """
-    dense_gaps = _dense_gaps(blocks, width, uses)
-    dense = _dense_route(blocks, uses) if dense_gaps else None
-    chebyshev = _chebyshev_route(blocks, width) if len(dense_gaps) < len(uses) else None
-    return lambda gap: dense if round(gap, 12) in dense_gaps else chebyshev
+        if z:  # at z = 0 the Chebyshev route only scales the state
+            chebyshev += u * s * _term_count(z, eta) * term
+    return dense < chebyshev
 
 
 def propagate(rho0, spec: LatticeSpec, times) -> list[DensityMatrix]:
@@ -656,19 +647,21 @@ def propagate(rho0, spec: LatticeSpec, times) -> list[DensityMatrix]:
     Hermitian basis, where it is real, G = K + D, one mirror sector at a
     time.  Below n = L^2 = MIRROR_MIN_DIM one dense exponential of the whole
     block-diagonal generator is computed per distinct gap between
-    consecutive requested times.  From there on each distinct gap goes by
-    the route of smaller predicted cost (module docstring): one dense
-    exponential per sector, applied as the step rule says, or the
+    consecutive requested times.  From there on the call builds one route,
+    the one of smaller predicted cost summed over its distinct gaps (module
+    docstring), and advances every gap by it: one dense exponential per
+    sector and distinct gap, applied as the step rule says, or the
     Chebyshev-Bessel action of the sparse generator, whose truncation the
-    K + D form bounds.  The Chebyshev route splits each run of consecutive
-    positive gaps that take it into windows, and advances each window by one
-    recurrence from its start to all of its times; a gap that is a window of
-    its own goes by ceil(rho g eta / THETA_CHEBYSHEV) windows of one substep
-    each.  A mirror sector whose coordinates start at zero is skipped.  The
-    states are mapped back to rho by T^dag, the adjoint of the basis map,
-    which makes them Hermitian entry for entry.  They are validated together
-    against the DensityMatrix invariants; a smallest eigenvalue at or below
-    -1e-8 raises PositivityLoss naming the first time it occurs at.
+    K + D form bounds.  The Chebyshev route splits the gaps into windows,
+    and advances each window by one recurrence from its start to all of its
+    times; a gap that is a window of its own goes by ceil(rho g eta /
+    THETA_CHEBYSHEV) windows of one substep each.  On either route a zero
+    gap repeats the state bit for bit.  A mirror sector whose coordinates
+    start at zero is skipped.  The states are mapped back to rho by T^dag,
+    the adjoint of the basis map, which makes them Hermitian entry for
+    entry.  They are validated together against the DensityMatrix
+    invariants; a smallest eigenvalue at or below -1e-8 raises
+    PositivityLoss naming the first time it occurs at.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -688,28 +681,18 @@ def propagate(rho0, spec: LatticeSpec, times) -> list[DensityMatrix]:
     uses = Counter(round(gap, 12) for gap in gaps if gap > 0.0)
     live = slice(None)
     if x.size < MIRROR_MIN_DIM:
-        dense = _dense_route([sp.block_diag(blocks, format="csr")], uses)
-        route = lambda gap: dense
+        advance = _dense_route([sp.block_diag(blocks, format="csr")], uses)
     else:
         # G is block diagonal, so a sector whose coordinates start at zero
         # stays zero: only the sectors from the first to the last live one move.
         bounds = [0, k, x.size]
         moving = [i for i in (0, 1) if x[bounds[i]:bounds[i + 1]].any()] or [0, 1]
         live = slice(bounds[moving[0]], bounds[moving[-1] + 1])
-        route = _routes(blocks[moving[0]:moving[-1] + 1], _width(spec), uses)
+        blocks, width = blocks[moving[0]:moving[-1] + 1], _width(spec)
+        advance = (_dense_route(blocks, uses) if _dense_wins(blocks, width, uses)
+                   else _chebyshev_route(blocks, width))
     coords = np.zeros((times.size, x.size))
-    y = x[live]
-    # A zero gap repeats the state; each run of positive gaps that take the
-    # same route is handed to it whole.
-    runs = itertools.groupby(range(times.size), lambda i: gaps[i] > 0.0 and route(gaps[i]))
-    for advance, run in runs:
-        rows = list(run)
-        span = slice(rows[0], rows[-1] + 1)
-        if advance:
-            advance(y, gaps[span], coords[span, live])
-            y = coords[rows[-1], live]
-        else:
-            coords[span, live] = y
+    advance(x[live], gaps, coords[:, live])
     # Row i of coords @ conj(T) is T^dag x_i = vec(rho_i), columnwise.
     rho = (coords @ T.conj()).reshape((times.size, spec.L, spec.L), order="F")
     try:

@@ -558,8 +558,7 @@ def test_blas_cases_take_the_route_they_name(params, dense):
     spec = LatticeSpec(params["L"][0], 1.0, params["h"][0], params["gamma"][0])
     _, _, blocks = lindblad._sectors(spec)
     gap, uses = params["dt"], round(params["t_max"] / params["dt"])
-    assert lindblad._dense_gaps(blocks, lindblad._width(spec), Counter({gap: uses})) == (
-        {gap} if dense else set())
+    assert lindblad._dense_wins(blocks, lindblad._width(spec), Counter({gap: uses})) is dense
 
 
 def blas_counts() -> dict:

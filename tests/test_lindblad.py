@@ -26,8 +26,7 @@ def random_density(rng, dim):
 
 def forced_route(monkeypatch, route):
     """Make propagate advance every gap by one route from MIRROR_MIN_DIM on."""
-    monkeypatch.setattr(lindblad, "_dense_gaps",
-                        lambda blocks, width, uses: set(uses) if route == "dense" else set())
+    monkeypatch.setattr(lindblad, "_dense_wins", lambda blocks, width, uses: route == "dense")
 
 
 def window_lengths(monkeypatch):
@@ -339,16 +338,18 @@ class TestPropagate:
     @pytest.mark.parametrize("L", range(2, 10))
     # L = 2-5 exponentiate the block-diagonal generator whole; from L = 6 each
     # list runs by both routes, dense per mirror sector and Chebyshev, and by
-    # the route the cost model picks per gap.  The strong-field lists have
-    # gaps that the step rule splits into 2^j applications of a shorter-step
-    # propagator and that the Chebyshev route splits into substeps; t = 0 and
-    # a repeated gap are included.
+    # the route the cost model picks for the call.  The strong-field lists
+    # have gaps that the step rule splits into 2^j applications of a
+    # shorter-step propagator and that the Chebyshev route splits into
+    # substeps; t = 0, a repeated gap and zero gaps, at the start and mid-run,
+    # are included.
     @pytest.mark.parametrize("times, h", [
         (np.arange(1.0, 6.0), 0.3),
         ([0.0, 0.3, 2.0, 2.1, 9.5], 0.3),
         ([100.0], 2.0),
         ([1.0, 2.0, 60.0], 2.0),
-    ], ids=["times0", "times1", "times2", "times3"])
+        ([0.0, 0.0, 0.4, 0.9, 0.9, 60.0], 2.0),
+    ], ids=["times0", "times1", "times2", "times3", "times4"])
     def test_matches_complex_liouvillian_exponential(self, monkeypatch, L, times, h):
         spec = LatticeSpec(L, 1.0, h, 0.1)
         rho0 = DensityMatrix.from_pure(site_state(L, middle_site(L)))
@@ -362,6 +363,9 @@ class TestPropagate:
         for states in runs:
             for dm, rho in zip(states, exact):
                 assert np.abs(dm.entries - rho).max() < 1e-12
+            # a zero gap repeats the state before it bit for bit
+            for i in np.flatnonzero(np.diff(times) == 0.0) + 1:
+                assert np.array_equal(states[i].entries, states[i - 1].entries)
 
     @pytest.mark.parametrize("L", range(2, 9))
     def test_states_are_exactly_hermitian(self, L):
@@ -515,6 +519,30 @@ class TestChebyshevRoute:
         propagate(rho0, LatticeSpec(L, 1.0, h, 0.02), times)
         assert seen == shapes
 
+    @pytest.mark.parametrize("L, h, gamma, times", [
+        # the Liouvillian oracle of traj-validate, whose gaps of 10, 15 and
+        # 25 a choice per gap would split between the routes
+        (10, 0.05, 0.02, [10.0, 25.0, 50.0]),
+        # small shapes whose gaps it would split too
+        (8, 0.2, 0.0, [1.0, 3.0, 7.0]),
+        (8, 0.3, 0.1, [0.0, 0.3, 2.0, 2.1, 9.5]),
+        (8, 2.0, 0.1, [0.0, 0.3, 2.0, 2.1, 9.5, 60.0]),
+    ], ids=["L10-oracle", "L8-gamma0", "L8-grid", "L8-t60"])
+    def test_one_route_per_propagate(self, monkeypatch, L, h, gamma, times):
+        built = []
+        for name in ("_dense_route", "_chebyshev_route"):
+            route = getattr(lindblad, name)
+            monkeypatch.setattr(lindblad, name, lambda *args, name=name, route=route: (
+                built.append(name) or route(*args)))
+        spec = LatticeSpec(L, 1.0, h, gamma)
+        rho0 = DensityMatrix.from_pure(site_state(L, middle_site(L)))
+        states = propagate(rho0, spec, times)
+        assert len(built) == 1
+        gen = build_liouvillian(spec).toarray()
+        for t, dm in zip(times, states):
+            exact = (sla.expm(gen * t) @ vectorize(rho0)).reshape((L, L), order="F")
+            assert np.abs(dm.entries - exact).max() < 1e-12
+
     @pytest.mark.parametrize("L", range(6, 10))
     def test_fused_step_matches_the_sparse_product(self, monkeypatch, L):
         # each term is made in its ring-buffer row by one kernel call, y +=
@@ -583,7 +611,7 @@ class TestChebyshevRoute:
         spec = LatticeSpec(L, 1.0, 0.3, 0.02)
         rho0 = DensityMatrix.from_pure(site_state(L, middle_site(L)))
         T, k, blocks = lindblad._sectors(spec)
-        assert not lindblad._dense_gaps(blocks, lindblad._width(spec), Counter({100.0: 1}))
+        assert not lindblad._dense_wins(blocks, lindblad._width(spec), Counter({100.0: 1}))
         state = np.random.get_state()
         first, second = (propagate(rho0, spec, [100.0])[0].entries for _ in range(2))
         assert np.array_equal(first, second)
@@ -648,17 +676,6 @@ class TestChebyshevWindows:
         _, rho, eta = chebyshev_shape(LatticeSpec(L, 1.0, 0.3, 0.1))
         assert lindblad._chebyshev_plan(rho, eta, 60.0)[0] > 1
         assert self.run(monkeypatch, L, [0.5, 1.0, 1.5, 61.5, 62.0, 62.5]) == [3, 2]
-
-    @pytest.mark.parametrize("L", range(6, 10))
-    def test_dense_gap_breaks_the_run(self, monkeypatch, L):
-        monkeypatch.setattr(lindblad, "_dense_gaps", lambda blocks, width, uses: {1.0})
-        expm, shapes = sla.expm, []
-        monkeypatch.setattr(lindblad.sla, "expm", lambda A: shapes.append(A.shape) or expm(A))
-        assert self.run(monkeypatch, L, [0.5, 1.0, 1.5, 2.5, 3.0, 3.5]) == [3, 2]
-        # one expm per mirror sector for the dense gap; the oracle's are L^2 x L^2
-        k = (L * L - L) // 2
-        route = sorted(shape for shape in shapes if shape != (L * L, L * L))
-        assert route == [(k, k), (k + L, k + L)]
 
     @pytest.mark.parametrize("gamma, substeps, terms", [(0.02, 6, 390), (0.1, 12, 225)])
     def test_lone_gap_goes_by_windows_of_one_substep(self, monkeypatch, gamma, substeps, terms):

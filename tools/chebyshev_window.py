@@ -22,10 +22,20 @@ or more gaps.  It prints one row per shape, the times in ms and the ratio of
 each to the fastest cap of that shape, then the geometric mean of those
 ratios per cap.
 
+Last, with the cap back at its value, it checks the route choice.  For each
+shape of a fixed table it records the route that ``lindblad._dense_wins``
+picks for the whole ``propagate``, times ``propagate`` with that function
+patched to force each route (best of ``--repeat`` runs, the two routes
+taking turns), and prints the pick, both times in ms and the pick's time
+over the better one.  The table holds shapes whose gaps a choice per gap
+would split between the routes, 100-point grids at L = 12-24, t = 100 at L =
+12-24 and t = 1000 at L = 16, 24 and 32.
+
 OpenBLAS is held at one thread throughout, as in a CLI run.  The script
-takes about 15 s on a 2-core Xeon, 5 s with ``--repeat 1``.  It exits with an
-error if ``lindblad`` no longer has the two names it sets, ``_dense_gaps``
-and ``CHEBYSHEV_WINDOW_TERMS``, rather than time a route they no longer steer.
+takes about 13 s on a 2-core Xeon, 5 s with ``--repeat 1``.  It exits with
+an error if ``lindblad`` no longer has the two names it sets,
+``_dense_wins`` and ``CHEBYSHEV_WINDOW_TERMS``, rather than time a route
+they no longer steer.
 """
 
 from __future__ import annotations
@@ -49,6 +59,20 @@ SHAPES = [(L, h) for L in (24, 32, 40) for h in (0.05, 0.35, 0.6)]
 TIMES = np.arange(1.0, 101.0)
 TERM_SIZES = (8, 16, 24, 32, 40, 60)
 TERM_WIDTH = 2000.0
+# (L, h, gamma, times) of the route-choice table; gamma None is --gamma.
+# The first four are the traj-validate oracle and three small shapes whose
+# gaps a choice per gap would split between the routes.
+ROUTE_SHAPES = [
+    (10, 0.05, 0.02, [10.0, 25.0, 50.0]),
+    (8, 0.2, 0.0, [1.0, 3.0, 7.0]),
+    (8, 0.3, 0.1, [0.0, 0.3, 2.0, 2.1, 9.5]),
+    (8, 2.0, 0.1, [0.0, 0.3, 2.0, 2.1, 9.5, 60.0]),
+    *[(L, 0.35, None, TIMES) for L in (12, 16, 20, 24)],
+    *[(L, 0.35, None, [100.0]) for L in (12, 16, 20, 24)],
+    (16, 0.35, None, [1000.0]),
+    (24, 0.35, None, [1000.0]),
+    (32, 0.8, None, [1000.0]),
+]
 
 
 def best_time(run, repeat: int) -> float:
@@ -91,12 +115,28 @@ def term_times(gamma: float, repeat: int) -> list[tuple[int, float]]:
     return [(nnz, seconds) for (nnz, _, _), seconds in zip(loops, best)]
 
 
+def route_times(dense_wins, gamma: float, repeat: int):
+    """(shape, pick, {route: seconds}) for each of ROUTE_SHAPES."""
+    for L, h, shape_gamma, times in ROUTE_SHAPES:
+        spec = LatticeSpec(L, 1.0, h, gamma if shape_gamma is None else shape_gamma)
+        rho0 = DensityMatrix.from_pure(site_state(L, middle_site(L)))
+        picks = []
+        lindblad._dense_wins = lambda *args: picks.append(dense_wins(*args)) or picks[-1]
+        propagate(rho0, spec, times)
+        best = {"dense": math.inf, "chebyshev": math.inf}
+        for _ in range(repeat):
+            for route in best:
+                lindblad._dense_wins = lambda *args, dense=route == "dense": dense
+                best[route] = min(best[route], best_time(lambda: propagate(rho0, spec, times), 1))
+        yield (L, h, spec.gamma, times), "dense" if picks[0] else "chebyshev", best
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--gamma", type=float, default=0.02)
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
-    missing = [name for name in ("_dense_gaps", "CHEBYSHEV_WINDOW_TERMS")
+    missing = [name for name in ("_dense_wins", "CHEBYSHEV_WINDOW_TERMS")
                if not hasattr(lindblad, name)]
     if missing:
         sys.exit(f"starkprobe.lindblad has no {' or '.join(missing)}: "
@@ -112,7 +152,8 @@ def main() -> None:
               f"(now {lindblad.TERM_S:.3g} and {lindblad.NNZ_S:.3g})")
         print()
 
-        lindblad._dense_gaps = lambda blocks, width, uses: set()
+        dense_wins, window_terms = lindblad._dense_wins, lindblad.CHEBYSHEV_WINDOW_TERMS
+        lindblad._dense_wins = lambda blocks, width, uses: False
         ratios = {cap: [] for cap in CAPS}
         print(f"gamma = {args.gamma}; ms per propagate (ratio to the best cap of the shape)")
         print("L   h     " + "".join(f"{cap:>15}" for cap in CAPS))
@@ -128,8 +169,19 @@ def main() -> None:
                 ratios[cap].append(times[cap] / fastest)
             print(f"{L:<3} {h:<5} " + "".join(
                 f"{1e3 * times[cap]:8.1f} ({times[cap] / fastest:4.2f})" for cap in CAPS))
-    print("geomean   " + "".join(
-        f"{math.exp(np.mean(np.log(ratios[cap]))):15.3f}" for cap in CAPS))
+        print("geomean   " + "".join(
+            f"{math.exp(np.mean(np.log(ratios[cap]))):15.3f}" for cap in CAPS))
+        print()
+
+        lindblad.CHEBYSHEV_WINDOW_TERMS = window_terms
+        print(f"gamma = {args.gamma} unless given; ms per propagate by each forced route "
+              "and the model's pick")
+        print(f"{'L   h     gamma  times':<41} pick          dense  chebyshev  pick/best")
+        for (L, h, gamma, times), pick, best in route_times(dense_wins, args.gamma, args.repeat):
+            label = (f"{len(times)}-point grid" if len(times) > 10
+                     else ", ".join(f"{t:g}" for t in times))
+            print(f"{L:<3} {h:<5} {gamma:<6} {label:<24} {pick:<9} {1e3 * best['dense']:10.1f} "
+                  f"{1e3 * best['chebyshev']:10.1f} {best[pick] / min(best.values()):10.2f}")
 
 
 if __name__ == "__main__":
