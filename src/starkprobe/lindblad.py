@@ -17,26 +17,25 @@ The basis orders the coordinates by its sign, so G is block diagonal with
 two sector blocks of (L^2 - L)/2 and (L^2 + L)/2 coordinates; the
 cross-sector blocks vanish and are never formed.
 
-Dense route.  It makes one dense real array of each sector block and
-computes one ``expm`` per sector per distinct gap g between consecutive
-requested times, reused for each of the u uses of that gap: two
-exponentials of about n/2, a quarter of the flops of one of size n each.
-Below n = MIRROR_MIN_DIM, where the second call's overhead outweighs that,
-the block-diagonal G is exponentiated whole, and always by this route.
+Dense route.  G is block diagonal, so the route advances one sector block
+at a time over all the gaps, each into its own coordinates.  It makes one
+dense real array of the block and computes one ``expm`` per distinct gap g
+between consecutive requested times, reused for each of the u uses of that
+gap: two exponentials of about n/2, a quarter of the flops of one of size n
+each.  Below n = MIRROR_MIN_DIM, where the second call's overhead outweighs
+that, the block-diagonal G is exponentiated whole, and always by this route.
 ``scipy.linalg.expm`` (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
 (2009)) scales G g down by 2^s, s = ceil(log2(||G g||_1 / THETA_13)), and
 squares the result back s times, each squaring an O(n^3) product.  A
 propagator that is only ever applied to a vector need not be squared up all
 the way: the propagator of g is exp(G g / 2^j), applied 2^j times per use,
-with j in [0, s] minimizing
-
-    (s - j) * C_SQUARE + (2^j - 1) * u
-
-in units of one matrix-vector product, C_SQUARE being the cost of one
-square product; each sector block takes its own s and j from its own norm.
-A 100-point grid (u = 100) keeps j = 0, one full exponential and one product
-with a vector per point.  A single late time (u = 1) trades most of the
-squarings for 2^j products with a vector.
+with j in [0, s] the one of least dense price (Route choice), which trades
+each squaring skipped, N3_S n^3, for u 2^j more products with a vector,
+N2_S n^2 each; each block takes its own s and j from its own size and
+norm.  A 100-point grid (u = 100) keeps j = 0 below n = u N2_S / N3_S = 375,
+one full exponential and one product with a vector per point.  A single
+late time (u = 1) trades most of the squarings for 2^j products with a
+vector.
 
 Chebyshev route.  It never forms a dense array.  In the real basis G = K +
 D: K, the -i[H, .] part, is real antisymmetric with ||K||_2 = E_max - E_min
@@ -100,13 +99,14 @@ gaps, and advances every gap by it.  Both costs are known before any work
 and are sums over the distinct gaps g, each used u times: u s K (TERM_S +
 NNZ_S nnz) for the Chebyshev route, with K from Kapteyn's bound on J_k
 (:func:`_term_count`), and, per sector of size n, (PADE_PRODUCTS + s - j)
-N3_S n^3 + u 2^j N2_S n^2 for the dense route, s and j being the step
-rule's own.  The Chebyshev cost prices each gap as its own window, an upper
-bound on its cost inside a longer window, and leaves out the route's fixed
-cost, which it keeps small: it makes the CSR arrays of 2B from those of the
-sector blocks by a few array operations (about 80 us at L = 10-16, against
-260 us for scipy's ``block_diag`` and sparse arithmetic), and the
-coefficients by one scalar recurrence per output.  At gamma = 0.02, h =
+N3_S n^3 + u 2^j N2_S n^2 for the dense route at the j in [0, s] that
+makes it least, the smaller j on a tie (:func:`_dense_step`).  The
+Chebyshev cost prices each gap as its own window, an upper bound on its
+cost inside a longer window, and leaves out the route's fixed cost, which
+it keeps small: it makes the CSR arrays of 2B from those of the sector
+blocks by a few array operations (about 80 us at L = 10-16, against 260 us
+for scipy's ``block_diag`` and sparse arithmetic), and the coefficients by
+one scalar recurrence per output.  At gamma = 0.02, h =
 0.05-1.1, a 100-point grid of short gaps goes by the Chebyshev route,
 O(nnz rho g), from L = 20-22 on, a single time t = 10 from L = 10-12 on and
 t = 100 from L = 14-18 on (L = 16 while h is below about 0.7), the smaller
@@ -147,13 +147,6 @@ POSITIVITY_FLOOR = -1e-8
 # Largest ||A||_1 for which expm's degree-13 Pade approximant needs no
 # scaling (theta_13, Al-Mohy & Higham 2009, Table 3.1).
 THETA_13 = 5.37
-# Cost of one square real product, in matrix-vector products of its size.
-# With OpenBLAS at one thread on a 2-core Xeon, the ratio was 22-25 at
-# n = 120 and 45-48 at n = 136 (the mirror sectors at L = 16), 32-55 at
-# n = 171-210, 71-79 at n = 276 and 112-115 at n = 300 (the sectors at
-# L = 24) and 99-119 at n = 378-528.  It must stay below 100 for a 100-point
-# grid to keep j = 0.
-C_SQUARE = 64
 # Smallest n = L^2 whose dense route exponentiates the two mirror sectors
 # apart.  Two expm of the sector blocks took 1.36-2.48 times one expm of the
 # whole block-diagonal generator at L = 3-4, 1.03-1.12 at L = 5, 0.74-0.77
@@ -194,7 +187,9 @@ CHEBYSHEV_TOL = 2.0 ** -53 / (1.0 + math.sqrt(2.0))
 # 528 (N3_S); ``expm`` at one squaring cost 16.7, 13.8 and 11.6 such products
 # there, so PADE_PRODUCTS = 16 carries its per-call overhead at the sector
 # sizes where the routes are close.  A dense matrix-vector product took 3.2,
-# 9.2 and 52 us at n = 136, 300 and 528 (N2_S n^2).
+# 9.2 and 52 us at n = 136, 300 and 528 (N2_S n^2).  The same script times
+# these dense products too; their ratio N3_S n / N2_S, a squaring in
+# matrix-vector products, also sets the step rule's j (:func:`_dense_step`).
 TERM_S = 1.05e-6
 NNZ_S = 0.85e-9
 N3_S = 0.04e-9
@@ -391,13 +386,18 @@ def _width(spec: LatticeSpec) -> float:
     return float(E[-1] - E[0])
 
 
-def _squarings(norm: float, uses: int) -> tuple[int, int]:
-    """(s, j) of the step rule for a gap of 1-norm ``norm`` used ``uses`` times.
+def _dense_step(norm: float, n: int, uses: int) -> tuple[int, float]:
+    """(j, seconds) of the step rule for a gap of 1-norm ``norm`` in a block of size n.
 
-    ``expm`` would square s times; the propagator skips j of the squarings.
+    ``expm`` would square s times; the propagator skips the j in [0, s] of
+    the squarings whose price (PADE_PRODUCTS + s - j) N3_S n^3 + uses 2^j
+    N2_S n^2 is least, the smaller j on a tie, and that price is returned.
     """
     s = math.ceil(math.log2(norm / THETA_13)) if THETA_13 < norm < math.inf else 0
-    return s, min(range(s + 1), key=lambda j: (s - j) * C_SQUARE + (2 ** j - 1) * uses)
+    prices = [(PADE_PRODUCTS + s - j) * N3_S * n ** 3 + uses * 2 ** j * N2_S * n * n
+              for j in range(s + 1)]
+    j = prices.index(min(prices))
+    return j, prices[j]
 
 
 def _norm1(block: sp.csr_matrix) -> float:
@@ -408,32 +408,27 @@ def _norm1(block: sp.csr_matrix) -> float:
 def _dense_route(blocks: list[sp.csr_matrix], uses: Counter):
     """x, gaps, out: out[i] = the state after gap i under G = diag(blocks), by the step rule.
 
-    One dense ``expm`` per block and distinct positive gap, of exp(G_k gap /
-    2^j); each use applies it 2^j times to its own slice of the coordinate
-    vector.  A zero gap repeats the state.
+    G is block diagonal, so each block advances its own slice of x over all
+    the gaps into its own columns of out, one block after the other.  A
+    block makes one dense ``expm`` per distinct positive gap, of exp(G_k
+    gap / 2^j) with j from :func:`_dense_step`, and each use applies it 2^j
+    times.  A zero gap repeats the state.
     """
-    norms = [_norm1(block) for block in blocks]
-    dense = [block.toarray() for block in blocks]
-    cuts = np.cumsum([block.shape[0] for block in blocks])[:-1]
-    steps: dict[float, list[tuple[np.ndarray, int]]] = {}
-
-    def step(x: np.ndarray, gap: float) -> np.ndarray:
-        key = round(gap, 12)
-        if key not in steps:
-            steps[key] = []
-            for gen, norm in zip(dense, norms):
-                j = _squarings(norm * gap, uses[key])[1]
-                steps[key].append((sla.expm(gen * (gap / 2 ** j)), 2 ** j))
-        parts = []
-        for (E, reps), y in zip(steps[key], np.split(x, cuts)):
-            for _ in range(reps):
-                y = E @ y
-            parts.append(y)
-        return np.concatenate(parts)
-
     def advance(x: np.ndarray, gaps: list[float], out: np.ndarray) -> None:
-        for i, gap in enumerate(gaps):
-            x = out[i] = x if not gap else step(x, gap)
+        cuts = np.cumsum([0] + [block.shape[0] for block in blocks])
+        for block, lo, hi in zip(blocks, cuts, cuts[1:]):
+            gen, norm, y = block.toarray(), _norm1(block), x[lo:hi]
+            steps: dict[float, tuple[np.ndarray, int]] = {}
+            for i, gap in enumerate(gaps):
+                if gap:
+                    key = round(gap, 12)
+                    if key not in steps:
+                        j = _dense_step(norm * gap, block.shape[0], uses[key])[0]
+                        steps[key] = sla.expm(gen * (gap / 2 ** j)), 2 ** j
+                    E, reps = steps[key]
+                    for _ in range(reps):
+                        y = E @ y
+                out[i, lo:hi] = y
 
     return advance
 
@@ -630,9 +625,7 @@ def _dense_wins(blocks: list[sp.csr_matrix], width: float, uses: Counter) -> boo
     dense = chebyshev = 0.0
     for key, u in uses.items():
         for block, norm in zip(blocks, norms):
-            s, j = _squarings(norm * key, u)
-            n = block.shape[0]
-            dense += (PADE_PRODUCTS + s - j) * N3_S * n ** 3 + u * 2 ** j * N2_S * n * n
+            dense += _dense_step(norm * key, block.shape[0], u)[1]
         s, z = _chebyshev_plan(rho, eta, key)
         if z:  # at z = 0 the Chebyshev route only scales the state
             chebyshev += u * s * _term_count(z, eta) * term

@@ -126,6 +126,14 @@ class TestConfigErrors:
         path.write_text("{not json")
         assert main(["run", str(path)]) == 2
 
+    def test_json_array_config(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text('[{"experiment": "table1"}]')
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert "config error: config must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_utf8_config_names_path(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"experiment": "table1", "out": "caf\xe9"}')

@@ -118,6 +118,10 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="not Hermitian"):
             DensityMatrix(np.array([[0.5, np.inf], [np.inf, 0.5]]))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match=r"must be square, got shape \(2, 3\)"):
+            DensityMatrix(np.ones((2, 3)))
+
     def test_from_pure(self):
         dm = DensityMatrix.from_pure(np.array([1.0, 1.0j]) / np.sqrt(2))
         assert dm.purity() == pytest.approx(1.0)
@@ -303,6 +307,13 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(rho0, spec, [-1.0, 1.0])
 
+    @pytest.mark.parametrize("times", [[], [[1.0, 2.0]]], ids=["empty", "2-D"])
+    def test_rejects_empty_or_nested_times(self, times):
+        spec = LatticeSpec(3, 1.0, 0.1, 0.1)
+        rho0 = DensityMatrix(np.eye(3, dtype=complex) / 3)
+        with pytest.raises(ValueError, match="times must be a non-empty 1-D sequence"):
+            propagate(rho0, spec, times)
+
     def test_rejects_nan_times(self):
         spec = LatticeSpec(3, 1.0, 0.1, 0.1)
         rho0 = DensityMatrix(np.eye(3, dtype=complex) / 3)
@@ -401,14 +412,53 @@ class TestPropagate:
             splits = [j for j in range(1, 20) if np.array_equal(A, block * (100.0 / 2 ** j))]
             assert len(splits) == 1
 
+    @pytest.mark.parametrize("n", [15, 36, 120, 136, 300, 528])
+    @pytest.mark.parametrize("uses", [1, 3, 100])
+    def test_dense_step_takes_the_least_price(self, n, uses):
+        # for each s, j is the first argmin over 0..s of the dense price and
+        # the price returned is that minimum
+        for s in range(13):
+            norm = lindblad.THETA_13 * 2.0 ** (s - 0.5)  # expm would square s times
+            prices = [(lindblad.PADE_PRODUCTS + s - j) * lindblad.N3_S * n ** 3
+                      + uses * 2 ** j * lindblad.N2_S * n * n for j in range(s + 1)]
+            j, seconds = lindblad._dense_step(norm, n, uses)
+            assert seconds == min(prices)
+            assert j == prices.index(seconds)
+
+    def test_dense_step_breaks_a_tie_to_the_smaller_j(self, monkeypatch):
+        # at unit rates and n = 4 a squaring costs 64 and one product with a
+        # vector 16, so for one use of a gap that expm squares 5 times, j = 2
+        # and j = 3 both cost 64 (PADE_PRODUCTS + 3) + 64
+        monkeypatch.setattr(lindblad, "N3_S", 1.0)
+        monkeypatch.setattr(lindblad, "N2_S", 1.0)
+        j, seconds = lindblad._dense_step(lindblad.THETA_13 * 2.0 ** 4.5, 4, 1)
+        assert (j, seconds) == (2, 64.0 * (lindblad.PADE_PRODUCTS + 3) + 64.0)
+
+    def test_grid_at_l16_keeps_the_full_gap(self, monkeypatch):
+        # expm(G_k * 1) would square once in each sector, yet the 100-point
+        # grid takes j = 0 in both: its propagators are of the whole gap
+        spec = LatticeSpec(16, 1.0, 0.3, 0.02)
+        _, _, blocks = lindblad._sectors(spec)
+        for block in blocks:
+            norm = lindblad._norm1(block)
+            assert norm > lindblad.THETA_13
+            assert lindblad._dense_step(norm, block.shape[0], 100)[0] == 0
+        expm, calls = sla.expm, []
+        monkeypatch.setattr(lindblad.sla, "expm", lambda A: calls.append(A) or expm(A))
+        propagate(DensityMatrix.from_pure(site_state(16, middle_site(16))), spec,
+                  np.arange(1.0, 101.0))
+        assert len(calls) == 2
+        assert all(np.array_equal(A, block.toarray()) for A, block in zip(calls, blocks))
+
     def test_sectors_split_from_mirror_min_dim(self, monkeypatch):
         # one size below the threshold, one expm of the whole block-diagonal
         # generator per distinct gap; at the threshold, where the cost model
-        # picks the dense route for each gap, one per sector
+        # picks the dense route, one per sector and distinct gap, the first
+        # sector over all the gaps before the second
         assert lindblad.MIRROR_MIN_DIM == 6 * 6
         expm, shapes = sla.expm, []
         monkeypatch.setattr(lindblad.sla, "expm", lambda A: shapes.append(A.shape) or expm(A))
-        for L, expected in [(5, [(25, 25)] * 2), (6, [(15, 15), (21, 21)] * 2)]:
+        for L, expected in [(5, [(25, 25)] * 2), (6, [(15, 15)] * 2 + [(21, 21)] * 2)]:
             shapes.clear()
             rho0 = DensityMatrix.from_pure(site_state(L, middle_site(L)))
             propagate(rho0, LatticeSpec(L, 1.0, 0.3, 0.1), [1.0, 2.0, 60.0])
@@ -511,7 +561,11 @@ class TestChebyshevRoute:
         (24, 0.3, [100.0], []),
         # a single long gap at L = 28, whose dense cost grows as log ||G g||_1
         (28, 1.1, [1000.0], [(378, 378), (406, 406)]),
-    ], ids=["L16-grid", "L24-t100", "L28-t1000"])
+        # a single time t = 100 at L = 8 and 12: dense, each sector's gap
+        # split into 2^j applications of one expm
+        (8, 0.5, [100.0], [(28, 28), (36, 36)]),
+        (12, 0.5, [100.0], [(66, 66), (78, 78)]),
+    ], ids=["L16-grid", "L24-t100", "L28-t1000", "L8-t100", "L12-t100"])
     def test_cost_model_picks_the_route(self, monkeypatch, L, h, times, shapes):
         expm, seen = sla.expm, []
         monkeypatch.setattr(lindblad.sla, "expm", lambda A: seen.append(A.shape) or expm(A))

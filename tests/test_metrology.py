@@ -112,6 +112,10 @@ class TestQfiMixed:
         with pytest.raises(ValueError):
             qfi_mixed(rho, np.eye(2))
 
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match=r"shape mismatch: rho \(2, 2\), drho \(3, 3\)"):
+            qfi_mixed(np.eye(2, dtype=complex) / 2, np.zeros((3, 3)))
+
 
 class TestCfi:
     def test_bernoulli(self):

@@ -74,6 +74,11 @@ class TestEvolveNH:
         with pytest.raises(ValueError, match="strictly increasing"):
             evolve_nh_grid(site_state(6, 3), H, times)
 
+    def test_grid_rejects_nonuniform_times(self):
+        H = build_unidirectional(LatticeSpec(6, 1.0, 0.3))
+        with pytest.raises(ValueError, match="times do not form a uniform grid"):
+            evolve_nh_grid(site_state(6, 3), H, [0.5, 1.0, 1.7])
+
     def test_spectral_and_expm_routes_agree(self):
         # the spectral route against the normalized dense exponential on
         # the Hatano-Nelson chain

@@ -1,4 +1,4 @@
-"""Time the Chebyshev route's terms and its windows over candidate caps.
+"""Time the constants of the Lindblad route choice and the Chebyshev window cap.
 
 Run from the root of a starkprobe checkout:
 
@@ -12,6 +12,17 @@ computed beforehand, and divides the best of ``--repeat`` runs by the s K
 terms the cost model predicts for that gap.  It prints the time per term
 against nnz, the nonzeros of both mirror sectors, and the least-squares line
 through them, TERM_S and NNZ_S.
+
+Then it times the products the dense route's price rests on.  For each
+mirror sector of L = 16, 24 and 32 (h = 0.35, J = 1; n = 120-528) it takes
+the dense sector block, scaled to ||A||_1 = 1.5 THETA_13, where the step
+rule's s is 1, and times one square real product A @ A, one dense
+matrix-vector product (a run of DENSE_MATVECS, divided) and one ``expm`` of
+A, each the best of ``--repeat`` runs.  It prints them per n, with the
+least-squares lines through the origin of the product times against n^3,
+N3_S, and of the matrix-vector times against n^2, N2_S, and the cost of the
+``expm`` in square products, which the price takes as PADE_PRODUCTS + 1,
+each next to the module's value.
 
 Then, for each shape (L = 24, 32, 40 and h = 0.05, 0.35, 0.6, J = 1), it
 times ``lindblad.propagate`` from the middle site over the 100-point grid t =
@@ -29,10 +40,11 @@ patched to force each route (best of ``--repeat`` runs, the two routes
 taking turns), and prints the pick, both times in ms and the pick's time
 over the better one.  The table holds shapes whose gaps a choice per gap
 would split between the routes, 100-point grids at L = 12-24, t = 100 at L =
-12-24 and t = 1000 at L = 16, 24 and 32.
+6-24, where the small sizes split the gap into 2^j applications of one
+``expm``, and t = 1000 at L = 16, 24 and 32.
 
 OpenBLAS is held at one thread throughout, as in a CLI run.  The script
-takes about 13 s on a 2-core Xeon, 5 s with ``--repeat 1``.  It exits with
+takes about 13 s on a 2-core Xeon, 6-7 s with ``--repeat 1``.  It exits with
 an error if ``lindblad`` no longer has the two names it sets,
 ``_dense_wins`` and ``CHEBYSHEV_WINDOW_TERMS``, rather than time a route
 they no longer steer.
@@ -47,6 +59,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg as sla
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -59,6 +72,8 @@ SHAPES = [(L, h) for L in (24, 32, 40) for h in (0.05, 0.35, 0.6)]
 TIMES = np.arange(1.0, 101.0)
 TERM_SIZES = (8, 16, 24, 32, 40, 60)
 TERM_WIDTH = 2000.0
+DENSE_SIZES = (16, 24, 32)
+DENSE_MATVECS = 100
 # (L, h, gamma, times) of the route-choice table; gamma None is --gamma.
 # The first four are the traj-validate oracle and three small shapes whose
 # gaps a choice per gap would split between the routes.
@@ -68,7 +83,7 @@ ROUTE_SHAPES = [
     (8, 0.3, 0.1, [0.0, 0.3, 2.0, 2.1, 9.5]),
     (8, 2.0, 0.1, [0.0, 0.3, 2.0, 2.1, 9.5, 60.0]),
     *[(L, 0.35, None, TIMES) for L in (12, 16, 20, 24)],
-    *[(L, 0.35, None, [100.0]) for L in (12, 16, 20, 24)],
+    *[(L, 0.35, None, [100.0]) for L in (6, 8, 12, 16, 20, 24)],
     (16, 0.35, None, [1000.0]),
     (24, 0.35, None, [1000.0]),
     (32, 0.8, None, [1000.0]),
@@ -115,6 +130,30 @@ def term_times(gamma: float, repeat: int) -> list[tuple[int, float]]:
     return [(nnz, seconds) for (nnz, _, _), seconds in zip(loops, best)]
 
 
+def dense_times(gamma: float, repeat: int) -> list[tuple[int, float, float, float]]:
+    """(n, seconds per square product, matrix-vector product and expm) per sector of DENSE_SIZES."""
+    out = []
+    for L in DENSE_SIZES:
+        _, _, blocks = lindblad._sectors(LatticeSpec(L, 1.0, 0.35, gamma))
+        for block in blocks:
+            A = block.toarray() * (1.5 * lindblad.THETA_13 / lindblad._norm1(block))
+            x = np.random.default_rng(L).standard_normal(len(A))
+
+            def matvecs():
+                for _ in range(DENSE_MATVECS):
+                    A @ x
+
+            out.append((len(A), best_time(lambda: A @ A, repeat),
+                        best_time(matvecs, repeat) / DENSE_MATVECS,
+                        best_time(lambda: sla.expm(A), repeat)))
+    return out
+
+
+def through_origin(x: np.ndarray, y: np.ndarray) -> float:
+    """The slope c of the least-squares line y = c x."""
+    return float(x @ y / (x @ x))
+
+
 def route_times(dense_wins, gamma: float, repeat: int):
     """(shape, pick, {route: seconds}) for each of ROUTE_SHAPES."""
     for L, h, shape_gamma, times in ROUTE_SHAPES:
@@ -150,6 +189,19 @@ def main() -> None:
         slope, intercept = np.polyfit(*np.array(fit).T, 1)
         print(f"least squares: TERM_S = {intercept:.3g}, NNZ_S = {slope:.3g} "
               f"(now {lindblad.TERM_S:.3g} and {lindblad.NNZ_S:.3g})")
+        print()
+
+        print(f"gamma = {args.gamma}; dense products of the mirror sectors at L = "
+              f"{', '.join(map(str, DENSE_SIZES))}, ||A||_1 = 1.5 THETA_13")
+        print("n    product us  matvec us   expm us  expm/product")
+        n, square, matvec, expm = np.array(dense_times(args.gamma, args.repeat)).T
+        for size, product, vector, exponential in zip(n, square, matvec, expm):
+            print(f"{size:<4.0f} {1e6 * product:10.1f} {1e6 * vector:10.2f} "
+                  f"{1e6 * exponential:9.0f} {exponential / product:13.1f}")
+        n3, n2 = through_origin(n ** 3, square), through_origin(n ** 2, matvec)
+        print(f"least squares: N3_S = {n3:.3g}, N2_S = {n2:.3g}, expm = "
+              f"{through_origin(square, expm):.3g} products (now {lindblad.N3_S:.3g}, "
+              f"{lindblad.N2_S:.3g} and PADE_PRODUCTS + 1 = {lindblad.PADE_PRODUCTS + 1})")
         print()
 
         dense_wins, window_terms = lindblad._dense_wins, lindblad.CHEBYSHEV_WINDOW_TERMS
