@@ -10,6 +10,22 @@ routes, one per call; T^dag maps the coordinates back to rho, so the basis
 is laid out in :func:`_hermitian_basis` alone.  This removes integrator
 tolerances as a confound in the scaling fits downstream.
 
+Assembly.  Each call of :func:`propagate` pays for its generator before
+either route starts, so that cost is kept to array work.
+:func:`build_liouvillian` writes the CSR arrays of the generator directly:
+the band of 1 x H and H^T x 1 and the diagonal form one index pattern per
+L, merged once and cached, and a call only sums the entries of H and the
+dissipator into it.  The two sector blocks of T G T^dag are made by scipy's
+compiled ``csr_matmat`` on CSR arrays of T_k and T_k^dag cached per L, the
+kernel that scipy's sparse product calls, without its Python dispatch.  Both
+give the entries of the Kronecker form and of scipy's sparse triple product
+bit for bit.
+
+Checks.  The states of a call are validated as one stack.  Positivity,
+smallest eigenvalue above -1e-8, is one batched Cholesky factorization of
+rho + 1e-8 I, which exists exactly when it holds; ``eigvalsh`` runs only
+after a failure, to name the first state to blame and its eigenvalue.
+
 Mirror sectors.  Reversing the sites with alternating signs, rho -> V rho^T
 V^T, commutes with the generator of every LatticeSpec (Buca & Prosen, New J.
 Phys. 14, 073007 (2012); Albert & Jiang, Phys. Rev. A 89, 022118 (2014)).
@@ -127,7 +143,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec, csr_sort_indices
+from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz, csr_matvec, csr_sort_indices
 
 from .errors import PositivityLoss
 from .model import LatticeSpec, build_dephasing_ops, build_stark
@@ -211,18 +227,31 @@ class _NotPositive(ValueError):
 def _check(rho: np.ndarray) -> None:
     """Validate a (k, d, d) stack of candidates against the DensityMatrix invariants.
 
-    One pass over the whole stack, with one batched ``eigvalsh``.  The first
-    candidate that breaks an invariant raises, for the first of trace,
-    Hermiticity and positivity that it breaks.  Each test is written so that
-    a NaN fails it.  A NaN or infinite entry makes the Hermiticity residual
-    NaN or infinite (inf - inf is a NaN there, not a warning), so only finite
-    candidates pass the first two tests, and only those reach ``eigvalsh``,
-    which cannot converge on the others.
+    One pass over the whole stack.  The first candidate that breaks an
+    invariant raises, for the first of trace, Hermiticity and positivity
+    that it breaks.  Each test is written so that a NaN fails it.  A NaN or
+    infinite entry makes the Hermiticity residual NaN or infinite (inf - inf
+    is a NaN there, not a warning), so only finite candidates pass the first
+    two tests, and only those reach a LAPACK factorization, which cannot
+    converge on the others.  When every candidate passes them, one batched
+    Cholesky factorization of rho - POSITIVITY_FLOOR I tests positivity,
+    smallest eigenvalue above the floor, for the whole stack at a quarter
+    of the flops of ``eigvalsh``.  Only when it fails, or some candidate
+    failed the first two tests, does one batched ``eigvalsh`` find the
+    first candidate to blame and its smallest eigenvalue.
     """
     with np.errstate(invalid="ignore"):
         trace_dev = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
         asym = np.abs(rho - rho.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
     sound = (trace_dev <= TRACE_ATOL) & (asym <= HERMITICITY_ATOL)
+    if sound.all():
+        shifted = rho.copy()
+        np.einsum("kii->ki", shifted)[...] -= POSITIVITY_FLOOR
+        try:
+            np.linalg.cholesky(shifted)
+            return
+        except np.linalg.LinAlgError:
+            pass
     lo = np.full(len(rho), np.nan)
     lo[sound] = np.linalg.eigvalsh(rho if sound.all() else rho[sound]).min(axis=1, initial=np.inf)
     good = sound & (lo > POSITIVITY_FLOOR)
@@ -288,25 +317,71 @@ def vectorize(rho) -> np.ndarray:
     return _entries(rho).flatten(order="F")
 
 
+@functools.lru_cache(maxsize=8)
+def _liouvillian_pattern(dim: int) -> tuple[np.ndarray, ...]:
+    """src, slot, diagonal, indptr, indices: the CSR pattern of -i(1 x H - H^T x 1) + D.
+
+    H is tridiagonal and D diagonal.  Entry c of the two Kronecker products,
+    those of 1 x H first, takes the entry ``src[c]`` of the flattened H and
+    adds into the CSR entry ``slot[c]``; ``diagonal[p]`` is the CSR entry of
+    the vec-space diagonal at p.  The entries are merged once by their keys
+    row n + col, n = dim^2, so each row is sorted by column.  The result is
+    cached per ``dim`` and shared by every caller, so its arrays are
+    read-only.
+    """
+    n = dim * dim
+    r, c = np.nonzero(np.abs(np.subtract.outer(np.arange(dim), np.arange(dim))) <= 1)
+    site = np.arange(dim)[:, np.newaxis]
+    # 1 x H takes rho_(c, b) to rho_(r, b) by H_rc; H^T x 1 takes rho_(a, r)
+    # to rho_(a, c) by H_rc; vec index a + b dim
+    rows = np.concatenate([(r + dim * site).ravel(), (site + dim * c).ravel()])
+    cols = np.concatenate([(c + dim * site).ravel(), (site + dim * r).ravel()])
+    src = np.tile(r * dim + c, 2 * dim)
+    keys, slot = np.unique(rows * n + cols, return_inverse=True)
+    diagonal = np.searchsorted(keys, np.arange(n) * (n + 1))
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+    pattern = src, slot, diagonal, indptr, (keys % n).astype(np.int32)
+    for part in pattern:
+        part.flags.writeable = False
+    return pattern
+
+
 def build_liouvillian(spec: LatticeSpec) -> sp.csr_matrix:
     """Columnwise-vectorized generator of the dephasing master equation.
 
     -i(1 x H - H^T x 1) + (gamma/2) sum_j (2 n_j* x n_j - 1 x n_j^dag n_j
     - (n_j^dag n_j)^T x 1) with the site projectors n_j as jump operators.
     The jump operators are diagonal, so the dissipator is diagonal in vec
-    space and is built in one step from their diagonals.  Returned as a
-    complex L^2 x L^2 CSR matrix.
+    space and is built in one step from their diagonals.  The CSR arrays
+    are assembled directly on the cached pattern of the tridiagonal H
+    (:func:`_liouvillian_pattern`): the entries -i H and +i H^T, and the
+    dissipator on the diagonal, are summed into their places by one
+    ``np.bincount`` each for the real and imaginary parts, in the order of
+    the Kronecker form, so every entry equals that form's bit for bit; exact
+    zeros are dropped.  Returned as a complex L^2 x L^2 CSR matrix, each
+    row sorted by column.
     """
-    H = sp.csr_matrix(build_stark(spec))
-    eye = sp.identity(spec.L, dtype=complex, format="csr")
-    gen = -1j * (sp.kron(eye, H) - sp.kron(H.T, eye))
+    src, slot, diagonal, indptr, indices = _liouvillian_pattern(spec.L)
+    H = build_stark(spec).ravel()[src]
+    half = H.size // 2
+    # -i z = (Im z, -Re z) for the entries of 1 x H, +i z = (-Im z, Re z) for H^T x 1
+    re = np.concatenate([H.imag[:half], -H.imag[half:]])
+    im = np.concatenate([-H.real[:half], H.real[half:]])
     if spec.gamma > 0.0:
         d = np.array([np.diag(op) for op in build_dephasing_ops(spec)])
         weight = (np.abs(d) ** 2).sum(axis=0)
         # [a, b] is the vec-space diagonal entry at index a + b*L.
         diss = 2.0 * (d.T @ d.conj()) - weight[:, np.newaxis] - weight[np.newaxis, :]
-        gen = gen + sp.diags((spec.gamma / 2.0) * diss.flatten(order="F"))
-    return gen.tocsr()
+        diss = (spec.gamma / 2.0) * diss.flatten(order="F")
+        slot = np.concatenate([slot, diagonal])
+        re, im = np.concatenate([re, diss.real]), np.concatenate([im, diss.imag])
+    data = np.empty(indices.size, dtype=complex)
+    data.real = np.bincount(slot, re, indices.size)
+    data.imag = np.bincount(slot, im, indices.size)
+    kept = data != 0.0
+    n = spec.L * spec.L
+    return sp.csr_matrix((data[kept], indices[kept], np.concatenate([[0], np.cumsum(kept)])[indptr]),
+                         shape=(n, n))
 
 
 @functools.lru_cache(maxsize=8)
@@ -365,15 +440,63 @@ def _hermitian_basis(dim: int) -> tuple[sp.csr_matrix, int]:
     return T, sectors[0].shape[0]
 
 
+@functools.lru_cache(maxsize=8)
+def _sector_maps(dim: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per mirror sector, the CSR arrays (indptr, indices, data) of T_k, then of T_k^dag.
+
+    T_k is the sector's rows of T (:func:`_hermitian_basis`); T_k^dag is
+    laid out as scipy's sparse product lays out the CSC transpose, so that
+    :func:`_sectors` makes scipy's products bit for bit.  The result is
+    cached per ``dim`` and shared by every caller, so its arrays are
+    read-only.
+    """
+    T, k = _hermitian_basis(dim)
+    maps = []
+    for S in (T[:k], T[k:]):
+        adjoint = sp.csr_matrix(S.conj().T)
+        parts = (S.indptr, S.indices, S.data, adjoint.indptr, adjoint.indices, adjoint.data)
+        for part in parts:
+            part.flags.writeable = False
+        maps.append(parts)
+    return tuple(maps)
+
+
+def _matmat(rows: int, cols: int, a: tuple, b: tuple) -> tuple[np.ndarray, ...]:
+    """CSR arrays of the product of two complex CSR matrices, by scipy's compiled kernels.
+
+    ``a`` and ``b`` are (indptr, indices, data).  The kernels are the ones
+    scipy's sparse ``@`` calls, so the entries, their order within a row and
+    the exact zeros left out are its own; the arrays are cut to the stored
+    entries.
+    """
+    nnz = csr_matmat_maxnnz(rows, cols, a[0], a[1], b[0], b[1])
+    indptr = np.empty(rows + 1, dtype=np.int32)
+    indices = np.empty(nnz, dtype=np.int32)
+    data = np.empty(nnz, dtype=complex)
+    csr_matmat(rows, cols, *a, *b, indptr, indices, data)
+    return indptr, indices[:indptr[-1]], data[:indptr[-1]]
+
+
 def _sectors(spec: LatticeSpec) -> tuple[sp.csr_matrix, int, list[sp.csr_matrix]]:
     """T, k and the two real sector blocks of T G T^dag, G = build_liouvillian(spec).
 
     The mirror symmetry makes the cross-sector blocks vanish, so they are
-    never formed.
+    never formed.  Each block is (T_k (G T_k^dag)).real, made by scipy's
+    compiled kernels on the cached arrays of :func:`_sector_maps` without
+    scipy's Python dispatch of a sparse product; it equals that product in
+    its CSR arrays, explicit zeros of the real part included.  Whatever
+    ``build_liouvillian`` returns is projected.
     """
     T, k = _hermitian_basis(spec.L)
-    liouvillian = build_liouvillian(spec)
-    return T, k, [(S @ (liouvillian @ S.conj().T)).real for S in (T[:k], T[k:])]
+    G = build_liouvillian(spec).tocsr()
+    gen = (G.indptr.astype(np.int32, copy=False), G.indices.astype(np.int32, copy=False),
+           G.data.astype(complex, copy=False))
+    blocks = []
+    for S in _sector_maps(spec.L):
+        size = len(S[0]) - 1
+        indptr, indices, data = _matmat(size, size, S[:3], _matmat(G.shape[0], size, gen, S[3:]))
+        blocks.append(sp.csr_matrix((data.real.copy(), indices, indptr), shape=(size, size)))
+    return T, k, blocks
 
 
 def _width(spec: LatticeSpec) -> float:
@@ -638,23 +761,25 @@ def propagate(rho0, spec: LatticeSpec, times) -> list[DensityMatrix]:
     ``times`` must be finite and sorted ascending with times[0] >= 0.  The
     Liouvillian ``build_liouvillian(spec)`` is taken sparse to the real
     Hermitian basis, where it is real, G = K + D, one mirror sector at a
-    time.  Below n = L^2 = MIRROR_MIN_DIM one dense exponential of the whole
-    block-diagonal generator is computed per distinct gap between
-    consecutive requested times.  From there on the call builds one route,
-    the one of smaller predicted cost summed over its distinct gaps (module
-    docstring), and advances every gap by it: one dense exponential per
-    sector and distinct gap, applied as the step rule says, or the
-    Chebyshev-Bessel action of the sparse generator, whose truncation the
-    K + D form bounds.  The Chebyshev route splits the gaps into windows,
-    and advances each window by one recurrence from its start to all of its
-    times; a gap that is a window of its own goes by ceil(rho g eta /
-    THETA_CHEBYSHEV) windows of one substep each.  On either route a zero
-    gap repeats the state bit for bit.  A mirror sector whose coordinates
-    start at zero is skipped.  The states are mapped back to rho by T^dag,
-    the adjoint of the basis map, which makes them Hermitian entry for
-    entry.  They are validated together against the DensityMatrix
-    invariants; a smallest eigenvalue at or below -1e-8 raises
-    PositivityLoss naming the first time it occurs at.
+    time, by scipy's compiled sparse products on cached maps (module
+    docstring, Assembly).  Below n = L^2 = MIRROR_MIN_DIM one dense
+    exponential of the whole block-diagonal generator is computed per
+    distinct gap between consecutive requested times.  From there on the call
+    builds one route, the one of smaller predicted cost summed over its
+    distinct gaps (module docstring), and advances every gap by it: one
+    dense exponential per sector and distinct gap, applied as the step rule
+    says, or the Chebyshev-Bessel action of the sparse generator, whose
+    truncation the K + D form bounds.  The Chebyshev route splits the gaps
+    into windows, and advances each window by one recurrence from its start
+    to all of its times; a gap that is a window of its own goes by ceil(rho
+    g eta / THETA_CHEBYSHEV) windows of one substep each.  On either route a
+    zero gap repeats the state bit for bit.  A mirror sector whose
+    coordinates start at zero is skipped.  The states are mapped back to rho
+    by T^dag, the adjoint of the basis map, which makes them Hermitian entry
+    for entry.  They are validated together against the DensityMatrix
+    invariants, positivity by one batched Cholesky factorization; a smallest
+    eigenvalue at or below -1e-8 raises PositivityLoss naming the first time
+    it occurs at, found by ``eigvalsh`` only then.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:

@@ -24,6 +24,41 @@ def random_density(rng, dim):
     return rho / np.trace(rho).real
 
 
+def density_with_smallest(rng, dim, smallest):
+    """A Hermitian, trace-one matrix whose smallest eigenvalue is ``smallest``."""
+    Q = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    p = np.concatenate([[smallest], np.full(dim - 1, (1.0 - smallest) / (dim - 1))])
+    p[1:] += np.linspace(-0.1, 0.1, dim - 1)
+    rho = (Q * p) @ Q.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+def finite_only(monkeypatch, name):
+    """Spy on np.linalg.<name> that fails on a non-finite input; the list of its calls."""
+    kernel, calls = getattr(np.linalg, name), []
+
+    def spy(a, *args, **kwargs):
+        assert np.isfinite(a).all(), f"{name} got a non-finite candidate"
+        calls.append(a.shape)
+        return kernel(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def kron_liouvillian(spec):
+    """The generator by the Kronecker form, as scipy's sparse arithmetic builds it."""
+    H = sp.csr_matrix(build_stark(spec))
+    eye = sp.identity(spec.L, dtype=complex, format="csr")
+    gen = -1j * (sp.kron(eye, H) - sp.kron(H.T, eye))
+    if spec.gamma > 0.0:
+        d = np.array([np.diag(op) for op in build_dephasing_ops(spec)])
+        weight = (np.abs(d) ** 2).sum(axis=0)
+        diss = 2.0 * (d.T @ d.conj()) - weight[:, np.newaxis] - weight[np.newaxis, :]
+        gen = gen + sp.diags((spec.gamma / 2.0) * diss.flatten(order="F"))
+    return gen.tocsr()
+
+
 def forced_route(monkeypatch, route):
     """Make propagate advance every gap by one route from MIRROR_MIN_DIM on."""
     monkeypatch.setattr(lindblad, "_dense_wins", lambda blocks, width, uses: route == "dense")
@@ -102,9 +137,11 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(np.array([[1.0, np.nan], [np.nan, 0.0]]))
 
-    def test_non_finite_entries_skip_the_eigensolver(self):
+    def test_non_finite_entries_skip_the_eigensolver(self, monkeypatch):
         # From 4 x 4 on, LAPACK fails to converge on a NaN matrix; the
-        # documented ValueError has to come first.
+        # documented ValueError has to come first, and no NaN or infinite
+        # candidate reaches either factorization.
+        eig, chol = finite_only(monkeypatch, "eigvalsh"), finite_only(monkeypatch, "cholesky")
         with pytest.raises(ValueError, match="trace deviates"):
             DensityMatrix(np.full((4, 4), np.nan))
         rho = np.full((4, 4), 0.25)
@@ -117,6 +154,39 @@ class TestDensityMatrix:
         # inf - inf in the Hermiticity test is a NaN, which fails it quietly
         with pytest.raises(ValueError, match="not Hermitian"):
             DensityMatrix(np.array([[0.5, np.inf], [np.inf, 0.5]]))
+        with pytest.raises(ValueError, match="trace deviates"):
+            DensityMatrix._stack(np.array([good, np.diag([np.inf, 0.0, 0.0, 0.0])], dtype=complex))
+        # no stack held only finite, Hermitian candidates, so none was
+        # factored by Cholesky; eigvalsh saw the good matrix of each stack
+        assert chol == [] and eig.count((1, 4, 4)) == 2
+
+    @pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("smallest, breach", [(-0.5e-8, False), (-2e-8, True)],
+                             ids=["above-floor", "below-floor"])
+    def test_positivity_at_the_floor(self, at, smallest, breach):
+        # the floor is strict, smallest eigenvalue above -1e-8, on a stack
+        # (the one Cholesky test) and on one matrix; a breach names the
+        # first bad candidate and its smallest eigenvalue
+        rng = np.random.default_rng(at)
+        stack = np.array([density_with_smallest(rng, 6, 0.01) for _ in range(5)])
+        stack[at] = density_with_smallest(rng, 6, smallest)
+        message = "smallest eigenvalue -2.000e-08 violates positivity"
+        if breach:
+            with pytest.raises(lindblad._NotPositive, match=message) as info:
+                lindblad._check(stack)
+            assert info.value.index == at
+            with pytest.raises(ValueError, match=message):
+                DensityMatrix(stack[at])
+        else:
+            lindblad._check(stack)
+            assert np.array_equal(DensityMatrix(stack[at]).entries, stack[at])
+
+    def test_breach_blames_the_first_bad_candidate(self):
+        rng = np.random.default_rng(5)
+        stack = np.array([density_with_smallest(rng, 5, p) for p in (0.01, -3e-8, 0.02, -2e-8)])
+        with pytest.raises(lindblad._NotPositive, match="-3.000e-08") as info:
+            lindblad._check(stack)
+        assert info.value.index == 1
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match=r"must be square, got shape \(2, 3\)"):
@@ -161,6 +231,38 @@ class TestLiouvillian:
             ref = ref + (spec.gamma / 2.0) * (
                 2.0 * np.kron(n.conj(), n) - np.kron(I, ndn) - np.kron(ndn.T, I))
         assert np.abs(build_liouvillian(spec) - ref).max() < 1e-15
+
+    @pytest.mark.parametrize("L", range(2, 41))
+    def test_direct_assembly_is_the_kronecker_form(self, L):
+        # entry for entry, bit for bit, each row sorted by column and no
+        # stored zero; below L = 6 scipy's kron stores explicit zeros, which
+        # are taken out of the reference first
+        for h in (0.0, 0.3, 2.0):
+            for gamma in (0.0, 0.05):
+                for J in (1.0, 0.7):
+                    spec = LatticeSpec(L, J, h, gamma)
+                    got, ref = build_liouvillian(spec), kron_liouvillian(spec)
+                    if L <= 5:
+                        ref.eliminate_zeros()
+                    else:
+                        assert ref.data.all()
+                    assert got.shape == ref.shape and got.data.all() and got.has_sorted_indices
+                    for a, b in ((got.indptr, ref.indptr), (got.indices, ref.indices),
+                                 (got.data, ref.data)):
+                        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("L", [2, 7])
+    def test_cached_patterns_are_read_only(self, L):
+        # shared by every caller: the Liouvillian pattern and the sector maps
+        pattern, maps = lindblad._liouvillian_pattern(L), lindblad._sector_maps(L)
+        assert lindblad._liouvillian_pattern(L) is pattern and lindblad._sector_maps(L) is maps
+        for part in [*pattern, *maps[0], *maps[1]]:
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0] = part[0]
+        # the generator returned owns its arrays
+        gen = build_liouvillian(LatticeSpec(L, 1.0, 0.3, 0.1))
+        assert all(part.flags.writeable for part in (gen.data, gen.indices, gen.indptr))
 
     def test_trace_preservation_functional(self):
         spec = LatticeSpec(5, 1.0, 0.1, 0.4)
@@ -227,6 +329,26 @@ class TestHermitianBasis:
         forced_route(monkeypatch, "chebyshev")
         propagate(rho0, spec, np.arange(0.0, 20.0, 0.5))
         assert all(np.array_equal(a, b) for a, b in zip(before, (T.data, T.indices, T.indptr)))
+
+    @pytest.mark.parametrize("L", range(2, 41))
+    def test_sectors_are_the_sparse_triple_product(self, L):
+        # the compiled products give scipy's (T_k (G T_k^dag)).real on the
+        # Kronecker-form G in all three CSR arrays, entry order and explicit
+        # zeros of the real part included
+        T, k = _hermitian_basis(L)
+        for h in (0.0, 0.3, 2.0):
+            for gamma in (0.0, 0.05):
+                for J in (1.0, 0.7):
+                    spec = LatticeSpec(L, J, h, gamma)
+                    G = kron_liouvillian(spec)
+                    ref = [(S @ (G @ S.conj().T)).real for S in (T[:k], T[k:])]
+                    T_got, k_got, blocks = lindblad._sectors(spec)
+                    assert T_got is T and k_got == k
+                    for got, want in zip(blocks, ref):
+                        assert got.shape == want.shape
+                        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                                     (got.data, want.data)):
+                            assert np.array_equal(a, b)
 
     def test_hermitian_input_has_real_coordinates(self):
         rng = np.random.default_rng(3)
@@ -484,6 +606,15 @@ class TestPropagate:
             exact = (expm(gen * t) @ vectorize(rho0)).reshape((L, L), order="F")
             assert np.abs(dm.entries - exact).max() < 1e-12
 
+    @pytest.mark.parametrize("L, times", [(4, [1.0, 2.0]), (16, np.arange(1.0, 101.0))])
+    def test_passing_propagate_makes_no_eigvalsh(self, monkeypatch, L, times):
+        # one Cholesky factorization of the whole stack tests positivity;
+        # eigvalsh only names a failure
+        rho0 = DensityMatrix.from_pure(site_state(L, middle_site(L)))
+        eig, chol = finite_only(monkeypatch, "eigvalsh"), finite_only(monkeypatch, "cholesky")
+        propagate(rho0, LatticeSpec(L, 1.0, 0.3, 0.02), times)
+        assert eig == [] and chol == [(len(times), L, L)]
+
     def test_trace_loss_raises(self, monkeypatch):
         # an extra decay of rho_11 alone leaks population out of the trace
         spec = LatticeSpec(3, 1.0, 0.2, 0.1)
@@ -646,19 +777,30 @@ class TestChebyshevRoute:
         assert np.array_equal(got.toarray(), B2.toarray())
 
     def test_terms_make_no_sparse_matmul(self, monkeypatch):
-        # the terms go straight to the compiled kernel, not through scipy's
-        # Python dispatch: the one product of a sparse matrix with a vector
-        # is T vec(rho0)
+        # the terms and the sector products go straight to the compiled
+        # kernels, not through scipy's Python dispatch: the one product of a
+        # sparse matrix through ``@`` is T vec(rho0), with a vector
         forced_route(monkeypatch, "chebyshev")
-        matmul, vectors = sp.csr_matrix.__matmul__, []
-        monkeypatch.setattr(sp.csr_matrix, "__matmul__", lambda A, other: vectors.append(
+        _hermitian_basis(8)
+        lindblad._sector_maps.cache_clear()
+        matmul, operands = sp.csr_matrix.__matmul__, []
+        monkeypatch.setattr(sp.csr_matrix, "__matmul__", lambda A, other: operands.append(
             isinstance(other, np.ndarray)) or matmul(A, other))
+        spec = LatticeSpec(8, 1.0, 0.3, 0.02)
+        # the sector blocks, with their cached maps made afresh and then reused
+        for _ in range(2):
+            lindblad._sectors(spec)
+            assert operands == []
         kernel, terms = lindblad.csr_matvec, []
         monkeypatch.setattr(lindblad, "csr_matvec", lambda *args: terms.append(1) or kernel(*args))
+        products, counted = lindblad.csr_matmat, []
+        monkeypatch.setattr(lindblad, "csr_matmat",
+                            lambda *args: counted.append(1) or products(*args))
         rho0 = DensityMatrix.from_pure(site_state(8, middle_site(8)))
-        propagate(rho0, LatticeSpec(8, 1.0, 0.3, 0.02), [100.0])
+        propagate(rho0, spec, [100.0])
         assert len(terms) > 100
-        assert sum(vectors) == 1
+        assert len(counted) == 4
+        assert operands == [True]
 
     def test_is_deterministic_and_leaves_the_global_rng_alone(self):
         L = 24
