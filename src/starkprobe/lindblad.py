@@ -4,22 +4,28 @@ The Liouvillian maps Hermitian matrices to Hermitian matrices, so in an
 orthonormal Hermitian basis (built from rho_aa, sqrt(2) Re rho_ab and
 sqrt(2) Im rho_ab for a < b) its n x n generator G, n = L^2, is real.
 :func:`build_liouvillian` assembles the columnwise-vectorized generator
-sparse from a spec; :func:`propagate` builds it from its spec, takes it to
-that basis sparse and evolves a real coordinate vector by one of two exact
+sparse from a spec; :func:`propagate` takes its spec's generator to that
+basis sparse and evolves a real coordinate vector by one of two exact
 routes, one per call; T^dag maps the coordinates back to rho, so the basis
 is laid out in :func:`_hermitian_basis` alone.  This removes integrator
 tolerances as a confound in the scaling fits downstream.
 
-Assembly.  Each call of :func:`propagate` pays for its generator before
-either route starts, so that cost is kept to array work.
-:func:`build_liouvillian` writes the CSR arrays of the generator directly:
-the band of 1 x H and H^T x 1 and the diagonal form one index pattern per
-L, merged once and cached, and a call only sums the entries of H and the
-dissipator into it.  The two sector blocks of T G T^dag are made by scipy's
-compiled ``csr_matmat`` on CSR arrays of T_k and T_k^dag cached per L, the
-kernel that scipy's sparse product calls, without its Python dispatch.  Both
-give the entries of the Kronecker form and of scipy's sparse triple product
-bit for bit.
+Assembly.  The generator is affine in (J, h, gamma): in the columnwise
+form the hopping sits off the diagonal, and the field term -i h (a - b) and
+the dephasing term -gamma (1 - delta_ab) sit on it.  So each real sector
+block of T G T^dag is exactly J A + h B + gamma C, and B is dG/dh.  The
+parts are made once per L from :func:`build_liouvillian` by scipy's sparse
+triple product and cached on one sorted pattern per sector that stores
+every diagonal entry (:func:`_generator_parts`); from MIRROR_MIN_DIM on, a
+call of :func:`propagate` builds no Liouvillian and pays three scaled sums
+for its blocks.  They are within 4 ulps of the block's largest entry of the
+triple product of G itself, and equal to it at J = 1, h = gamma = 0.
+Below MIRROR_MIN_DIM a call builds G from its spec and takes it whole to
+the real basis by scipy's sparse product.  :func:`build_liouvillian` writes
+the CSR arrays of G directly: the band of 1 x H and H^T x 1 and the
+diagonal form one index pattern per L, merged once and cached, and a call
+only sums the entries of H and the dissipator into it, bit for bit those of
+the Kronecker form.
 
 Checks.  The states of a call are validated as one stack.  Positivity,
 smallest eigenvalue above -1e-8, is one batched Cholesky factorization of
@@ -31,7 +37,7 @@ V^T, commutes with the generator of every LatticeSpec (Buca & Prosen, New J.
 Phys. 14, 073007 (2012); Albert & Jiang, Phys. Rev. A 89, 022118 (2014)).
 The basis orders the coordinates by its sign, so G is block diagonal with
 two sector blocks of (L^2 - L)/2 and (L^2 + L)/2 coordinates; the
-cross-sector blocks vanish and are never formed.
+cross-sector blocks vanish and, from MIRROR_MIN_DIM on, are never formed.
 
 Dense route.  G is block diagonal, so the route advances one sector block
 at a time over all the gaps, each into its own coordinates.  It makes one
@@ -120,9 +126,9 @@ makes it least, the smaller j on a tie (:func:`_dense_step`).  The
 Chebyshev cost prices each gap as its own window, an upper bound on its
 cost inside a longer window, and leaves out the route's fixed cost, which
 it keeps small: it makes the CSR arrays of 2B from those of the sector
-blocks by a few array operations (about 80 us at L = 10-16, against 260 us
-for scipy's ``block_diag`` and sparse arithmetic), and the coefficients by
-one scalar recurrence per output.  At gamma = 0.02, h =
+blocks by a few array operations (60-72 us at L = 10-16, against 274-288 us
+for scipy's ``block_diag`` and sparse arithmetic, on a 2-core Xeon), and the
+coefficients by one scalar recurrence per output.  At gamma = 0.02, h =
 0.05-1.1, a 100-point grid of short gaps goes by the Chebyshev route,
 O(nnz rho g), from L = 20-22 on, a single time t = 10 from L = 10-12 on and
 t = 100 from L = 14-18 on (L = 16 while h is below about 0.7), the smaller
@@ -143,7 +149,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz, csr_matvec, csr_sort_indices
+from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import PositivityLoss
 from .model import LatticeSpec, build_dephasing_ops, build_stark
@@ -441,61 +447,49 @@ def _hermitian_basis(dim: int) -> tuple[sp.csr_matrix, int]:
 
 
 @functools.lru_cache(maxsize=8)
-def _sector_maps(dim: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Per mirror sector, the CSR arrays (indptr, indices, data) of T_k, then of T_k^dag.
+def _generator_parts(dim: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per mirror sector, indptr, indices and the data of A, B and C on that pattern.
 
-    T_k is the sector's rows of T (:func:`_hermitian_basis`); T_k^dag is
-    laid out as scipy's sparse product lays out the CSC transpose, so that
-    :func:`_sectors` makes scipy's products bit for bit.  The result is
-    cached per ``dim`` and shared by every caller, so its arrays are
-    read-only.
+    The real sector block of T G T^dag is J A + h B + gamma C exactly: the
+    hopping sits off the vec-space diagonal, the field term -i h (a - b)
+    and the dephasing term -gamma (1 - delta_ab) on it, so the three parts
+    of G are G(1, 0, 0) and its differences from G(1, 1, 0) and G(1, 0, 1),
+    each made by :func:`build_liouvillian` and taken to the sector by
+    scipy's (T_k (P T_k^dag)).real once per ``dim``.  The pattern is the
+    union of their nonzeros and the diagonal, each row sorted by column,
+    and a part is 0 where it has no entry.  The result is cached per
+    ``dim`` and shared by every caller, so its arrays are read-only.
     """
     T, k = _hermitian_basis(dim)
-    maps = []
+    base = build_liouvillian(LatticeSpec(dim, 1.0, 0.0, 0.0))
+    gens = [base, build_liouvillian(LatticeSpec(dim, 1.0, 1.0, 0.0)) - base,
+            build_liouvillian(LatticeSpec(dim, 1.0, 0.0, 1.0)) - base]
+    sectors = []
     for S in (T[:k], T[k:]):
-        adjoint = sp.csr_matrix(S.conj().T)
-        parts = (S.indptr, S.indices, S.data, adjoint.indptr, adjoint.indices, adjoint.data)
-        for part in parts:
+        parts = [(S @ (P @ S.conj().T)).real for P in gens]
+        # every entry of the union is positive, so nonzero() lists them all,
+        # in the order they are stored
+        union = sum(map(abs, parts), sp.identity(S.shape[0], format="csr"))
+        union.sort_indices()
+        at = union.nonzero()
+        sector = (union.indptr, union.indices, *(np.asarray(part[at]).ravel() for part in parts))
+        for part in sector:
             part.flags.writeable = False
-        maps.append(parts)
-    return tuple(maps)
-
-
-def _matmat(rows: int, cols: int, a: tuple, b: tuple) -> tuple[np.ndarray, ...]:
-    """CSR arrays of the product of two complex CSR matrices, by scipy's compiled kernels.
-
-    ``a`` and ``b`` are (indptr, indices, data).  The kernels are the ones
-    scipy's sparse ``@`` calls, so the entries, their order within a row and
-    the exact zeros left out are its own; the arrays are cut to the stored
-    entries.
-    """
-    nnz = csr_matmat_maxnnz(rows, cols, a[0], a[1], b[0], b[1])
-    indptr = np.empty(rows + 1, dtype=np.int32)
-    indices = np.empty(nnz, dtype=np.int32)
-    data = np.empty(nnz, dtype=complex)
-    csr_matmat(rows, cols, *a, *b, indptr, indices, data)
-    return indptr, indices[:indptr[-1]], data[:indptr[-1]]
+        sectors.append(sector)
+    return tuple(sectors)
 
 
 def _sectors(spec: LatticeSpec) -> tuple[sp.csr_matrix, int, list[sp.csr_matrix]]:
-    """T, k and the two real sector blocks of T G T^dag, G = build_liouvillian(spec).
+    """T, k and the two real sector blocks of T G T^dag, G the generator of spec.
 
     The mirror symmetry makes the cross-sector blocks vanish, so they are
-    never formed.  Each block is (T_k (G T_k^dag)).real, made by scipy's
-    compiled kernels on the cached arrays of :func:`_sector_maps` without
-    scipy's Python dispatch of a sparse product; it equals that product in
-    its CSR arrays, explicit zeros of the real part included.  Whatever
-    ``build_liouvillian`` returns is projected.
+    never formed.  Each block is J A + h B + gamma C on the cached pattern
+    of :func:`_generator_parts`: rows sorted, every diagonal entry stored.
     """
     T, k = _hermitian_basis(spec.L)
-    G = build_liouvillian(spec).tocsr()
-    gen = (G.indptr.astype(np.int32, copy=False), G.indices.astype(np.int32, copy=False),
-           G.data.astype(complex, copy=False))
-    blocks = []
-    for S in _sector_maps(spec.L):
-        size = len(S[0]) - 1
-        indptr, indices, data = _matmat(size, size, S[:3], _matmat(G.shape[0], size, gen, S[3:]))
-        blocks.append(sp.csr_matrix((data.real.copy(), indices, indptr), shape=(size, size)))
+    blocks = [sp.csr_matrix((spec.J * A + spec.h * B + spec.gamma * C, indices, indptr),
+                            shape=(len(indptr) - 1,) * 2)
+              for indptr, indices, A, B, C in _generator_parts(spec.L)]
     return T, k, blocks
 
 
@@ -630,7 +624,8 @@ def _chebyshev_route(blocks: list[sp.csr_matrix], width: float):
     """x, gaps, out: out[i] = exp(G t_i) x, by the Chebyshev-Bessel action.
 
     G = diag(blocks) = K + D, K real antisymmetric with ||K||_2 <= ``width``,
-    D diagonal; no block holds two entries at one place.  The gaps are at
+    D diagonal.  Each block's rows are sorted by column, and every diagonal
+    entry is stored, zero or not.  The gaps are at
     least 0 and t_i is the sum of the first i.  The module docstring gives
     the expansion, its bound, the substep rule and the windows: the gaps are
     split into windows, each advanced from its start by one recurrence, a
@@ -645,8 +640,7 @@ def _chebyshev_route(blocks: list[sp.csr_matrix], width: float):
     arithmetic would give it, at a fraction of the fixed cost of scipy's
     ``block_diag`` and sparse arithmetic.
     """
-    # the CSR arrays of G, each row sorted by column, with a zero put in at
-    # its place where a row has no diagonal entry
+    # the CSR arrays of G = diag(blocks)
     cuts = np.cumsum([0] + [block.shape[0] for block in blocks])
     ends = np.cumsum([0] + [block.nnz for block in blocks])
     n = int(cuts[-1])
@@ -655,16 +649,7 @@ def _chebyshev_route(blocks: list[sp.csr_matrix], width: float):
     indices = np.concatenate([block.indices + cut for block, cut in zip(blocks, cuts)],
                              dtype=np.int64)
     data = np.concatenate([block.data for block in blocks])
-    csr_sort_indices(n, indptr, indices, data)
-    row_ids = np.repeat(np.arange(n), np.diff(indptr))
-    missing = np.ones(n, dtype=bool)
-    missing[row_ids[indices == row_ids]] = False
-    at = (indptr[:-1] + np.bincount(row_ids[indices < row_ids], minlength=n))[missing]
-    added = np.flatnonzero(missing)
-    row_ids = np.insert(row_ids, at, added)
-    indices, data = np.insert(indices, at, added), np.insert(data, at, 0.0)
-    indptr = indptr + np.concatenate([[0], np.cumsum(missing)])
-    diagonal = np.flatnonzero(indices == row_ids)
+    diagonal = np.flatnonzero(indices == np.repeat(np.arange(n), np.diff(indptr)))
     c, rho, eta = _chebyshev_shape(data[diagonal], width)
     if rho:
         data[diagonal] -= c
@@ -758,28 +743,28 @@ def _dense_wins(blocks: list[sp.csr_matrix], width: float, uses: Counter) -> boo
 def propagate(rho0, spec: LatticeSpec, times) -> list[DensityMatrix]:
     """Evolve rho0 to every requested time under the dephasing master equation.
 
-    ``times`` must be finite and sorted ascending with times[0] >= 0.  The
-    Liouvillian ``build_liouvillian(spec)`` is taken sparse to the real
-    Hermitian basis, where it is real, G = K + D, one mirror sector at a
-    time, by scipy's compiled sparse products on cached maps (module
-    docstring, Assembly).  Below n = L^2 = MIRROR_MIN_DIM one dense
-    exponential of the whole block-diagonal generator is computed per
-    distinct gap between consecutive requested times.  From there on the call
-    builds one route, the one of smaller predicted cost summed over its
-    distinct gaps (module docstring), and advances every gap by it: one
-    dense exponential per sector and distinct gap, applied as the step rule
-    says, or the Chebyshev-Bessel action of the sparse generator, whose
-    truncation the K + D form bounds.  The Chebyshev route splits the gaps
-    into windows, and advances each window by one recurrence from its start
-    to all of its times; a gap that is a window of its own goes by ceil(rho
-    g eta / THETA_CHEBYSHEV) windows of one substep each.  On either route a
-    zero gap repeats the state bit for bit.  A mirror sector whose
-    coordinates start at zero is skipped.  The states are mapped back to rho
-    by T^dag, the adjoint of the basis map, which makes them Hermitian entry
-    for entry.  They are validated together against the DensityMatrix
-    invariants, positivity by one batched Cholesky factorization; a smallest
-    eigenvalue at or below -1e-8 raises PositivityLoss naming the first time
-    it occurs at, found by ``eigvalsh`` only then.
+    ``times`` must be finite and sorted ascending with times[0] >= 0.  In the
+    real Hermitian basis the generator is real, G = K + D.  Below n = L^2 =
+    MIRROR_MIN_DIM, ``build_liouvillian(spec)`` is taken whole to that basis
+    by scipy's sparse product, and one dense exponential of it is computed per
+    distinct gap between consecutive requested times.  From there on the two
+    mirror-sector blocks are J A + h B + gamma C on parts cached per L (module
+    docstring, Assembly), and the call builds one route, the one of smaller
+    predicted cost summed over its distinct gaps (module docstring), and
+    advances every gap by it: one dense exponential per sector and distinct
+    gap, applied as the step rule says, or the Chebyshev-Bessel action of the
+    sparse generator, whose truncation the K + D form bounds.  The Chebyshev
+    route splits the gaps into windows, and advances each window by one
+    recurrence from its start to all of its times; a gap that is a window of
+    its own goes by ceil(rho g eta / THETA_CHEBYSHEV) windows of one substep
+    each.  On either route a zero gap repeats the state bit for bit.  A mirror
+    sector whose coordinates start at zero is skipped.  The states are mapped
+    back to rho by T^dag, the adjoint of the basis map, which makes them
+    Hermitian entry for entry.  They are validated together against the
+    DensityMatrix invariants, positivity by one batched Cholesky
+    factorization; a smallest eigenvalue at or below -1e-8 raises
+    PositivityLoss naming the first time it occurs at, found by ``eigvalsh``
+    only then.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -791,7 +776,7 @@ def propagate(rho0, spec: LatticeSpec, times) -> list[DensityMatrix]:
     if np.any(np.diff(times) < 0.0):
         raise ValueError("times must be sorted ascending")
 
-    T, k, blocks = _sectors(spec)
+    T, k = _hermitian_basis(spec.L)
     # The real part is the Hermitian part of rho0.
     x = (T @ vectorize(rho0)).real
 
@@ -799,14 +784,18 @@ def propagate(rho0, spec: LatticeSpec, times) -> list[DensityMatrix]:
     uses = Counter(round(gap, 12) for gap in gaps if gap > 0.0)
     live = slice(None)
     if x.size < MIRROR_MIN_DIM:
-        advance = _dense_route([sp.block_diag(blocks, format="csr")], uses)
+        # G is built from the spec on every call, as perfbench's tracer
+        # self-test counts at L = 4; ROADMAP item 15 drops this branch once
+        # item 1a lets perfbench follow a change of mechanism.
+        G = build_liouvillian(spec)
+        advance = _dense_route([(T @ (G @ T.conj().T)).real], uses)
     else:
         # G is block diagonal, so a sector whose coordinates start at zero
         # stays zero: only the sectors from the first to the last live one move.
         bounds = [0, k, x.size]
         moving = [i for i in (0, 1) if x[bounds[i]:bounds[i + 1]].any()] or [0, 1]
         live = slice(bounds[moving[0]], bounds[moving[-1] + 1])
-        blocks, width = blocks[moving[0]:moving[-1] + 1], _width(spec)
+        blocks, width = _sectors(spec)[2][moving[0]:moving[-1] + 1], _width(spec)
         advance = (_dense_route(blocks, uses) if _dense_wins(blocks, width, uses)
                    else _chebyshev_route(blocks, width))
     coords = np.zeros((times.size, x.size))

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from starkprobe import lindblad
+from starkprobe import lindblad, model
 from starkprobe.lindblad import (
     DensityMatrix,
     _hermitian_basis,
@@ -253,10 +253,10 @@ class TestLiouvillian:
 
     @pytest.mark.parametrize("L", [2, 7])
     def test_cached_patterns_are_read_only(self, L):
-        # shared by every caller: the Liouvillian pattern and the sector maps
-        pattern, maps = lindblad._liouvillian_pattern(L), lindblad._sector_maps(L)
-        assert lindblad._liouvillian_pattern(L) is pattern and lindblad._sector_maps(L) is maps
-        for part in [*pattern, *maps[0], *maps[1]]:
+        # shared by every caller: the Liouvillian pattern and the generator parts
+        pattern, parts = lindblad._liouvillian_pattern(L), lindblad._generator_parts(L)
+        assert lindblad._liouvillian_pattern(L) is pattern and lindblad._generator_parts(L) is parts
+        for part in [*pattern, *parts[0], *parts[1]]:
             assert not part.flags.writeable
             with pytest.raises(ValueError):
                 part[0] = part[0]
@@ -332,23 +332,33 @@ class TestHermitianBasis:
 
     @pytest.mark.parametrize("L", range(2, 41))
     def test_sectors_are_the_sparse_triple_product(self, L):
-        # the compiled products give scipy's (T_k (G T_k^dag)).real on the
-        # Kronecker-form G in all three CSR arrays, entry order and explicit
-        # zeros of the real part included
+        # J A + h B + gamma C is scipy's (T_k (G T_k^dag)).real on the
+        # Kronecker-form G within 4 ulps of the block's largest entry, and
+        # bit for bit at J = 1, h = gamma = 0, where it is A alone; rows are
+        # sorted, every diagonal entry is stored, and an entry stored outside
+        # the product's nonzeros is exactly 0
         T, k = _hermitian_basis(L)
         for h in (0.0, 0.3, 2.0):
             for gamma in (0.0, 0.05):
                 for J in (1.0, 0.7):
                     spec = LatticeSpec(L, J, h, gamma)
                     G = kron_liouvillian(spec)
-                    ref = [(S @ (G @ S.conj().T)).real for S in (T[:k], T[k:])]
+                    ref = [(S @ (G @ S.conj().T)).real.toarray() for S in (T[:k], T[k:])]
                     T_got, k_got, blocks = lindblad._sectors(spec)
                     assert T_got is T and k_got == k
                     for got, want in zip(blocks, ref):
                         assert got.shape == want.shape
-                        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
-                                     (got.data, want.data)):
-                            assert np.array_equal(a, b)
+                        rows = np.repeat(np.arange(got.shape[0]), np.diff(got.indptr))
+                        assert got.has_sorted_indices
+                        assert np.array_equal(rows[got.indices == rows], np.arange(got.shape[0]))
+                        assert not got.data[want[rows, got.indices] == 0.0].any()
+                        dense = got.toarray()
+                        if (J, h, gamma) == (1.0, 0.0, 0.0):
+                            assert np.array_equal(dense, want)
+                        else:
+                            top = np.abs(want).max(initial=0.0)
+                            bound = 4 * np.spacing(top) if top else 0.0
+                            assert np.abs(dense - want).max(initial=0.0) <= bound
 
     def test_hermitian_input_has_real_coordinates(self):
         rng = np.random.default_rng(3)
@@ -517,9 +527,7 @@ class TestPropagate:
         # the full gap, the single late time splits it, in each sector.
         spec = LatticeSpec(6, 1.0, 2.0, 0.05)
         rho0 = DensityMatrix.from_pure(site_state(6, 3))
-        T, k = _hermitian_basis(6)
-        G = (T @ (build_liouvillian(spec) @ T.conj().T)).real.toarray()
-        blocks = [G[:k, :k], G[k:, k:]]
+        blocks = [block.toarray() for block in lindblad._sectors(spec)[2]]
         expm, calls = sla.expm, []
         monkeypatch.setattr(lindblad.sla, "expm", lambda A: calls.append(A) or expm(A))
 
@@ -615,6 +623,27 @@ class TestPropagate:
         propagate(rho0, LatticeSpec(L, 1.0, 0.3, 0.02), times)
         assert eig == [] and chol == [(len(times), L, L)]
 
+    def test_builds_once_per_call_below_mirror_min_dim_and_never_above(self, monkeypatch):
+        # below MIRROR_MIN_DIM each call builds the generator from its spec:
+        # one build_liouvillian, one build_stark and one build_dephasing_ops;
+        # from there on the sector blocks come from the cached parts alone
+        built = []
+        for module, name in [(lindblad, "build_liouvillian"), (model, "build_stark"),
+                             (model, "build_dephasing_ops"), (lindblad, "build_stark"),
+                             (lindblad, "build_dephasing_ops")]:
+            builder = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda spec, name=name, builder=builder: (
+                built.append(name) or builder(spec)))
+        for L, times in [(4, [1.0, 2.0]), (6, [1.0, 2.0, 60.0]), (16, np.arange(1.0, 101.0))]:
+            spec = LatticeSpec(L, 1.0, 0.3, 0.02)
+            rho0 = DensityMatrix.from_pure(site_state(L, middle_site(L)))
+            propagate(rho0, spec, times)  # fills the cache of L
+            built.clear()
+            for h in (0.3, 0.7):
+                propagate(rho0, spec.with_field(h), times)
+            expected = ["build_liouvillian", "build_stark", "build_dephasing_ops"] * 2
+            assert sorted(built) == (sorted(expected) if L == 4 else [])
+
     def test_trace_loss_raises(self, monkeypatch):
         # an extra decay of rho_11 alone leaks population out of the trace
         spec = LatticeSpec(3, 1.0, 0.2, 0.1)
@@ -660,7 +689,10 @@ class TestChebyshevRoute:
         # ||A t||_1 from 0 to about 860, and the zero generator
         rng = np.random.default_rng(n)
         R = sp.random(n, n, density=0.3, rng=rng, data_rvs=rng.standard_normal)
-        A = (scale * (R - R.T) - sp.diags(rate * rng.random(n))).tocsr()
+        # the route takes rows sorted and every diagonal entry stored
+        dense = (scale * (R - R.T) - sp.diags(rate * rng.random(n))).toarray()
+        rows, cols = np.nonzero((dense != 0.0) | np.eye(n, dtype=bool))
+        A = sp.csr_matrix((dense[rows, cols], (rows, cols)), shape=(n, n))
         width = np.linalg.norm(scale * (R - R.T).toarray(), 2)
         x = rng.standard_normal(n)
         before = x.copy()
@@ -777,29 +809,21 @@ class TestChebyshevRoute:
         assert np.array_equal(got.toarray(), B2.toarray())
 
     def test_terms_make_no_sparse_matmul(self, monkeypatch):
-        # the terms and the sector products go straight to the compiled
-        # kernels, not through scipy's Python dispatch: the one product of a
-        # sparse matrix through ``@`` is T vec(rho0), with a vector
+        # the terms go straight to the compiled kernel, not through scipy's
+        # Python dispatch, and the sector blocks are sums over cached parts:
+        # once those are made, the one product of a sparse matrix through
+        # ``@`` is T vec(rho0), with a vector
         forced_route(monkeypatch, "chebyshev")
-        _hermitian_basis(8)
-        lindblad._sector_maps.cache_clear()
+        spec = LatticeSpec(8, 1.0, 0.3, 0.02)
+        rho0 = DensityMatrix.from_pure(site_state(8, middle_site(8)))
+        propagate(rho0, spec, [100.0])
         matmul, operands = sp.csr_matrix.__matmul__, []
         monkeypatch.setattr(sp.csr_matrix, "__matmul__", lambda A, other: operands.append(
             isinstance(other, np.ndarray)) or matmul(A, other))
-        spec = LatticeSpec(8, 1.0, 0.3, 0.02)
-        # the sector blocks, with their cached maps made afresh and then reused
-        for _ in range(2):
-            lindblad._sectors(spec)
-            assert operands == []
         kernel, terms = lindblad.csr_matvec, []
         monkeypatch.setattr(lindblad, "csr_matvec", lambda *args: terms.append(1) or kernel(*args))
-        products, counted = lindblad.csr_matmat, []
-        monkeypatch.setattr(lindblad, "csr_matmat",
-                            lambda *args: counted.append(1) or products(*args))
-        rho0 = DensityMatrix.from_pure(site_state(8, middle_site(8)))
         propagate(rho0, spec, [100.0])
         assert len(terms) > 100
-        assert len(counted) == 4
         assert operands == [True]
 
     def test_is_deterministic_and_leaves_the_global_rng_alone(self):
